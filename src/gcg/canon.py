@@ -260,18 +260,26 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], budget: int):
 @lru_cache(maxsize=1024)
 def _aut_cached(n: int, rows: tuple[int, ...], budget: int):
     chain, gens, _ = _aut_search(rows, n, budget)
-    return chain.order(), tuple(gens)
+    return chain, tuple(gens)
 
 
 def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    order, gens = _aut_cached(g.n, g.rows, budget)
+    chain, gens = _aut_cached(g.n, g.rows, budget)
     return PermGroupDescription(
         degree=g.n,
         generators=gens,
-        order=order,
+        order=chain.order(),
         orbits=orbit_partition(g.n, list(gens)),
     )
+
+
+def automorphism_chain(g: Graph, budget: int | None = None) -> StabilizerChain:
+    """The stabilizer chain of Aut(g) built by the automorphism search.
+
+    The chain is cached and shared between callers: read it, never add to it."""
+    budget = budget if budget is not None else caps_from_env().aut_node_budget
+    return _aut_cached(g.n, g.rows, budget)[0]
 
 
 @lru_cache(maxsize=1024)

@@ -17,8 +17,7 @@ class Caps:
     order_cap: int = 256          # largest group order make_group will build
     bit_budget: int = 24          # orbit count cap for connection-set enumeration
     aut_node_budget: int = 500_000  # refinement-tree nodes per automorphism search
-    aut_enum_cap: int = 100_000   # |Aut| above which element enumeration is skipped
-    regular_search_budget: int = 200_000  # closure attempts in regular-subgroup search
+    regular_search_budget: int = 200_000  # stabilizer-chain nodes per regular-subgroup search
     sweep_instance_budget: int = 50_000   # instances per theorem sweep
 
 
@@ -27,7 +26,6 @@ PROFILES = {
     "extended": Caps(
         bit_budget=28,
         aut_node_budget=2_000_000,
-        aut_enum_cap=400_000,
         regular_search_budget=1_000_000,
         sweep_instance_budget=500_000,
     ),

@@ -2,24 +2,29 @@
 
 A graph on n vertices is a Cayley graph iff its automorphism group contains
 a regular subgroup (order n, transitive, only the identity has fixed
-points).  The detector enumerates the automorphism group when it is small
-enough, then searches for a regular subgroup among the fixed-point-free
-elements by closure-bounded backtracking.  Positive answers carry a group
-table plus an explicit isomorphism witness; negative answers carry either
-an orbit-split witness or the exhausted-search marker; anything cut short
-by a budget is reported as unknown rather than guessed.
+points).  The detector never lists Aut(X).  Complete and edgeless graphs
+are circulants.  A graph whose complement or itself is disconnected is
+reduced to one component Y: Aut(X) equals Aut of the complement, a
+vertex-transitive mY has isomorphic components, and mY is Cayley iff Y is
+(a regular R of Aut(Y) lifts to R x Z_m).  A connected, co-connected graph
+goes to a search over the stabilizer chain of Aut(X) that grows a
+semiregular subgroup one coset of the base-point stabilizer at a time
+(Seress, Permutation Group Algorithms, 2003); its node budget bounds the
+time however large Aut(X) is.  Positive answers carry a group table plus an
+explicit isomorphism witness; negative answers carry either an orbit-split
+witness or the exhausted-search marker; anything cut short by a budget is
+reported as unknown rather than guessed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .canon import automorphism_group
+from .canon import automorphism_chain, automorphism_group, is_isomorphic
 from .caps import Caps, caps_from_env
 from .errors import BudgetExceeded
 from .graphs import Graph, IsomorphismWitness, bipartite_double_cover, check_witness
-from .groups import FiniteGroup, Opaque, bits, group_from_table
-from .perms import Perm, enumerate_group_elements
+from .groups import FiniteGroup, Opaque, bits, group_from_table, mask_of
+from .perms import Perm, StabilizerChain, pmul
 
 
 def is_vertex_transitive(g: Graph, budget: int | None = None) -> bool:
@@ -37,64 +42,143 @@ class CayleyVerdict:
     aut_order: int | None = None
 
 
-def _closure_in(allowed: dict[bytes, Perm], seed: Sequence[Perm], limit: int) -> list[Perm] | None:
-    """Closure of seed under composition, or None once it leaves `allowed`
-    or exceeds `limit` elements."""
-    have: dict[bytes, Perm] = {}
-    frontier: list[Perm] = []
-    for p in seed:
-        k = bytes(p)
-        if k not in have:
-            have[k] = p
-            frontier.append(p)
-    while frontier:
-        p = frontier.pop()
-        for q in list(have.values()):
-            for r in (tuple(p[x] for x in q), tuple(q[x] for x in p)):
-                k = bytes(r)
-                if k in have:
+def _cyclic_shifts(n: int) -> list[Perm]:
+    return [tuple((v + s) % n for v in range(n)) for s in range(n)]
+
+
+def _component_graph(g: Graph, comp: list[int]) -> Graph:
+    """The component on the sorted vertex list comp, relabeled 0..len-1."""
+    index = {v: i for i, v in enumerate(comp)}
+    return Graph(len(comp), tuple(mask_of(index[w] for w in bits(g.rows[v])) for v in comp))
+
+
+def _lift_components(x: Graph, caps: Caps) -> list[Perm] | None:
+    """Regular subgroup of Aut(x) for a disconnected vertex-transitive x = mY.
+
+    A regular R of Aut(Y) lifts to R x Z_m: (r, j) sends phi_i(y) to
+    phi_{i+j}(r(y)), where phi_i: Y -> component i are isomorphisms.  If Y is
+    not Cayley neither is x, because the component of Cay(G, S) through the
+    identity is Cay(<S>, S)."""
+    comps = x.components()
+    y = _component_graph(x, comps[0])
+    ry = _regular_subgroup(y, caps)
+    if ry is None:
+        return None
+    phis = []
+    for comp in comps:
+        w = is_isomorphic(y, _component_graph(x, comp), caps.aut_node_budget)
+        if w is None:
+            raise AssertionError("components of a vertex-transitive graph are not isomorphic")
+        phis.append([comp[i] for i in w.mapping])
+    m = len(phis)
+    lifted = []
+    for j in range(m):
+        for r in ry:
+            p = [0] * x.n
+            for i, phi in enumerate(phis):
+                target = phis[(i + j) % m]
+                for yv, v in enumerate(phi):
+                    p[v] = target[r[yv]]
+            lifted.append(tuple(p))
+    return lifted
+
+
+def _join(h: dict[int, Perm], hgens: list[Perm], g: Perm, b0: int) -> dict[int, Perm] | None:
+    """<H, g> keyed by image of b0, or None unless it is semiregular.
+
+    The closure adds whole left cosets of H.  In a semiregular group the
+    image of b0 determines the element, so a repeated key with a different
+    permutation, or any fixed point, proves <H, g> is not semiregular."""
+    n = len(g)
+    out = dict(h)
+    hs = list(h.values())
+    gens = hgens + [g]
+    reps = [h[b0]]  # the identity
+    for r in reps:
+        for s in gens:
+            y = pmul(s, r)
+            k = y[b0]
+            if k in out:
+                if out[k] != y:
+                    return None
+                continue
+            for e in hs:
+                ye = pmul(y, e)
+                ke = ye[b0]
+                if ke in out or any(ye[i] == i for i in range(n)):
+                    return None
+                out[ke] = ye
+            reps.append(y)
+    return out
+
+
+def _chain_search(chain: StabilizerChain, budget: int) -> list[Perm] | None:
+    """Regular subgroup of the transitive group with this chain, or None.
+
+    Grows a semiregular H one coset at a time.  For the least vertex v that H
+    does not reach from the base point b0, the elements g with g(b0) = v are
+    u0[v] * u1 * ... * uk over the chain's transversals; a prefix already
+    determines g on base[:level], so it is pruned once it maps a base point b
+    into the H-orbit of b (h^-1 g would fix b).  Any regular R containing H holds
+    exactly one element of that coset, so trying all of them is complete."""
+    n = chain.degree
+    base = chain.base
+    levels = [list(t.items()) for t in chain.transversal]
+    b0 = base[0]
+    nodes = 0
+
+    def grow(h: dict[int, Perm], hgens: list[Perm]) -> dict[int, Perm] | None:
+        if len(h) == n:
+            return h
+        v = next(x for x in range(n) if x not in h)
+        orbit_mask = [0] * n
+        for p in h.values():
+            for x in range(n):
+                orbit_mask[x] |= 1 << p[x]
+        base_masks = [orbit_mask[b] for b in base]
+
+        def walk(level: int, prefix: Perm) -> dict[int, Perm] | None:
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"regular-subgroup search: budget exhausted after {budget} chain nodes")
+            if level == len(base):
+                if any(orbit_mask[x] >> prefix[x] & 1 for x in range(n)):
+                    return None
+                joined = _join(h, hgens, prefix, b0)
+                return None if joined is None else grow(joined, hgens + [prefix])
+            mask = base_masks[level]
+            for x, u in levels[level]:
+                if mask >> prefix[x] & 1:
                     continue
-                if k not in allowed:
-                    return None
-                if len(have) + 1 > limit:
-                    return None
-                have[k] = r
-                frontier.append(r)
-    return list(have.values())
+                found = walk(level + 1, pmul(prefix, u))
+                if found is not None:
+                    return found
+            return None
+
+        return walk(1, chain.transversal[0][v])
+
+    found = grow({b0: chain.identity}, [])
+    return None if found is None else list(found.values())
 
 
-def _find_regular_subgroup(
-    elements: list[Perm], n: int, budget: int
-) -> list[Perm] | None:
-    """Search for an order-n subgroup all of whose non-identity elements are
-    fixed-point-free.  Raises BudgetExceeded when the node budget runs out."""
-    ident = tuple(range(n))
-    fpf = [p for p in elements if all(p[v] != v for v in range(n))]
-    allowed = {bytes(p): p for p in fpf}
-    allowed[bytes(ident)] = ident
-    if len(fpf) + 1 < n:
-        return None
-    nodes = [0]
+def _regular_subgroup(g: Graph, caps: Caps) -> list[Perm] | None:
+    """A regular subgroup of Aut(g) for a vertex-transitive g, or None when
+    there is none; raises BudgetExceeded when a search runs out of budget.
 
-    def search(current: list[Perm], current_keys: set[bytes], start: int) -> list[Perm] | None:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"regular-subgroup search budget {budget} exhausted")
-        if len(current) == n:
-            return current
-        for i in range(start, len(fpf)):
-            p = fpf[i]
-            if bytes(p) in current_keys:
-                continue
-            closed = _closure_in(allowed, current + [p], n)
-            if closed is None or n % len(closed) != 0:
-                continue
-            res = search(closed, {bytes(q) for q in closed}, i + 1)
-            if res is not None:
-                return res
-        return None
-
-    return search([ident], {bytes(ident)}, 0)
+    Aut(g) is never listed: complete and edgeless graphs take the cyclic
+    shifts, a disconnected g or complement reduces to one component (the
+    complement has the same automorphisms), and only a connected,
+    co-connected graph reaches the stabilizer-chain search."""
+    n = g.n
+    if g.edge_count() in (0, n * (n - 1) // 2):
+        return _cyclic_shifts(n)
+    if not g.is_connected():
+        return _lift_components(g, caps)
+    co = g.complement()
+    if not co.is_connected():
+        return _lift_components(co, caps)
+    return _chain_search(automorphism_chain(g, caps.aut_node_budget), caps.regular_search_budget)
 
 
 def _regular_to_cayley(g: Graph, regular: list[Perm]) -> tuple[FiniteGroup, tuple[int, ...], IsomorphismWitness]:
@@ -154,21 +238,8 @@ def detect_cayley(g: Graph, caps: Caps | None = None) -> CayleyVerdict:
             orbit_witness=(desc.orbits[0][0], desc.orbits[1][0]),
             aut_order=desc.order,
         )
-    if desc.order > caps.aut_enum_cap:
-        return CayleyVerdict(
-            status="unknown",
-            reason=f"automorphism group order {desc.order} exceeds enumeration cap {caps.aut_enum_cap}",
-            aut_order=desc.order,
-        )
-    elements = enumerate_group_elements(list(desc.generators), n, caps.aut_enum_cap)
-    if elements is None:
-        return CayleyVerdict(
-            status="unknown",
-            reason=f"automorphism enumeration exceeded cap {caps.aut_enum_cap}",
-            aut_order=desc.order,
-        )
     try:
-        regular = _find_regular_subgroup(elements, n, caps.regular_search_budget)
+        regular = _regular_subgroup(g, caps)
     except BudgetExceeded as exc:
         return CayleyVerdict(status="unknown", reason=str(exc), aut_order=desc.order)
     if regular is None:

@@ -29,7 +29,7 @@ from .construct import (
     kernel_subgroup,
 )
 from .errors import BudgetExceeded
-from .graphs import triangle_profile
+from .graphs import Graph, triangle_profile
 from .groups import make_group
 
 
@@ -58,7 +58,7 @@ def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
         "alpha": list(spec.alpha.perm),
         "set_ids": list(spec.set_ids()),
         "order": g.order,
-        "degree": len(spec.connection),
+        "degree": _degree(x),
         "connected": x.is_connected(),
         "bipartite": x.is_bipartite(),
         "unworthy": len(kernel) > 1,
@@ -81,6 +81,13 @@ def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
     except BudgetExceeded:
         record["stability"] = "unknown"
     return record
+
+
+def _degree(x: Graph) -> int | list[int]:
+    """The common vertex degree, or the sorted degree set of an irregular graph
+    (which refuting_records then flags)."""
+    degrees = sorted(set(x.degrees()))
+    return degrees[0] if len(degrees) == 1 else degrees
 
 
 def _item_key(name: str, alpha_index: int) -> str:
@@ -144,12 +151,13 @@ def run_census(config: RunConfig) -> list[dict]:
             journal.flush()
             records.extend(recs)
 
-        if config.jobs == 1 or len(pending) <= 1:
+        workers = min(config.jobs, os.cpu_count() or 1, len(pending))
+        if workers <= 1:
             for it in pending:
                 key, recs = _work(it)
                 consume(key, recs)
         else:
-            with Pool(config.jobs) as pool:
+            with Pool(workers) as pool:
                 for key, recs in pool.imap(_work, pending, chunksize=1):
                     consume(key, recs)
 

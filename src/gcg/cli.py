@@ -47,7 +47,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--caps-bits", type=int, default=None, metavar="N",
                         help="override the connection-set enumeration bit budget")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker count for the census")
+                        help="worker count for the census (at most the CPU count "
+                             "and the number of pending work items)")
     parser.add_argument("--format", default=None,
                         help="output format (text or json; export: graph6, dot, json)")
     sub = parser.add_subparsers(dest="command", required=True)

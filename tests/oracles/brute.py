@@ -2,7 +2,10 @@
 
 Everything here recomputes answers from first principles with no shared
 machinery beyond raw adjacency rows and multiplication tables, so agreement
-with the package is meaningful evidence.
+with the package is meaningful evidence.  The one exception is
+`enumerated_cayley_status`, which starts from the package's automorphism
+generators because listing Aut(X) by filtering permutations stops at 8
+vertices; its regular-subgroup search shares nothing with the package.
 """
 from __future__ import annotations
 
@@ -97,3 +100,87 @@ def group_automorphisms_brute(mul, order: int) -> list[tuple[int, ...]]:
         ):
             out.append(perm)
     return out
+
+
+
+def _semiregular_closure(seed: list[tuple[int, ...]], n: int) -> dict[int, tuple[int, ...]] | None:
+    """The group generated by seed, keyed by the image of vertex 0, or None
+    when it is not semiregular (two elements agree at 0, or one fixes a point)."""
+    ident = tuple(range(n))
+    have = {0: ident}
+    frontier = [ident]
+    while frontier:
+        p = frontier.pop()
+        for q in seed:
+            r = tuple(q[x] for x in p)
+            k = r[0]
+            if k in have:
+                if have[k] != r:
+                    return None
+                continue
+            if any(r[v] == v for v in range(n)):
+                return None
+            have[k] = r
+            frontier.append(r)
+    return have
+
+
+def regular_subgroup_in(elements: list[tuple[int, ...]], n: int):
+    """A regular subgroup of the listed permutation group, or None.
+
+    Backtracks over the listed elements one coset at a time: a regular R
+    containing the current semiregular H has exactly one element sending 0
+    to the least vertex H does not reach, so trying every listed
+    fixed-point-free element with that image is complete."""
+    by_image: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(n)}
+    for p in elements:
+        if all(p[v] != v for v in range(n)):
+            by_image[p[0]].append(p)
+
+    def search(gens: list[tuple[int, ...]], group: dict[int, tuple[int, ...]]):
+        if len(group) == n:
+            return list(group.values())
+        v = min(x for x in range(n) if x not in group)
+        for p in by_image[v]:
+            closed = _semiregular_closure(gens + [p], n)
+            if closed is not None:
+                found = search(gens + [p], closed)
+                if found is not None:
+                    return found
+        return None
+
+    return search([], {0: tuple(range(n))})
+
+
+def enumerated_cayley_status(rows: tuple[int, ...], cap: int = 100_000) -> tuple[str, str]:
+    """(status, reason) of the Cayley question, by listing all of Aut(X).
+
+    Aut(X) is listed element by element from the package's automorphism
+    generators (`perms.enumerate_group_elements`) and searched for a regular
+    subgroup by `regular_subgroup_in`.  No stabilizer chain, no pruning by
+    base images and no reduction to components are involved, so agreement
+    with `cayley.detect_cayley` checks its search, not its generators.
+    Raises RuntimeError when |Aut(X)| exceeds `cap`."""
+    from gcg.canon import automorphism_group
+    from gcg.graphs import Graph
+    from gcg.perms import enumerate_group_elements
+
+    n = len(rows)
+    if all(r == 0 for r in rows) or all(r.bit_count() == n - 1 for r in rows):
+        return "cayley", "edgeless or complete graph is a circulant"
+    desc = automorphism_group(Graph(n, tuple(rows)))
+    if len(desc.orbits) > 1:
+        return "not_cayley", "automorphism group is not transitive"
+    elements = enumerate_group_elements(list(desc.generators), n, cap)
+    if elements is None:
+        raise RuntimeError(f"|Aut| = {desc.order} exceeds the oracle's enumeration cap {cap}")
+    if regular_subgroup_in(elements, n) is None:
+        return "not_cayley", "no regular subgroup in the full automorphism group"
+    return "cayley", "regular subgroup of automorphisms found"
+
+
+def circulant_rows(n: int, connection) -> tuple[int, ...]:
+    """Adjacency rows of Cay(Z_n, S) for an inverse-closed S, from the
+    definition x ~ y iff y - x in S."""
+    s = {c % n for c in connection}
+    return tuple(sum(1 << y for y in range(n) if (y - x) % n in s) for x in range(n))

@@ -161,3 +161,46 @@ def test_bad_config_rejected():
         RunConfig(jobs=0)
     with pytest.raises(ValueError):
         RunConfig(max_order=0)
+
+
+def test_degree_is_read_off_the_graph(monkeypatch, caps):
+    import gcg.census as census
+    from gcg.graphs import path_graph
+
+    g = make_group("Z6", caps)
+    spec = make_spec(g, inversion_map(g), (1, 3, 5))
+    assert compute_record(spec, 1, caps)["degree"] == 3
+    # an irregular graph yields its degree set, which the cross-check flags
+    monkeypatch.setattr(census, "build_gc_graph", lambda _spec: path_graph(6))
+    bad = compute_record(spec, 1, caps)
+    assert bad["degree"] == [1, 2]
+    assert any("regular" in why for _, why in refuting_records([bad]))
+
+
+def test_jobs_are_clamped(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(census, "Pool", SerialPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    ref = run_census(RunConfig(groups=("Z4", "Z5", "Z6"), out_path=str(tmp_path / "a.jsonl"), caps=caps))
+    # six pending items but two CPUs: two workers, not 64
+    wide = tmp_path / "b.jsonl"
+    assert run_census(RunConfig(groups=("Z4", "Z5", "Z6"), out_path=str(wide), jobs=64, caps=caps)) == ref
+    # Z2 has one involutory automorphism, so one pending item runs in-process
+    run_census(RunConfig(groups=("Z2",), out_path=str(tmp_path / "c.jsonl"), jobs=64, caps=caps))
+    assert started == [2]
