@@ -15,6 +15,7 @@ from collections import Counter
 
 from gcg.caps import caps_from_env
 from gcg.census import RunConfig, refuting_records, run_census
+from gcg.errors import ManifestMismatch
 
 
 def main() -> int:
@@ -34,7 +35,11 @@ def main() -> int:
         groups=tuple(args.groups.split(",")) if args.groups else None,
     )
     started = time.perf_counter()
-    records = run_census(config)
+    try:
+        records = run_census(config)
+    except ManifestMismatch as exc:
+        print(f"run_census: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
 
     per_group = Counter(r["group"] for r in records)

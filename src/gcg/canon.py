@@ -11,6 +11,23 @@ that branch and then abandons the branch (the coset argument makes the
 generated group complete).  The canonical pass keeps the minimal
 (trace sequence, labeled adjacency) leaf; isomorphic graphs therefore get
 identical fingerprints.
+
+The automorphisms found are a strong generating set relative to the
+leftmost path's base b_0, ..., b_k (McKay and Piperno, Practical graph
+isomorphism, II, 2014).  Deeper levels finish first, and an automorphism
+found below a sibling v of b_i fixes b_0..b_{i-1} and sends b_i to v.  A
+sibling is skipped only when it lies in the orbit of an explored sibling
+under the automorphisms found so far that fix the prefix, and a sibling
+whose subtree holds no leaf equivalent to the first is not in the orbit of
+b_i.  So when level i is done, the found automorphisms fixing b_0..b_{i-1}
+move b_i around its whole orbit under the pointwise stabilizer G_i of
+b_0..b_{i-1}.  By induction from G_{k+1} = 1 (the first leaf is discrete),
+they generate G_i, and |G_i| = |b_i^{G_i}| |G_{i+1}|.  The stabilizer chain
+is therefore read straight off the generators (`StabilizerChain.
+from_strong_generators`), and |Aut| is the product of the basic orbit
+lengths (Seress, Permutation Group Algorithms, 2003); no sifting is needed.
+Each found automorphism also moves b_i outside the orbit known before it,
+so every one is a new strong generator.
 """
 from __future__ import annotations
 
@@ -36,6 +53,24 @@ class PermGroupDescription:
 class CanonicalForm:
     labeling: Perm        # vertex -> canonical label
     fingerprint: bytes    # graph6 of the relabeled graph
+
+
+class _Budget:
+    """Refinement-node counter of one search; its error names the search,
+    the vertex count and the nodes spent."""
+
+    def __init__(self, stage: str, n: int, limit: int):
+        self.stage = stage
+        self.n = n
+        self.limit = limit
+        self.nodes = 0
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExceeded(
+                f"{self.stage}: budget exhausted after {self.limit} refinement nodes on {self.n} vertices"
+            )
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) -> tuple[int, ...]:
@@ -65,12 +100,24 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) 
             for part in parts:
                 worklist.append(mask_of(part))
             i += len(parts)
-    masks = [mask_of(c) for c in cells]
-    trace: list[int] = [len(cells)]
+    return _trace(rows, cells)
+
+
+def _trace(rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
+    """Cell count, cell sizes, then for each cell the number of neighbors its
+    first vertex has in every cell: O(n + degrees) rather than O(cells^2)."""
+    k = len(cells)
+    cell_of = [0] * len(rows)
+    for i, c in enumerate(cells):
+        for v in c:
+            cell_of[v] = i
+    trace: list[int] = [k]
     trace.extend(len(c) for c in cells)
     for c in cells:
-        rc = rows[c[0]]
-        trace.extend((rc & m).bit_count() for m in masks)
+        counts = [0] * k
+        for w in bits(rows[c[0]]):
+            counts[cell_of[w]] += 1
+        trace.extend(counts)
     return tuple(trace)
 
 
@@ -82,11 +129,9 @@ def _target_cell(cells: list[list[int]]) -> int | None:
     return best
 
 
-def _child(rows, cells, t, v, counter, budget):
+def _child(rows, cells, t, v, budget: _Budget):
     """Individualize v out of cell t and re-refine; returns (cells, trace)."""
-    counter[0] += 1
-    if counter[0] > budget:
-        raise BudgetExceeded(f"refinement node budget {budget} exhausted")
+    budget.spend()
     new_cells = [list(c) for c in cells]
     rest = [u for u in new_cells[t] if u != v]
     new_cells[t : t + 1] = [[v], rest]
@@ -161,9 +206,10 @@ def _orbit_hits(v: int, explored: list[int], prefix: tuple[int, ...], gens: list
     return False
 
 
-def _aut_search(rows: tuple[int, ...], n: int, budget: int):
-    """Returns (chain, gens, first_leaf_labeling)."""
-    counter = [0]
+def _aut_search(rows: tuple[int, ...], n: int, limit: int):
+    """Returns (base, gens, first_leaf_labeling): gens is a strong generating
+    set of Aut relative to base, the leftmost path's individualized vertices."""
+    budget = _Budget("automorphism search", n, limit)
     cells0: list[list[int]] = [list(range(n))]
     _refine(rows, cells0, [mask_of(range(n))] if n else [])
     # leftmost path
@@ -176,11 +222,10 @@ def _aut_search(rows: tuple[int, ...], n: int, budget: int):
             break
         v = cells[t][0]
         base.append(v)
-        cells, trace = _child(rows, cells, t, v, counter, budget)
+        cells, trace = _child(rows, cells, t, v, budget)
         first_traces.append(trace)
     zeta = _labeling(cells, n)
     zeta_bytes = _leaf_key(rows, zeta)
-    chain = StabilizerChain(n)
     gens: list[Perm] = []
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
@@ -193,21 +238,20 @@ def _aut_search(rows: tuple[int, ...], n: int, budget: int):
                 gamma = _gamma_from_labelings(zeta, lab)
                 if not _is_automorphism(rows, gamma):
                     raise AssertionError("leaf key collision without automorphism")
-                if chain.add(gamma):
-                    gens.append(gamma)
+                gens.append(gamma)
                 return True
             return False
         explored: list[int] = []
         found_any = False
         for v in cells[t]:
             if on_first and v == base[depth]:
-                child, _ = _child(rows, cells, t, v, counter, budget)
+                child, _ = _child(rows, cells, t, v, budget)
                 explore(child, depth + 1, prefix + (v,), True)
                 explored.append(v)
                 continue
             if _orbit_hits(v, explored, prefix, gens, n):
                 continue
-            child, tr = _child(rows, cells, t, v, counter, budget)
+            child, tr = _child(rows, cells, t, v, budget)
             explored.append(v)
             if tr != first_traces[depth]:
                 continue
@@ -219,12 +263,12 @@ def _aut_search(rows: tuple[int, ...], n: int, budget: int):
 
     if n:
         explore(cells0, 0, (), True)
-    return chain, gens, zeta
+    return base, gens, zeta
 
 
-def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], budget: int):
+def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
     """Minimal (trace sequence, labeled adjacency) leaf over the search tree."""
-    counter = [0]
+    budget = _Budget("canonical search", n, limit)
     cells0: list[list[int]] = [list(range(n))]
     _refine(rows, cells0, [mask_of(range(n))] if n else [])
     best: list = [None, None, None]  # traces, leaf bytes, labeling
@@ -242,7 +286,7 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], budget: int):
             if _orbit_hits(v, explored, prefix, gens, n):
                 continue
             explored.append(v)
-            child, tr = _child(rows, cells, t, v, counter, budget)
+            child, tr = _child(rows, cells, t, v, budget)
             newtraces = traces + (tr,)
             if best[0] is not None:
                 bt = best[0][: depth + 1]
@@ -259,8 +303,8 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], budget: int):
 
 @lru_cache(maxsize=1024)
 def _aut_cached(n: int, rows: tuple[int, ...], budget: int):
-    chain, gens, _ = _aut_search(rows, n, budget)
-    return chain, tuple(gens)
+    base, gens, _ = _aut_search(rows, n, budget)
+    return StabilizerChain.from_strong_generators(n, base, gens), tuple(gens)
 
 
 def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
@@ -277,7 +321,7 @@ def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescript
 def automorphism_chain(g: Graph, budget: int | None = None) -> StabilizerChain:
     """The stabilizer chain of Aut(g) built by the automorphism search.
 
-    The chain is cached and shared between callers: read it, never add to it."""
+    The chain is cached and shared between callers; it is read-only."""
     budget = budget if budget is not None else caps_from_env().aut_node_budget
     return _aut_cached(g.n, g.rows, budget)[0]
 

@@ -4,7 +4,10 @@ One JSON line per (group, alpha, connection set).  Work items are
 (group, alpha-index) pairs; each expands to one record per valid set.
 The run journals completed work items so an interrupted census resumes,
 and the final file is sorted by (group, alpha_index, set_ids) so worker
-count and scheduling cannot leak into the output bytes.
+count and scheduling cannot leak into the output bytes.  A manifest sidecar
+`<out>.manifest.json` records what the bytes depend on (schema version,
+resolved group names, max order, caps; not the worker count); a finished
+output or a journal is reused only when its manifest matches the run.
 
 Expensive verdicts degrade to "unknown" (or a null fingerprint) when a
 budget cap is hit; records are never dropped.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .automorphisms import enumerate_involutory_automorphisms, is_prime
@@ -28,7 +31,7 @@ from .construct import (
     enumerate_connection_sets,
     kernel_subgroup,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ManifestMismatch
 from .graphs import Graph, triangle_profile
 from .groups import make_group
 
@@ -104,6 +107,34 @@ def _work(args: tuple[str, int, Caps]) -> tuple[str, list[dict]]:
     return _item_key(name, alpha_index), records
 
 
+MANIFEST_SCHEMA = 1
+
+
+def _manifest(groups: list[str], max_order: int, caps: Caps) -> dict:
+    # max_order before groups: the catalog's groups follow from it
+    fields = {"schema": MANIFEST_SCHEMA, "max_order": max_order, "groups": groups}
+    fields.update({f"caps.{k}": v for k, v in asdict(caps).items()})
+    return fields
+
+
+def _check_manifest(path: str, want: dict, out_path: str) -> None:
+    """Raise ManifestMismatch naming the first field where the manifest at
+    path differs from this run's, or saying that there is none."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            have = json.load(fh)
+    except FileNotFoundError:
+        raise ManifestMismatch(
+            f"census {out_path} has no manifest {path}; the configuration that wrote it is unknown"
+        ) from None
+    for field, value in want.items():
+        if have.get(field) != value:
+            raise ManifestMismatch(
+                f"census {out_path} was written with {field} = {have.get(field)!r}, "
+                f"this run has {value!r}; use another --out or remove the old files"
+            )
+
+
 def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
@@ -116,19 +147,29 @@ def run_census(config: RunConfig) -> list[dict]:
     caps = config.caps or caps_from_env()
     names = config.groups or tuple(builtin_descriptors(config.max_order))
     items: list[tuple[str, int, Caps]] = []
+    resolved: list[str] = []
     for name in names:
         g = make_group(name, caps)
+        resolved.append(g.name)
         for idx in range(len(enumerate_involutory_automorphisms(g))):
             items.append((name, idx, caps))
 
     journal_path = config.out_path + ".journal"
     part_path = config.out_path + ".part"
+    manifest_path = config.out_path + ".manifest.json"
+    manifest = _manifest(resolved, config.max_order, caps)
     done: set[str] = set()
     records: list[dict] = []
-    if os.path.exists(config.out_path) and not os.path.exists(journal_path):
+    resuming = os.path.exists(journal_path)
+    if resuming or os.path.exists(config.out_path):
+        _check_manifest(manifest_path, manifest, config.out_path)
+    else:
+        with open(manifest_path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    if not resuming and os.path.exists(config.out_path):
         with open(config.out_path, "r", encoding="ascii") as fh:
             return [json.loads(line) for line in fh if line.strip()]
-    if os.path.exists(journal_path):
+    if resuming:
         with open(journal_path, "r", encoding="ascii") as fh:
             done = {line.strip() for line in fh if line.strip()}
         if os.path.exists(part_path):

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 invalid spec (or a refuted
+Exit codes: 0 success, 1 usage error (also a census --out written under
+another configuration), 2 invalid spec (or a refuted
 verification instance), 3 budget or cap exhausted (or a budget-skipped
 verification instance).
 """
@@ -22,7 +23,14 @@ from .construct import (
     make_spec,
     validate_connection_set,
 )
-from .errors import BudgetExceeded, CapExceeded, DescriptorError, ShapeError, SpecError
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    DescriptorError,
+    ManifestMismatch,
+    ShapeError,
+    SpecError,
+)
 from .catalog import builtin_descriptors
 from .formats import graph_to_dict, to_dot, to_graph6
 from .groups import make_group, mask_of
@@ -318,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"gcg: budget exhausted: {exc}", file=sys.stderr)
         return BUDGET_EXIT
-    except (DescriptorError, ShapeError) as exc:
+    except (DescriptorError, ShapeError, ManifestMismatch) as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     return USAGE_EXIT

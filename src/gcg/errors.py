@@ -24,3 +24,8 @@ class SpecError(ValueError):
 
 class ShapeError(ValueError):
     """A group/automorphism pair does not have the shape an operation needs."""
+
+
+class ManifestMismatch(ValueError):
+    """An existing census output or journal was written under another
+    configuration (or carries no manifest), so it cannot be reused."""

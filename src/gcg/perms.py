@@ -1,8 +1,12 @@
-"""Permutations as tuples, plus an incremental stabilizer chain.
+"""Permutations as tuples, plus a stabilizer chain built from a strong
+generating set.
 
-The chain gives exact group orders via orbit sizes along a base, and a
-membership test by sifting.  Degrees stay small (graph vertex counts), so
-plain tuple composition is fine.
+The chain gives exact group orders as products of basic orbit lengths, and
+its transversals drive the regular-subgroup search in `cayley`.  It is not
+a Schreier-Sims implementation: the automorphism search in `canon` already
+yields a strong generating set for its own base, so the chain only lays out
+Schreier trees.  Degrees stay small (graph vertex counts), so plain tuple
+composition is fine.
 """
 from __future__ import annotations
 
@@ -47,113 +51,57 @@ def orbit_partition(n: int, gens: list[Perm]) -> tuple[tuple[int, ...], ...]:
 
 
 class StabilizerChain:
-    """Incremental Schreier-Sims over a growing generator list.
+    """Stabilizer chain of a permutation group, built once and then only read.
 
-    The chain is kept at a fixpoint where, for every level, the orbit of
-    base[level] is closed under every strong generator fixing base[:level]
-    pointwise and every Schreier generator sifts to the identity; the group
-    order is then exactly the product of the transversal sizes.  Sift
-    watermarks make the total work proportional to one batch run even when
-    generators arrive one at a time.
+    base[i] has basic orbit transversal[i]: point -> u with u(base[i]) =
+    point, where u fixes base[:i] pointwise.  Every level has an orbit of
+    at least two points, and the group order is the product of the orbit
+    lengths.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, base: tuple[int, ...], transversal: tuple[dict[int, Perm], ...]):
         self.degree = degree
         self.identity = identity_perm(degree)
-        self.base: list[int] = []
-        self.strong: list[Perm] = []
-        self.transversal: list[dict[int, Perm]] = []  # point -> rep u with u(base[i]) = point
-        self._done: list[dict[int, int]] = []  # point -> strong-gen watermark already sifted
+        self.base = base
+        self.transversal = transversal
+
+    @classmethod
+    def from_strong_generators(cls, degree: int, base: list[int], gens: list[Perm]) -> "StabilizerChain":
+        """The chain of <gens>, which must be a strong generating set relative
+        to base: for every i, the gens fixing base[:i] pointwise generate the
+        pointwise stabilizer of base[:i].  Level i is then the Schreier tree
+        of base[i] under those gens, built breadth first; levels whose orbit
+        is a single point are dropped."""
+        ident = identity_perm(degree)
+        kept: list[int] = []
+        levels: list[dict[int, Perm]] = []
+        sub = list(gens)
+        for b in base:
+            if not sub:
+                break
+            trans = {b: ident}
+            frontier = [b]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    ux = trans[x]
+                    for g in sub:
+                        y = g[x]
+                        if y not in trans:
+                            trans[y] = pmul(g, ux)
+                            nxt.append(y)
+                frontier = nxt
+            if len(trans) > 1:
+                kept.append(b)
+                levels.append(trans)
+            sub = [g for g in sub if g[b] == b]
+        return cls(degree, tuple(kept), tuple(levels))
 
     def order(self) -> int:
         out = 1
         for t in self.transversal:
             out *= len(t)
         return out
-
-    def _strip(self, p: Perm) -> tuple[Perm, int]:
-        for i, b in enumerate(self.base):
-            x = p[b]
-            if x not in self.transversal[i]:
-                return p, i
-            p = pmul(pinv(self.transversal[i][x]), p)
-        return p, len(self.base)
-
-    def contains(self, p: Perm) -> bool:
-        res, _ = self._strip(p)
-        return res == self.identity
-
-    def add(self, p: Perm) -> bool:
-        """Add a generator; returns True if the group grew."""
-        res, _ = self._strip(p)
-        if res == self.identity:
-            return False
-        self._register(res)
-        self._stabilize()
-        return True
-
-    def _register(self, res: Perm) -> None:
-        if all(res[b] == b for b in self.base):
-            moved = next(i for i in range(self.degree) if res[i] != i)
-            self.base.append(moved)
-            self.transversal.append({moved: self.identity})
-            self._done.append({})
-        self.strong.append(res)
-
-    def _fixes_prefix(self, g: Perm, level: int) -> bool:
-        return all(g[self.base[i]] == self.base[i] for i in range(level))
-
-    def _stabilize(self) -> None:
-        while True:
-            changed = False
-            for level in range(len(self.base) - 1, -1, -1):
-                if self._close_once(level):
-                    changed = True
-                    break
-            if not changed:
-                return
-
-    def _close_once(self, level: int) -> bool:
-        trans = self.transversal[level]
-        done = self._done[level]
-        gens = [
-            (i, g) for i, g in enumerate(self.strong) if self._fixes_prefix(g, level)
-        ]
-        changed = False
-        frontier = list(trans)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                ux = trans[x]
-                for _, g in gens:
-                    y = g[x]
-                    if y not in trans:
-                        trans[y] = pmul(g, ux)
-                        nxt.append(y)
-                        changed = True
-            frontier = nxt
-        watermark = len(self.strong)
-        for x in sorted(trans):
-            seen = done.get(x, 0)
-            if seen >= watermark:
-                continue
-            ux = trans[x]
-            for i, g in gens:
-                if i < seen:
-                    continue
-                sg = pmul(pinv(trans[g[x]]), pmul(g, ux))
-                if sg == self.identity:
-                    continue
-                res, _ = self._strip(sg)
-                if res != self.identity:
-                    # Register one residue and restart the deepest-first
-                    # sweep: the stuck level's orbit absorbs it before this
-                    # pair is re-examined, so each registration makes strict
-                    # progress and the strong list stays lean.
-                    self._register(res)
-                    return True
-            done[x] = watermark
-        return changed
 
 
 def enumerate_group_elements(gens: list[Perm], degree: int, cap: int) -> list[Perm] | None:

@@ -1160,6 +1160,7 @@ def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
             g = make_group(name, caps)
             for idx, alpha in enumerate(_involutory_maps(g)):
                 count = 0
+                unknown = 0   # detect_cayley cross-checks cut short by a budget
                 contradicted = None
                 skipped = False
                 for spec in enumerate_connection_sets(g, alpha, caps=caps):
@@ -1171,21 +1172,23 @@ def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
                     if verdict.status == "not_cayley":
                         contradicted = _spec_key(spec)
                         break
+                    unknown += verdict.status == "unknown"
                     count += 1
                 if contradicted:
                     reports.append(TheoremReport(
                         "thm-4.3", f"{name}|alpha#{idx}", "refuted",
-                        {"contradicting_spec": contradicted},
+                        {"contradicting_spec": contradicted, "cayley_unknown": unknown},
                     ))
                 elif skipped:
                     reports.append(TheoremReport(
                         "thm-4.3", f"{name}|alpha#{idx}", "skipped",
-                        {"covered_sets": count},
+                        {"covered_sets": count, "cayley_unknown": unknown},
                     ))
                 else:
                     reports.append(TheoremReport(
                         "thm-4.3", f"{name}|alpha#{idx}", "verified",
-                        {"sets_swept": count, "route_of_last": w.route if count else None},
+                        {"sets_swept": count, "route_of_last": w.route if count else None,
+                         "cayley_unknown": unknown},
                     ))
     return reports
 

@@ -2,14 +2,19 @@
 
 Everything here recomputes answers from first principles with no shared
 machinery beyond raw adjacency rows and multiplication tables, so agreement
-with the package is meaningful evidence.  The one exception is
-`enumerated_cayley_status`, which starts from the package's automorphism
-generators because listing Aut(X) by filtering permutations stops at 8
-vertices; its regular-subgroup search shares nothing with the package.
+with the package is meaningful evidence.  There are two exceptions.
+`SchreierSimsChain` computes group orders by incremental Schreier-Sims,
+sifting every generator it is given; it shares only tuple composition and
+inversion with the package.  `enumerated_cayley_status` starts from the
+package's automorphism generators because listing Aut(X) by filtering
+permutations stops at 8 vertices; its regular-subgroup search shares
+nothing with the package.
 """
 from __future__ import annotations
 
 from itertools import permutations
+
+from gcg.perms import Perm, identity_perm, pinv, pmul
 
 
 def is_graph_automorphism(rows: tuple[int, ...], perm: tuple[int, ...]) -> bool:
@@ -22,11 +27,32 @@ def is_graph_automorphism(rows: tuple[int, ...], perm: tuple[int, ...]) -> bool:
 
 
 def brute_automorphisms(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All automorphisms by filtering every permutation; n <= 8 only."""
+    """All automorphisms in lexicographic order; n <= 8 only.
+
+    Every bijection is built one vertex at a time, and a partial one is
+    dropped as soon as two of its assigned vertices break adjacency, so the
+    result is exactly the permutations that `is_graph_automorphism` accepts,
+    without testing all n! of them one by one."""
     n = len(rows)
     if n > 8:
         raise ValueError("brute-force automorphism search is capped at 8 vertices")
-    return [p for p in permutations(range(n)) if is_graph_automorphism(rows, p)]
+    out: list[tuple[int, ...]] = []
+    perm: list[int] = []
+
+    def extend(u: int) -> None:
+        if u == n:
+            out.append(tuple(perm))
+            return
+        for x in range(n):
+            if x in perm:
+                continue
+            perm.append(x)
+            if all((rows[u] >> v & 1) == (rows[x] >> perm[v] & 1) for v in range(u + 1)):
+                extend(u + 1)
+            perm.pop()
+
+    extend(0)
+    return out
 
 
 def brute_vertex_orbits(rows: tuple[int, ...]) -> list[set[int]]:
@@ -184,3 +210,118 @@ def circulant_rows(n: int, connection) -> tuple[int, ...]:
     definition x ~ y iff y - x in S."""
     s = {c % n for c in connection}
     return tuple(sum(1 << y for y in range(n) if (y - x) % n in s) for x in range(n))
+
+
+# Incremental Schreier-Sims, kept as the reference for the group orders that
+# `perms.StabilizerChain.from_strong_generators` reads off a strong
+# generating set.  It sifts every generator and every Schreier generator, so
+# it assumes nothing about where its generators came from.
+
+class SchreierSimsChain:
+    """Incremental Schreier-Sims over a growing generator list.
+
+    The chain is kept at a fixpoint where, for every level, the orbit of
+    base[level] is closed under every strong generator fixing base[:level]
+    pointwise and every Schreier generator sifts to the identity; the group
+    order is then exactly the product of the transversal sizes.  Sift
+    watermarks make the total work proportional to one batch run even when
+    generators arrive one at a time.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.identity = identity_perm(degree)
+        self.base: list[int] = []
+        self.strong: list[Perm] = []
+        self.transversal: list[dict[int, Perm]] = []  # point -> rep u with u(base[i]) = point
+        self._done: list[dict[int, int]] = []  # point -> strong-gen watermark already sifted
+
+    def order(self) -> int:
+        out = 1
+        for t in self.transversal:
+            out *= len(t)
+        return out
+
+    def _strip(self, p: Perm) -> tuple[Perm, int]:
+        for i, b in enumerate(self.base):
+            x = p[b]
+            if x not in self.transversal[i]:
+                return p, i
+            p = pmul(pinv(self.transversal[i][x]), p)
+        return p, len(self.base)
+
+    def contains(self, p: Perm) -> bool:
+        res, _ = self._strip(p)
+        return res == self.identity
+
+    def add(self, p: Perm) -> bool:
+        """Add a generator; returns True if the group grew."""
+        res, _ = self._strip(p)
+        if res == self.identity:
+            return False
+        self._register(res)
+        self._stabilize()
+        return True
+
+    def _register(self, res: Perm) -> None:
+        if all(res[b] == b for b in self.base):
+            moved = next(i for i in range(self.degree) if res[i] != i)
+            self.base.append(moved)
+            self.transversal.append({moved: self.identity})
+            self._done.append({})
+        self.strong.append(res)
+
+    def _fixes_prefix(self, g: Perm, level: int) -> bool:
+        return all(g[self.base[i]] == self.base[i] for i in range(level))
+
+    def _stabilize(self) -> None:
+        while True:
+            changed = False
+            for level in range(len(self.base) - 1, -1, -1):
+                if self._close_once(level):
+                    changed = True
+                    break
+            if not changed:
+                return
+
+    def _close_once(self, level: int) -> bool:
+        trans = self.transversal[level]
+        done = self._done[level]
+        gens = [
+            (i, g) for i, g in enumerate(self.strong) if self._fixes_prefix(g, level)
+        ]
+        changed = False
+        frontier = list(trans)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                ux = trans[x]
+                for _, g in gens:
+                    y = g[x]
+                    if y not in trans:
+                        trans[y] = pmul(g, ux)
+                        nxt.append(y)
+                        changed = True
+            frontier = nxt
+        watermark = len(self.strong)
+        for x in sorted(trans):
+            seen = done.get(x, 0)
+            if seen >= watermark:
+                continue
+            ux = trans[x]
+            for i, g in gens:
+                if i < seen:
+                    continue
+                sg = pmul(pinv(trans[g[x]]), pmul(g, ux))
+                if sg == self.identity:
+                    continue
+                res, _ = self._strip(sg)
+                if res != self.identity:
+                    # Register one residue and restart the deepest-first
+                    # sweep: the stuck level's orbit absorbs it before this
+                    # pair is re-examined, so each registration makes strict
+                    # progress and the strong list stays lean.
+                    self._register(res)
+                    return True
+            done[x] = watermark
+        return changed

@@ -2,10 +2,22 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcg.canon import automorphism_group, canonical_form, is_isomorphic
+from gcg.automorphisms import enumerate_involutory_automorphisms
+from gcg.canon import (
+    _canon_search,
+    _trace,
+    automorphism_chain,
+    automorphism_group,
+    canonical_form,
+    is_isomorphic,
+)
+from gcg.catalog import builtin_descriptors
+from gcg.construct import build_gc_graph, enumerate_connection_sets
+from gcg.errors import BudgetExceeded
 from gcg.graphs import (
     check_witness,
     complete_graph,
@@ -17,8 +29,14 @@ from gcg.graphs import (
     petersen_graph,
     relabel,
 )
+from gcg.groups import make_group, mask_of
 
-from oracles.brute import brute_automorphisms, brute_vertex_orbits
+from oracles.brute import (
+    SchreierSimsChain,
+    brute_automorphisms,
+    brute_vertex_orbits,
+    is_graph_automorphism,
+)
 
 FIXTURES = [
     ("C4", cycle_graph(4), 8),
@@ -106,6 +124,15 @@ def test_is_isomorphic_returns_checked_witness():
     assert is_isomorphic(cycle_graph(4), cycle_graph(5)) is None
 
 
+def test_budget_errors_name_the_search():
+    g = cycle_graph(6)
+    with pytest.raises(BudgetExceeded) as exc:
+        automorphism_group(g, budget=1)
+    assert str(exc.value) == "automorphism search: budget exhausted after 1 refinement nodes on 6 vertices"
+    with pytest.raises(BudgetExceeded, match="^canonical search: budget exhausted after 2 refinement nodes on 6 vertices$"):
+        _canon_search(g.rows, g.n, [], 2)
+
+
 def test_sympy_cross_check_on_generators():
     sympy = __import__("sympy.combinatorics", fromlist=["Permutation", "PermutationGroup"])
     for name, g, want in FIXTURES:
@@ -136,3 +163,66 @@ def test_random_graphs_canonical_and_aut_agree_with_brute(case):
     g = from_edges(n, edges)
     assert automorphism_group(g).order == len(brute_automorphisms(g.rows))
     assert canonical_form(relabel(g, perm)).fingerprint == canonical_form(g).fingerprint
+
+
+def _chain_agrees_with_oracles(g):
+    """|Aut| from the search's strong generating set equals the incremental
+    Schreier-Sims order of the same generators and the brute-force count, and
+    every transversal element is an automorphism with the promised action."""
+    desc = automorphism_group(g)
+    sifted = SchreierSimsChain(g.n)
+    for gen in desc.generators:
+        sifted.add(gen)
+    assert desc.order == sifted.order()
+    assert desc.order == len(brute_automorphisms(g.rows))
+    chain = automorphism_chain(g)
+    for i, b in enumerate(chain.base):
+        for point, u in chain.transversal[i].items():
+            assert is_graph_automorphism(g.rows, u)
+            assert all(u[c] == c for c in chain.base[:i])
+            assert u[b] == point
+
+
+def test_chain_orders_on_census_graphs_to_order_8(caps):
+    seen = set()
+    for name in builtin_descriptors(8):
+        grp = make_group(name, caps)
+        for alpha in enumerate_involutory_automorphisms(grp):
+            for spec in enumerate_connection_sets(grp, alpha, caps=caps):
+                x = build_gc_graph(spec)
+                if x.rows not in seen:
+                    seen.add(x.rows)
+                    _chain_agrees_with_oracles(x)
+    assert len(seen) > 400
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] < e[1]
+            )),
+        )
+    )
+)
+def test_chain_orders_on_random_graphs(case):
+    n, edges = case
+    _chain_agrees_with_oracles(from_edges(n, sorted(edges)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trace_matches_pairwise_formula(data):
+    # the neighbor-count trace equals the all-pairs formula it replaced
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    g = from_edges(n, sorted((a, b) for a, b in edges if a != b))
+    order = data.draw(st.permutations(list(range(n))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    cells = [list(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    masks = [mask_of(c) for c in cells]
+    pairwise = [len(cells)] + [len(c) for c in cells]
+    pairwise += [(g.rows[c[0]] & m).bit_count() for c in cells for m in masks]
+    assert _trace(g.rows, cells) == tuple(pairwise)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.caps import Caps
 from gcg.census import RunConfig, compute_record, refuting_records, run_census
+from gcg.errors import ManifestMismatch
 from gcg.construct import make_spec
 from gcg.automorphisms import inversion_map
 from gcg.groups import make_group
@@ -93,6 +96,7 @@ def test_census_resumes_from_journal(tmp_path, caps):
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
         fh.write("Z4|0\n")
+    shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
 
     resumed = run_census(RunConfig(out_path=str(out), **cfg))
     assert resumed == expected
@@ -109,6 +113,33 @@ def test_census_reload_is_idempotent(tmp_path, caps):
     again = run_census(cfg)
     assert again == first
     assert out.stat().st_mtime_ns == stamp  # file untouched on reload
+
+
+def test_census_reuse_checks_the_manifest(tmp_path, caps):
+    out = tmp_path / "stale.jsonl"
+    assert len(run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))) == 42
+    stale = out.read_bytes()
+    # a finished order-4 census is not passed off as the order-6 one
+    with pytest.raises(ManifestMismatch, match="max_order = 4") as exc:
+        run_census(RunConfig(max_order=6, out_path=str(out), caps=caps))
+    assert "this run has 6" in str(exc.value)
+    assert out.read_bytes() == stale
+    assert len(run_census(RunConfig(max_order=6, out_path=str(tmp_path / "fresh.jsonl"), caps=caps))) == 107
+    # the worker count is not part of the manifest
+    assert len(run_census(RunConfig(max_order=4, out_path=str(out), jobs=2, caps=caps))) == 42
+
+    # a journal resume checks the manifest too
+    open(str(out) + ".journal", "w", encoding="ascii").close()
+    with pytest.raises(ManifestMismatch, match="caps.aut_node_budget"):
+        run_census(RunConfig(max_order=4, out_path=str(out), caps=replace(caps, aut_node_budget=7)))
+    with pytest.raises(ManifestMismatch, match="groups"):
+        run_census(RunConfig(groups=("Z4",), max_order=4, out_path=str(out), caps=caps))
+
+    # without a manifest nothing says which configuration wrote the output
+    os.remove(str(out) + ".manifest.json")
+    os.remove(str(out) + ".journal")
+    with pytest.raises(ManifestMismatch, match="no manifest"):
+        run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))
 
 
 def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):

@@ -139,6 +139,12 @@ def test_census_command(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 13  # Z4: 8 rows, Z5: 5 rows
     assert out.startswith("13 records")
+    # the same --out under another configuration is refused, not reused
+    code, out, err = run_cli(
+        capsys, "census", "--groups", "Z4", "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert "groups" in err and str(out_path) in err
 
 
 def test_export_formats(tmp_path, capsys):

@@ -14,6 +14,8 @@ from gcg.perms import (
     pmul,
 )
 
+from oracles.brute import SchreierSimsChain
+
 
 def brute_group(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
     seen = {tuple(range(n))}
@@ -46,14 +48,14 @@ def test_chain_symmetric_group_orders():
             tuple([1, 0] + list(range(2, n))),
             tuple(list(range(1, n)) + [0]),
         ]
-        chain = StabilizerChain(n)
+        chain = SchreierSimsChain(n)
         for g in gens:
             chain.add(g)
         assert chain.order() == math.factorial(n)
 
 
 def test_chain_add_reports_growth():
-    chain = StabilizerChain(4)
+    chain = SchreierSimsChain(4)
     swap = (1, 0, 2, 3)
     assert chain.add(swap) is True
     assert chain.add(swap) is False
@@ -62,7 +64,7 @@ def test_chain_add_reports_growth():
 
 def test_chain_contains_matches_enumeration():
     gens = [(1, 0, 2, 3), (0, 1, 3, 2)]
-    chain = StabilizerChain(4)
+    chain = SchreierSimsChain(4)
     for g in gens:
         chain.add(g)
     members = brute_group(gens, 4)
@@ -79,13 +81,37 @@ def test_chain_matches_brute_force_closure(data):
     n = data.draw(st.integers(min_value=1, max_value=7))
     k = data.draw(st.integers(min_value=1, max_value=3))
     gens = [tuple(data.draw(st.permutations(list(range(n))))) for _ in range(k)]
-    chain = StabilizerChain(n)
+    chain = SchreierSimsChain(n)
     for g in gens:
         chain.add(g)
     members = brute_group(gens, n)
     assert chain.order() == len(members)
     probe = tuple(data.draw(st.permutations(list(range(n)))))
     assert chain.contains(probe) == (probe in members)
+
+
+def test_chain_from_adjacent_transpositions():
+    # the transpositions (j, j+1) with j >= i generate Sym{i..n-1}, the
+    # pointwise stabilizer of 0..i-1: a strong generating set for base 0..n-2
+    for n in (2, 3, 4, 6):
+        gens = [tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(n))
+                for j in range(n - 1)]
+        chain = StabilizerChain.from_strong_generators(n, list(range(n - 1)), gens)
+        assert chain.order() == math.factorial(n)
+        assert chain.base == tuple(range(n - 1))
+        for i, b in enumerate(chain.base):
+            assert sorted(chain.transversal[i]) == list(range(i, n))
+            for point, u in chain.transversal[i].items():
+                assert u[b] == point
+                assert all(u[c] == c for c in chain.base[:i])
+
+
+def test_chain_drops_trivial_levels():
+    # <(2 3)> relative to base 0, 2: level 0 has a one-point orbit
+    chain = StabilizerChain.from_strong_generators(4, [0, 2], [(0, 1, 3, 2)])
+    assert chain.base == (2,)
+    assert chain.order() == 2
+    assert StabilizerChain.from_strong_generators(3, [0, 1], []).order() == 1
 
 
 def test_orbit_partition_union_of_generators():

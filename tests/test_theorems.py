@@ -225,6 +225,18 @@ def test_order_2p_runners(caps):
     assert len(reports) == 20
     swept = sum(r.certificate.get("sets_swept", 0) for r in reports)
     assert swept == 298
+    assert all(r.certificate["cayley_unknown"] == 0 for r in reports)
+
+
+def test_thm_4_3_counts_unknown_cayley_cross_checks():
+    # a one-node regular-subgroup search cannot settle the connected,
+    # co-connected graphs, and the reports say how many went unsettled
+    from gcg.caps import Caps
+
+    reports = all_verified(run_theorem("thm-4.3", {"p": 3}, Caps(regular_search_budget=1)))
+    unknown = [r.certificate["cayley_unknown"] for r in reports]
+    assert sum(unknown) > 0
+    assert all(u <= r.certificate["sets_swept"] for u, r in zip(unknown, reports))
 
 
 def test_unworthy_runners_small(caps):
