@@ -4,8 +4,12 @@
 
 Prints the sha256 and record count of a one-job census to --max-order
 (default 11, written to a temporary directory), then, for every theorem id,
-the sha256 and exit status of `gcg --format json verify <id>`.  Run it on
-two checkouts and diff the two outputs.
+the sha256 and exit status of `gcg --format json verify <id>`.  Then the
+sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
+D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
+and of each sweeping verifier's reports at a sweep budget of 5 instances,
+where most sweeps stop part-way.  Every gcg run is a fresh interpreter.  Run
+it on two checkouts and diff the two outputs.
 """
 from __future__ import annotations
 
@@ -23,6 +27,21 @@ sys.path.insert(0, SRC)
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.theorems import THEOREM_IDS  # noqa: E402
 
+EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
+SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
+SMALL_BUDGET = 5
+# Prints a verifier's reports the way `gcg --format json verify` does, under
+# the default caps with a sweep budget of argv[2] instances.
+BUDGET_RUN = """
+import json, sys
+from dataclasses import replace
+from gcg.caps import caps_from_env
+from gcg.theorems import run_theorem
+reports = run_theorem(sys.argv[1], {}, replace(caps_from_env(), sweep_instance_budget=int(sys.argv[2])))
+for r in sorted(reports, key=lambda r: (r.theorem_id, r.instance)):
+    print(json.dumps(r.to_json(), sort_keys=True))
+"""
+
 
 def census_digest(max_order: int) -> tuple[str, int]:
     with tempfile.TemporaryDirectory() as tmp:
@@ -32,12 +51,10 @@ def census_digest(max_order: int) -> tuple[str, int]:
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
 
-def verify_digest(theorem_id: str) -> tuple[str, int]:
+def run_digest(*args: str) -> tuple[str, int]:
+    """sha256 of the stdout of `python -m gcg <args>` (or `python -c`), and its exit status."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gcg", "--format", "json", "verify", theorem_id],
-        env=env, capture_output=True, check=False,
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
     return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
 
 
@@ -48,8 +65,18 @@ def main() -> int:
     digest, count = census_digest(args.max_order)
     print(f"census --max-order {args.max_order}  {digest}  {count} records")
     for tid in THEOREM_IDS:
-        digest, status = verify_digest(tid)
+        digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")
+    digest, status = run_digest("-m", "gcg", "--format", "json", "group", "list")
+    print(f"group list  {digest}  exit {status}")
+    for group, alpha, ids in EXPORTS:
+        digest, status = run_digest(
+            "-m", "gcg", "--format", "dot", "export", "--group", group, "--alpha", alpha, "--set", ids
+        )
+        print(f"export dot {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
+    for tid in SWEEPING_IDS:
+        digest, status = run_digest("-c", BUDGET_RUN, tid, str(SMALL_BUDGET))
+        print(f"verify {tid:<9} budget {SMALL_BUDGET}  {digest}  exit {status}")
     return 0
 
 

@@ -8,6 +8,7 @@ a subgroup whenever G is abelian (not in general).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DescriptorError, ShapeError
 from .groups import (
@@ -16,7 +17,6 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     bits,
-    make_group,
     mask_of,
     subgroup_closure,
     subgroup_handle,
@@ -146,13 +146,15 @@ def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> li
     return out
 
 
-def enumerate_involutory_automorphisms(g: FiniteGroup) -> list[AutomorphismMap]:
+@cache
+def enumerate_involutory_automorphisms(g: FiniteGroup) -> tuple[AutomorphismMap, ...]:
     """Automorphisms with a.a = identity, identity included, sorted by perm.
 
     The identity map always sorts first, so index 0 is the identity and the
-    inversion map (when distinct) appears at a stable position.
+    inversion map (when distinct) appears at a stable position.  Computed once
+    per group object.
     """
-    return enumerate_automorphisms(g, involutory_only=True)
+    return tuple(enumerate_automorphisms(g, involutory_only=True))
 
 
 def fix_set(g: FiniteGroup, alpha: AutomorphismMap) -> SubgroupHandle:
@@ -352,7 +354,3 @@ def classify_dihedral_involutions(p: int) -> list[DihedralInvolutionParams]:
     for l in range(p):
         out.append(DihedralInvolutionParams(p, -1, l, (l * half) % p))
     return out
-
-
-def dihedral_group(p: int) -> FiniteGroup:
-    return make_group(f"D{2 * p}")

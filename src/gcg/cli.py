@@ -120,18 +120,23 @@ def _parse_ids(text: str) -> tuple[int, ...]:
         raise DescriptorError(f"bad element id list {text!r}") from exc
 
 
-def _resolve_spec(args, caps: Caps):
+def _resolve_alpha(args, caps: Caps):
     g = make_group(args.group, caps)
     autos = enumerate_involutory_automorphisms(g)
     if not 0 <= args.alpha < len(autos):
         raise DescriptorError(
             f"alpha index {args.alpha} out of range; {g.name} has {len(autos)} involutory automorphisms"
         )
+    return g, autos[args.alpha]
+
+
+def _resolve_spec(args, caps: Caps):
+    g, alpha = _resolve_alpha(args, caps)
     ids = _parse_ids(args.set_ids)
     for x in ids:
         if not 0 <= x < g.order:
             raise SpecError(f"element id {x} out of range for {g.name}")
-    return g, autos[args.alpha], ids
+    return g, alpha, ids
 
 
 def _caps(args) -> Caps:
@@ -205,16 +210,11 @@ def cmd_build(args, caps: Caps) -> int:
 
 
 def cmd_enumerate(args, caps: Caps) -> int:
-    g = make_group(args.group, caps)
-    autos = enumerate_involutory_automorphisms(g)
-    if not 0 <= args.alpha < len(autos):
-        raise DescriptorError(
-            f"alpha index {args.alpha} out of range; {g.name} has {len(autos)} involutory automorphisms"
-        )
+    g, alpha = _resolve_alpha(args, caps)
     sets = [
         list(spec.set_ids())
         for spec in enumerate_connection_sets(
-            g, autos[args.alpha],
+            g, alpha,
             nonempty_only=args.nonempty,
             connected_only=args.connected,
             up_to_complement=args.up_to_complement,

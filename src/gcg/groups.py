@@ -13,8 +13,8 @@ The grammar is case-sensitive and whitespace-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import cache, reduce
 from itertools import permutations
 
 from .caps import Caps, caps_from_env
@@ -225,29 +225,20 @@ def _cycle_name(p: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "id"
 
 
+@cache
 def _build(d: Descriptor) -> FiniteGroup:
+    """One shared group per descriptor per process (the caller checks caps)."""
     if isinstance(d, Cyclic):
         n = d.n
         mul = [[(a + b) % n for b in range(n)] for a in range(n)]
         return group_from_table(mul, [str(i) for i in range(n)], d)
 
     if isinstance(d, Dihedral):
+        # Dih(Z_n) with the rotations r^j = (j, 0) and reflections t r^j = (j, 1)
         n = d.order // 2
-
-        def enc(i: int, j: int) -> int:
-            return i * n + j % n
-
-        mul = [[0] * d.order for _ in range(d.order)]
-        for i1 in range(2):
-            for j1 in range(n):
-                for i2 in range(2):
-                    for j2 in range(n):
-                        # move r^{j1} past t^{i2}: r^j t = t r^{-j}
-                        j = (-j1 if i2 else j1) + j2
-                        mul[enc(i1, j1)][enc(i2, j2)] = enc((i1 + i2) % 2, j)
         names = ["1"] + [f"r{j}" if j > 1 else "r" for j in range(1, n)]
         names += ["t"] + [f"tr{j}" if j > 1 else "tr" for j in range(1, n)]
-        return group_from_table(mul, names, d)
+        return replace(make_generalized_dihedral(_build(Cyclic(n)), d), names=tuple(names))
 
     if isinstance(d, Alt4):
         elems = sorted(p for p in permutations(range(4)) if _parity(p) == 0)
@@ -259,36 +250,7 @@ def _build(d: Descriptor) -> FiniteGroup:
         return make_generalized_dihedral(_build(d.inner), descriptor=d)
 
     if isinstance(d, Product):
-        groups = [_build(f) for f in d.factors]
-        sizes = [g.order for g in groups]
-        total = reduce(lambda a, b: a * b, sizes, 1)
-
-        def dec(x: int) -> list[int]:
-            out = []
-            for s in reversed(sizes):
-                out.append(x % s)
-                x //= s
-            return out[::-1]
-
-        def enc(parts: list[int]) -> int:
-            x = 0
-            for s, p in zip(sizes, parts):
-                x = x * s + p
-            return x
-
-        mul = []
-        for a in range(total):
-            pa = dec(a)
-            row = []
-            for b in range(total):
-                pb = dec(b)
-                row.append(enc([g.mul[x][y] for g, x, y in zip(groups, pa, pb)]))
-            mul.append(row)
-        names = []
-        for a in range(total):
-            pa = dec(a)
-            names.append("(" + ",".join(g.names[x] for g, x in zip(groups, pa)) + ")")
-        return group_from_table(mul, names, d)
+        return product_group(*(_build(f) for f in d.factors))
 
     raise DescriptorError(f"cannot build {d!r}")
 
@@ -319,34 +281,40 @@ def make_generalized_dihedral(inner: FiniteGroup, descriptor: Descriptor | None 
     return group_from_table(mul, names, descriptor or Dih(inner.descriptor))
 
 
+def product_coords(x: int, sizes) -> list[int]:
+    """Coordinates of element x of a direct product of groups of the given
+    orders (row-major ids: the last factor varies fastest)."""
+    out = []
+    for s in reversed(sizes):
+        out.append(x % s)
+        x //= s
+    return out[::-1]
+
+
+def product_id(coords, sizes) -> int:
+    """Element id of the given coordinates; inverse of product_coords."""
+    x = 0
+    for s, p in zip(sizes, coords):
+        x = x * s + p
+    return x
+
+
 def product_group(*groups: FiniteGroup) -> FiniteGroup:
     """Direct product with row-major element ids."""
     sizes = [g.order for g in groups]
     total = reduce(lambda a, b: a * b, sizes, 1)
-
-    def dec(x: int) -> list[int]:
-        out = []
-        for s in reversed(sizes):
-            out.append(x % s)
-            x //= s
-        return out[::-1]
-
-    def enc(parts: list[int]) -> int:
-        x = 0
-        for s, p in zip(sizes, parts):
-            x = x * s + p
-        return x
-
-    mul = []
-    for a in range(total):
-        pa = dec(a)
-        mul.append([enc([g.mul[x][y] for g, x, y in zip(groups, pa, dec(b))]) for b in range(total)])
-    names = ["(" + ",".join(g.names[x] for g, x in zip(groups, dec(a))) + ")" for a in range(total)]
+    coords = [product_coords(x, sizes) for x in range(total)]
+    mul = [
+        [product_id([g.mul[x][y] for g, x, y in zip(groups, pa, pb)], sizes) for pb in coords]
+        for pa in coords
+    ]
+    names = ["(" + ",".join(g.names[x] for g, x in zip(groups, pa)) + ")" for pa in coords]
     return group_from_table(mul, names, Product(tuple(g.descriptor for g in groups)))
 
 
 def make_group(descriptor: str | Descriptor, caps: Caps | None = None) -> FiniteGroup:
-    """Build a group from a descriptor, enforcing the order cap up front."""
+    """The group for a descriptor, checking the order cap on every call; equal
+    descriptors share one group object."""
     caps = caps or caps_from_env()
     d = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
     order = descriptor_order(d)

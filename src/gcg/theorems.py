@@ -12,11 +12,14 @@ statement, which would indicate a bug in this artifact), or "skipped".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from .automorphisms import (
     AutomorphismMap,
+    _two_part,
     automorphism_from_perm,
     classify_dihedral_involutions,
     decompose_cyclic_sylow,
@@ -31,6 +34,7 @@ from .automorphisms import (
 )
 from .canon import automorphism_group
 from .caps import Caps, caps_from_env
+from .catalog import builtin_groups
 from .cayley import detect_cayley
 from .construct import (
     GCSpec,
@@ -61,7 +65,9 @@ from .groups import (
     make_generalized_dihedral,
     make_group,
     mask_of,
+    product_coords,
     product_group,
+    product_id,
     subgroup_closure,
 )
 from .perms import Perm
@@ -85,19 +91,6 @@ class TheoremReport:
         }
 
 
-_INVOLUTORY_CACHE: dict[str, tuple[tuple[int, ...], ...]] = {}
-
-
-def _involutory_maps(g: FiniteGroup) -> list[AutomorphismMap]:
-    """enumerate_involutory_automorphisms, memoized across the deterministic
-    catalog rebuilds (the enumeration is the costly part; wrapping is not)."""
-    perms = _INVOLUTORY_CACHE.get(g.name)
-    if perms is None:
-        perms = tuple(a.perm for a in enumerate_involutory_automorphisms(g))
-        _INVOLUTORY_CACHE[g.name] = perms
-    return [AutomorphismMap(g, p, True) for p in perms]
-
-
 class _SweepBudget:
     """Counts work items; `spend` returns False once the budget is gone so
     the caller can emit an explicit skipped report."""
@@ -106,11 +99,33 @@ class _SweepBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> bool:
-        if self.used + amount > self.limit:
+    def spend(self) -> bool:
+        if self.used >= self.limit:
             return False
-        self.used += amount
+        self.used += 1
         return True
+
+
+def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int, bool, object]:
+    """Check items one by one until one is refuted or the budget runs out.
+
+    `check` returns None when the item conforms and the refutation otherwise
+    (it may also raise).  Returns how many items passed, whether the budget
+    ran out, and the refutation or None."""
+    covered = 0
+    for item in items:
+        if not budget.spend():
+            return covered, True, None
+        refutation = check(item)
+        if refutation is not None:
+            return covered, False, refutation
+        covered += 1
+    return covered, False, None
+
+
+def _refutation(report: TheoremReport) -> TheoremReport | None:
+    """A sweep check's result for a verifier that returns its own report."""
+    return None if report.verdict == "verified" else report
 
 
 # ---------------------------------------------------------------------------
@@ -128,42 +143,12 @@ def _cyclic_orders(g: FiniteGroup) -> list[int]:
     )
 
 
-def _strides(orders: list[int]) -> list[int]:
-    out = [1] * len(orders)
-    for i in range(len(orders) - 2, -1, -1):
-        out[i] = out[i + 1] * orders[i + 1]
-    return out
-
-
-def _enc(values: Iterable[int], orders: list[int]) -> int:
-    x = 0
-    for v, m in zip(values, orders):
-        x = x * m + (v % m)
-    return x
-
-
-def _dec(x: int, orders: list[int]) -> list[int]:
-    out = []
-    for m in reversed(orders):
-        out.append(x % m)
-        x //= m
-    return out[::-1]
-
-
 def _product_descriptor(orders: list[int]):
     if not orders:
         return Cyclic(1)
     if len(orders) == 1:
         return Cyclic(orders[0])
     return Product(tuple(Cyclic(m) for m in orders))
-
-
-def _two_part(m: int) -> tuple[int, int]:
-    n = 0
-    while m % 2 == 0:
-        m //= 2
-        n += 1
-    return n, m
 
 
 @dataclass(frozen=True)
@@ -177,7 +162,6 @@ class _PrimaryFactor:
 def _primary_basis(g: FiniteGroup) -> list[_PrimaryFactor]:
     """One generator per primary cyclic factor, read off the coordinates."""
     orders = _cyclic_orders(g)
-    strides = _strides(orders)
     out = []
     for c, m in enumerate(orders):
         rest = m
@@ -188,7 +172,8 @@ def _primary_basis(g: FiniteGroup) -> list[_PrimaryFactor]:
                 while rest % p == 0:
                     rest //= p
                     q *= p
-                out.append(_PrimaryFactor(c, p, q, ((m // q) % m) * strides[c]))
+                unit = [(m // q) % m if j == c else 0 for j in range(len(orders))]
+                out.append(_PrimaryFactor(c, p, q, product_id(unit, orders)))
             p += 1 if p == 2 else 2
     return out
 
@@ -291,20 +276,14 @@ def normal_form_odd_abelian(spec: GCSpec) -> OddAbelianNormalForm:
 class _ReshapedGroup:
     gprime: FiniteGroup
     psi: Perm                    # element id bijection g -> gprime
-    orders: list[int]            # gprime coordinate orders, 2-power first
+    orders: tuple[int, ...]      # gprime coordinate orders, 2-power first
     iota: AutomorphismMap        # inversion on gprime
 
 
-_RESHAPE_CACHE: dict[str, _ReshapedGroup] = {}
-
-
+@cache
 def _reshape_cyclic_sylow(g: FiniteGroup) -> _ReshapedGroup:
     """Present an abelian group with cyclic Sylow 2-subgroup as
     Z_{2^n} x (odd cyclic factors), with a verified coordinate bijection."""
-    key = g.name
-    hit = _RESHAPE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if not g.abelian:
         raise ShapeError("dihedralization needs an abelian group")
     orders = _cyclic_orders(g)
@@ -319,14 +298,13 @@ def _reshape_cyclic_sylow(g: FiniteGroup) -> _ReshapedGroup:
         orders[j] for j in range(len(orders)) if j != e and orders[j] > 1
     ]
     gprime = make_group(_product_descriptor(new_orders))
-    strides = _strides(orders)
     psi = []
     for x in range(g.order):
-        coords = _dec(x, orders)
+        coords = product_coords(x, orders)
         new_coords = [coords[e] % (1 << n2)] + ([coords[e] % odd_e] if odd_e > 1 else []) + [
             coords[j] for j in range(len(orders)) if j != e and orders[j] > 1
         ]
-        psi.append(_enc(new_coords, new_orders))
+        psi.append(product_id(new_coords, new_orders))
     psi = tuple(psi)
     if sorted(psi) != list(range(g.order)):
         raise AssertionError("coordinate change is not a bijection")
@@ -334,9 +312,7 @@ def _reshape_cyclic_sylow(g: FiniteGroup) -> _ReshapedGroup:
         for b in range(g.order):
             if psi[g.mul[a][b]] != gprime.mul[psi[a]][psi[b]]:
                 raise AssertionError("coordinate change is not multiplicative")
-    result = _ReshapedGroup(gprime, psi, new_orders, inversion_map(gprime))
-    _RESHAPE_CACHE[key] = result
-    return result
+    return _ReshapedGroup(gprime, psi, tuple(new_orders), inversion_map(gprime))
 
 
 @dataclass(frozen=True)
@@ -347,25 +323,21 @@ class _DihedralTarget:
     eq1_pairs: int               # product-identity pairs checked
 
 
-_DIH_CACHE: dict[str, _DihedralTarget] = {}
-
-
-def _dihedral_target(re: _ReshapedGroup) -> _DihedralTarget:
-    key = re.gprime.name
-    hit = _DIH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    orders = re.orders
+@cache
+def _dihedral_target(gprime: FiniteGroup) -> _DihedralTarget:
+    """Dih(Z_{2^(n-1)} x odd part) for a reshaped Z_{2^n} x odd part, with a
+    vertex bijection and the checked semidirect-product identity."""
+    orders = _cyclic_orders(gprime)
     half = orders[0] // 2
     inner_orders = ([half] if half > 1 else []) + orders[1:]
     inner = make_group(_product_descriptor(inner_orders))
     dih = make_generalized_dihedral(inner, Dih(inner.descriptor))
     phi = []
-    for v in range(re.gprime.order):
-        coords = _dec(v, orders)
+    for v in range(gprime.order):
+        coords = product_coords(v, orders)
         x, rest = coords[0], coords[1:]
         inner_coords = ([x // 2] if half > 1 else []) + rest
-        phi.append((x % 2) * inner.order + _enc(inner_coords, inner_orders))
+        phi.append((x % 2) * inner.order + product_id(inner_coords, inner_orders))
     phi = tuple(phi)
     if sorted(phi) != list(range(dih.order)):
         raise AssertionError("dihedral vertex map is not a bijection")
@@ -381,9 +353,7 @@ def _dihedral_target(re: _ReshapedGroup) -> _DihedralTarget:
             if dih.mul[a0][m + i2] != want or dih.mul[a1][i2] != want:
                 raise AssertionError("semidirect product identity failed")
             pairs += 1
-    result = _DihedralTarget(inner, dih, phi, pairs)
-    _DIH_CACHE[key] = result
-    return result
+    return _DihedralTarget(inner, dih, phi, pairs)
 
 
 @dataclass(frozen=True)
@@ -407,11 +377,11 @@ def dihedralize_inversion(spec: GCSpec) -> DihedralizationWitness:
     re = _reshape_cyclic_sylow(g)
     s_prime = tuple(sorted(re.psi[s] for s in spec.set_ids()))
     reshaped = make_spec(re.gprime, re.iota, s_prime)
-    target = _dihedral_target(re)
+    target = _dihedral_target(re.gprime)
     inner_order = target.inner.order
     phi_s = []
     for s in s_prime:
-        x = _dec(s, re.orders)[0]
+        x = product_coords(s, re.orders)[0]
         if x % 2 == 0:
             raise SpecError(
                 f"connection element {s} has an even 2-part coordinate; spec cannot be valid"
@@ -635,47 +605,38 @@ def _neither_witness_spec(g: FiniteGroup) -> tuple[GCSpec, dict]:
 def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> TheoremReport:
     caps = caps or caps_from_env()
     branch = _dichotomy_branch(g)
-    budget = _SweepBudget(caps.sweep_instance_budget)
     iota = inversion_map(g)
-    if branch == "elementary":
-        if iota.perm != tuple(range(g.order)):
-            return TheoremReport(
-                "thm-3.5", g.name, "refuted",
-                {"branch": branch, "reason": "inversion is not the identity"},
-            )
-        count = 0
-        for _ in enumerate_connection_sets(g, iota, caps=caps):
-            if not budget.spend():
-                return TheoremReport(
-                    "thm-3.5", g.name, "skipped",
-                    {"branch": branch, "covered_sets": count},
-                    {"budget": budget.limit},
-                )
-            count += 1
+    if branch == "elementary" and iota.perm != tuple(range(g.order)):
         return TheoremReport(
-            "thm-3.5", g.name, "verified",
-            {"branch": branch, "reduction": "inversion equals identity",
-             "sets_swept": count},
+            "thm-3.5", g.name, "refuted",
+            {"branch": branch, "reason": "inversion is not the identity"},
         )
-    if branch == "cyclic-sylow":
-        count = 0
-        for spec in enumerate_connection_sets(g, iota, caps=caps):
-            if not budget.spend():
-                return TheoremReport(
-                    "thm-3.5", g.name, "skipped",
-                    {"branch": branch, "covered_sets": count},
-                    {"budget": budget.limit},
-                )
-            if spec.connection.mask == 0:
-                x = build_gc_graph(spec)
-                if x.edge_count() != 0:
-                    return TheoremReport(
-                        "thm-3.5", g.name, "refuted",
-                        {"branch": branch, "reason": "empty set built edges"},
-                    )
-            else:
+    if branch != "neither":
+        def check(spec: GCSpec) -> str | None:
+            if branch == "elementary":
+                return None
+            if spec.connection.mask:
                 dihedralize_inversion(spec)
-            count += 1
+            elif build_gc_graph(spec).edge_count() != 0:
+                return "empty set built edges"
+            return None
+
+        budget = _SweepBudget(caps.sweep_instance_budget)
+        count, skipped, reason = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
+        if reason:
+            return TheoremReport("thm-3.5", g.name, "refuted", {"branch": branch, "reason": reason})
+        if skipped:
+            return TheoremReport(
+                "thm-3.5", g.name, "skipped",
+                {"branch": branch, "covered_sets": count},
+                {"budget": budget.limit},
+            )
+        if branch == "elementary":
+            return TheoremReport(
+                "thm-3.5", g.name, "verified",
+                {"branch": branch, "reduction": "inversion equals identity",
+                 "sets_swept": count},
+            )
         return TheoremReport(
             "thm-3.5", g.name, "verified",
             {"branch": branch, "sets_swept": count,
@@ -857,39 +818,21 @@ def _pair_key(a: GCSpec, b: GCSpec) -> str:
     return f"{_spec_key(a)} x {_spec_key(b)}"
 
 
-def _builtin_upto(max_order: int, caps: Caps) -> list[FiniteGroup]:
-    from .catalog import builtin_groups
-
-    return [g for g in builtin_groups(max_order, caps)]
-
-
-def _sweep_specs(g: FiniteGroup, caps: Caps):
-    for idx, alpha in enumerate(_involutory_maps(g)):
-        for spec in enumerate_connection_sets(g, alpha, caps=caps):
-            yield idx, spec
-
-
 def run_prop_2_1(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 6))
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for g in _builtin_upto(max_order, caps):
+    for g in builtin_groups(max_order, caps):
         autos = enumerate_automorphisms(g)
-        checked = 0
-        bad: TheoremReport | None = None
-        stopped = False
-        for alpha_idx, spec in _sweep_specs(g, caps):
-            for phi in autos:
-                if not budget.spend():
-                    stopped = True
-                    break
-                rep = verify_conjugation_isomorphism(spec, phi)
-                checked += 1
-                if rep.verdict != "verified":
-                    bad = rep
-                    break
-            if bad or stopped:
-                break
+        pairs = (
+            (spec, phi)
+            for alpha in enumerate_involutory_automorphisms(g)
+            for spec in enumerate_connection_sets(g, alpha, caps=caps)
+            for phi in autos
+        )
+        checked, stopped, bad = _sweep(
+            pairs, lambda pair: _refutation(verify_conjugation_isomorphism(*pair)), budget
+        )
         if bad:
             reports.append(bad)
         elif stopped:
@@ -908,8 +851,8 @@ def run_prop_2_1(params: dict, caps: Caps) -> list[TheoremReport]:
 def run_prop_2_2(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 16))
     reports = []
-    for g in _builtin_upto(max_order, caps):
-        for idx, alpha in enumerate(_involutory_maps(g)):
+    for g in builtin_groups(max_order, caps):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
             fix = fix_set(g, alpha)          # raises if not a subgroup
             om = omega_set(g, alpha)
             inverted = all(
@@ -933,8 +876,8 @@ def run_prop_2_2(params: dict, caps: Caps) -> list[TheoremReport]:
 def run_lemma_2_3(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 16))
     reports = []
-    for g in _builtin_upto(max_order, caps):
-        for idx, alpha in enumerate(_involutory_maps(g)):
+    for g in builtin_groups(max_order, caps):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
             fix = fix_set(g, alpha)
             om = omega_set(g, alpha)
             ok = len(fix) * len(om.set) == g.order
@@ -949,10 +892,10 @@ def run_lemma_2_3(params: dict, caps: Caps) -> list[TheoremReport]:
 def run_prop_2_4(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 21))
     reports = []
-    for g in _builtin_upto(max_order, caps):
+    for g in builtin_groups(max_order, caps):
         if not g.abelian or g.order % 2 == 0:
             continue
-        for idx, alpha in enumerate(_involutory_maps(g)):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
             dec = decompose_odd_abelian(g, alpha)   # raises on any failure
             reports.append(TheoremReport(
                 "prop-2.4", f"{g.name}|alpha#{idx}", "verified",
@@ -965,38 +908,33 @@ def run_prop_2_5(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 21))
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for g in _builtin_upto(max_order, caps):
+
+    def check(spec: GCSpec) -> None:
+        normal_form_odd_abelian(spec)       # raises on any failure
+
+    for g in builtin_groups(max_order, caps):
         if not g.abelian or g.order % 2 == 0:
             continue
-        for idx, alpha in enumerate(_involutory_maps(g)):
-            count = 0
-            for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                if not budget.spend():
-                    reports.append(TheoremReport(
-                        "prop-2.5", f"{g.name}|alpha#{idx}", "skipped",
-                        {"covered_sets": count},
-                    ))
-                    break
-                normal_form_odd_abelian(spec)       # raises on any failure
-                count += 1
-            else:
-                reports.append(TheoremReport(
-                    "prop-2.5", f"{g.name}|alpha#{idx}", "verified",
-                    {"sets_swept": count},
-                ))
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+            specs = enumerate_connection_sets(g, alpha, caps=caps)
+            count, skipped, _ = _sweep(specs, check, budget)
+            reports.append(TheoremReport(
+                "prop-2.5", f"{g.name}|alpha#{idx}", "skipped" if skipped else "verified",
+                {"covered_sets" if skipped else "sets_swept": count},
+            ))
     return reports
 
 
 def run_prop_2_6(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 24))
     reports = []
-    for g in _builtin_upto(max_order, caps):
+    for g in builtin_groups(max_order, caps):
         if not g.abelian or g.order % 2 != 0:
             continue
         involutions = sum(1 for o in g.element_orders if o == 2)
         if involutions > 1:
             continue                              # Sylow 2-subgroup not cyclic
-        for idx, alpha in enumerate(_involutory_maps(g)):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
             dec = decompose_cyclic_sylow(g, alpha)  # raises on any failure
             reports.append(TheoremReport(
                 "prop-2.6", f"{g.name}|alpha#{idx}", "verified",
@@ -1011,24 +949,21 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
         names = [names]
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
+
+    def check(spec: GCSpec) -> None:
+        if spec.connection.mask:
+            dihedralize_inversion(spec)             # raises on any failure
+
     for name in names:
         g = make_group(name, caps)
         iota = inversion_map(g)
-        count = 0
-        skipped = False
-        for spec in enumerate_connection_sets(g, iota, caps=caps):
-            if not budget.spend():
-                skipped = True
-                break
-            if spec.connection.mask == 0:
-                count += 1
-                continue
-            dihedralize_inversion(spec)             # raises on any failure
-            count += 1
-        re = _RESHAPE_CACHE.get(g.name)
-        target = _DIH_CACHE.get(re.gprime.name) if re is not None else None
+        count, skipped, _ = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
         cert = {"sets_swept": count}
-        if target is not None:
+        try:
+            target = _dihedral_target(_reshape_cyclic_sylow(g).gprime)
+        except ShapeError:
+            pass                                    # g does not reshape
+        else:
             cert["target_group"] = target.dih.name
             cert["eq1_pairs"] = target.eq1_pairs
         reports.append(TheoremReport(
@@ -1090,7 +1025,7 @@ def run_thm_3_5(params: dict, caps: Caps) -> list[TheoremReport]:
     if name:
         return [check_inversion_dichotomy(make_group(name, caps), caps)]
     reports = []
-    for g in _builtin_upto(max_order, caps):
+    for g in builtin_groups(max_order, caps):
         if g.abelian:
             reports.append(check_inversion_dichotomy(g, caps))
     return reports
@@ -1103,7 +1038,7 @@ def run_lemma_4_1(params: dict, caps: Caps) -> list[TheoremReport]:
         if not is_prime(p):
             raise ShapeError(f"{p} is not prime")
         g = make_group(f"Z{2 * p}", caps)
-        autos = _involutory_maps(g)
+        autos = enumerate_involutory_automorphisms(g)
         perms = {a.perm for a in autos}
         want = {tuple(range(g.order)), tuple(g.inv)}
         ok = perms == want and len(autos) == 2
@@ -1118,28 +1053,25 @@ def run_lemma_4_2(params: dict, caps: Caps) -> list[TheoremReport]:
     ps = [int(params["p"])] if "p" in params else [3, 5]
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
+
+    def check(spec: GCSpec) -> None:
+        order_2p_witness(spec, caps)                # raises on any failure
+
     for p in ps:
         if not is_prime(p) or p == 2:
             raise ShapeError(f"{p} must be an odd prime")
         g = make_group(f"D{2 * p}", caps)
         classified = classify_dihedral_involutions(p)
         perms = {c.to_automorphism(g).perm for c in classified}
-        found = {a.perm for a in _involutory_maps(g)}
+        found = {a.perm for a in enumerate_involutory_automorphisms(g)}
         if perms != found:
             reports.append(TheoremReport(
                 "lemma-4.2", f"D{2 * p}", "refuted",
                 {"reason": "classification does not match enumeration"},
             ))
             continue
-        for idx, alpha in enumerate(_involutory_maps(g)):
-            count = 0
-            skipped = False
-            for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                if not budget.spend():
-                    skipped = True
-                    break
-                order_2p_witness(spec, caps)        # raises on any failure
-                count += 1
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+            count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
             reports.append(TheoremReport(
                 "lemma-4.2", f"D{2 * p}|alpha#{idx}",
                 "skipped" if skipped else "verified",
@@ -1152,28 +1084,29 @@ def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
     ps = [int(params["p"])] if "p" in params else [2, 3, 5]
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
+    unknown = 0     # detect_cayley cross-checks cut short by a budget
+    route = None    # the order-2p route of the last set that passed
+
+    def check(spec: GCSpec) -> str | None:
+        nonlocal unknown, route
+        w = order_2p_witness(spec, caps)
+        status = detect_cayley(build_gc_graph(spec), caps).status
+        if status == "not_cayley":
+            return _spec_key(spec)
+        unknown += status == "unknown"
+        route = w.route
+        return None
+
     for p in ps:
         if not is_prime(p):
             raise ShapeError(f"{p} is not prime")
         names = [f"Z{2 * p}", f"D{2 * p}"]
         for name in names:
             g = make_group(name, caps)
-            for idx, alpha in enumerate(_involutory_maps(g)):
-                count = 0
-                unknown = 0   # detect_cayley cross-checks cut short by a budget
-                contradicted = None
-                skipped = False
-                for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                    if not budget.spend():
-                        skipped = True
-                        break
-                    w = order_2p_witness(spec, caps)
-                    verdict = detect_cayley(build_gc_graph(spec), caps)
-                    if verdict.status == "not_cayley":
-                        contradicted = _spec_key(spec)
-                        break
-                    unknown += verdict.status == "unknown"
-                    count += 1
+            for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+                unknown, route = 0, None
+                specs = enumerate_connection_sets(g, alpha, caps=caps)
+                count, skipped, contradicted = _sweep(specs, check, budget)
                 if contradicted:
                     reports.append(TheoremReport(
                         "thm-4.3", f"{name}|alpha#{idx}", "refuted",
@@ -1187,53 +1120,40 @@ def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
                 else:
                     reports.append(TheoremReport(
                         "thm-4.3", f"{name}|alpha#{idx}", "verified",
-                        {"sets_swept": count, "route_of_last": w.route if count else None,
+                        {"sets_swept": count, "route_of_last": route,
                          "cayley_unknown": unknown},
                     ))
     return reports
 
 
-def _run_unworthy(theorem_id: str, params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 12))
+@cache
+def _unworthy_sweep(max_order: int, caps: Caps) -> tuple[TheoremReport, ...]:
+    """The unworthiness sweep that prop-5.1, cor-5.2 and prop-5.3 share,
+    run once per (max_order, caps) and reported under "prop-5.3"."""
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for g in _builtin_upto(max_order, caps):
-        for idx, alpha in enumerate(_involutory_maps(g)):
-            count = 0
-            bad = None
-            skipped = False
-            for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                if not budget.spend():
-                    skipped = True
-                    break
-                rep = verify_unworthy_theory(spec, caps)
-                if rep.verdict != "verified":
-                    bad = rep
-                    break
-                count += 1
+    for g in builtin_groups(max_order, caps):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+            count, skipped, bad = _sweep(
+                enumerate_connection_sets(g, alpha, caps=caps),
+                lambda spec: _refutation(verify_unworthy_theory(spec, caps)),
+                budget,
+            )
             if bad:
-                reports.append(TheoremReport(
-                    theorem_id, bad.instance, "refuted", bad.certificate,
-                ))
+                reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
             else:
                 reports.append(TheoremReport(
-                    theorem_id, f"{g.name}|alpha#{idx}",
+                    "prop-5.3", f"{g.name}|alpha#{idx}",
                     "skipped" if skipped else "verified",
                     {"sets_swept": count},
                 ))
-    return reports
+    return tuple(reports)
 
 
-def run_prop_5_1(params: dict, caps: Caps) -> list[TheoremReport]:
-    return _run_unworthy("prop-5.1", params, caps)
-
-
-def run_cor_5_2(params: dict, caps: Caps) -> list[TheoremReport]:
-    return _run_unworthy("cor-5.2", params, caps)
-
-
-def run_prop_5_3(params: dict, caps: Caps) -> list[TheoremReport]:
-    return _run_unworthy("prop-5.3", params, caps)
+def _run_unworthy(theorem_id: str, params: dict, caps: Caps) -> list[TheoremReport]:
+    max_order = int(params.get("max_order", 12))
+    # a deep copy, so a caller that edits a certificate leaves the cache intact
+    return [replace(r, theorem_id=theorem_id) for r in deepcopy(_unworthy_sweep(max_order, caps))]
 
 
 def run_cor_5_4(params: dict, caps: Caps) -> list[TheoremReport]:
@@ -1241,11 +1161,11 @@ def run_cor_5_4(params: dict, caps: Caps) -> list[TheoremReport]:
     complete graph blown up by an edgeless one."""
     max_order = int(params.get("max_order", 12))
     reports = []
-    for g in _builtin_upto(max_order, caps):
+    for g in builtin_groups(max_order, caps):
         if not g.abelian:
             continue
         full = (1 << g.order) - 1
-        for idx, alpha in enumerate(_involutory_maps(g)):
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
             om = omega_set(g, alpha)
             spec = make_spec(g, alpha, full ^ om.set.mask)
             rep = verify_unworthy_theory(spec, caps)
@@ -1270,9 +1190,9 @@ THEOREM_RUNNERS: dict[str, Callable[[dict, Caps], list[TheoremReport]]] = {
     "lemma-4.1": run_lemma_4_1,
     "lemma-4.2": run_lemma_4_2,
     "thm-4.3": run_thm_4_3,
-    "prop-5.1": run_prop_5_1,
-    "cor-5.2": run_cor_5_2,
-    "prop-5.3": run_prop_5_3,
+    "prop-5.1": partial(_run_unworthy, "prop-5.1"),
+    "cor-5.2": partial(_run_unworthy, "cor-5.2"),
+    "prop-5.3": partial(_run_unworthy, "prop-5.3"),
     "cor-5.4": run_cor_5_4,
 }
 

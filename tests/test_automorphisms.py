@@ -15,7 +15,9 @@ from gcg.automorphisms import (
     is_prime,
     omega_set,
 )
+from gcg.cayley import detect_cayley
 from gcg.errors import DescriptorError
+from gcg.graphs import complete_graph
 from gcg.groups import make_group
 
 from oracles.brute import group_automorphisms_brute
@@ -151,3 +153,16 @@ def test_classify_dihedral_involutions(caps):
 
     with pytest.raises(Exception):
         classify_dihedral_involutions(4)
+
+
+def test_opaque_group_does_not_share_involutory_maps(caps):
+    # detect_cayley names the circulant it finds for K6 "Z6", like the
+    # catalog group; the maps are cached per group object, not per name
+    catalog = make_group("Z6", caps)
+    opaque = detect_cayley(complete_graph(6), caps).group
+    assert opaque.name == catalog.name and opaque is not catalog
+    ours = enumerate_involutory_automorphisms(opaque)
+    theirs = enumerate_involutory_automorphisms(catalog)
+    assert all(a.group is opaque for a in ours)
+    assert all(a.group is catalog for a in theirs)
+    assert enumerate_involutory_automorphisms(opaque) is ours

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcg.catalog import BUILTIN_DESCRIPTORS, builtin_descriptors, builtin_groups
-from gcg.errors import DescriptorError
+from gcg.errors import CapExceeded, DescriptorError
 from gcg.groups import (
+    Cyclic,
+    Product,
     bits,
     check_group_axioms,
     descriptor_order,
@@ -61,6 +65,29 @@ def test_dihedral_group_tables(caps):
     # reflections are the elements p..2p-1 and square to the identity
     assert all(g.mul[i][i] == 0 for i in range(3, 6))
     assert sorted(g.element_orders) == [1, 2, 2, 2, 3, 3]
+
+
+def test_dihedral_is_generalized_dihedral_of_cyclic(caps):
+    for n in range(1, 13):
+        g = make_group(f"D{2 * n}", caps)
+        dih = make_generalized_dihedral(make_group(f"Z{n}", caps))
+        assert g.mul == dih.mul
+    assert make_group("D2", caps).names == ("1", "t")
+    assert make_group("D8", caps).names == ("1", "r", "r2", "r3", "t", "tr", "tr2", "tr3")
+
+
+def test_make_group_shares_one_group_per_descriptor(caps):
+    g = make_group("Z2xZ3", caps)
+    assert make_group(parse_descriptor("Z2xZ3"), caps) is g
+    assert make_group(Product((Cyclic(2), Cyclic(3))), caps) is g
+    assert make_group("Z3xZ2", caps) is not g
+
+
+def test_shared_group_still_checks_the_order_cap(caps):
+    make_group("Z12", caps)
+    with pytest.raises(CapExceeded):
+        make_group("Z12", replace(caps, order_cap=8))
+    assert make_group("Z12", caps).order == 12
 
 
 def test_product_group_row_major(caps):

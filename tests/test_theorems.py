@@ -262,3 +262,107 @@ def test_report_json_shape(caps):
     d = rep.to_json()
     assert d["theorem"] == "lemma-4.1"
     assert d["verdict"] == "verified"
+
+
+# Full report lists of the sweeping verifiers when the sweep budget runs out
+# part-way: (reports, skipped, sha256 prefix of the sorted-key JSON of the
+# runner's report list), captured one fresh interpreter per run.
+BUDGET_REFERENCE = {
+    "prop-2.1": {0: (10, 10, "8382dfa116a06f57"), 1: (10, 9, "7609adbde837b6c5"),
+                 5: (10, 8, "91753af8859ed089"), 40: (10, 7, "48def61ec5d16773")},
+    "prop-2.5": {0: (43, 43, "0b3cf1bf4cc3e676"), 1: (43, 42, "8b81bbcbb6695d6b"),
+                 5: (43, 40, "6f967981c4c05d05"), 40: (43, 35, "9881806adfcce1be")},
+    "thm-3.5": {0: (50, 38, "2ef6d74f0036aa6b"), 1: (50, 24, "6aa3e2b5184cff43"),
+                5: (50, 22, "e94901e110c9ad94"), 40: (50, 15, "eabab4d83336d715")},
+    "lemma-4.2": {0: (10, 10, "f5483015c4fb7b69"), 1: (10, 10, "df8138d0d086023c"),
+                  5: (10, 10, "004cd823430eac44"), 40: (10, 6, "961af52f205888bf")},
+    "thm-4.3": {0: (20, 20, "cd2e2e02fafa0ffe"), 1: (20, 20, "d55fd0c32d510f4b"),
+                5: (20, 19, "bff7db234109d6fb"), 40: (20, 12, "91be5a2fbc6ceae7")},
+    "prop-5.1": {0: (134, 134, "f94ea893254492eb"), 1: (134, 133, "8fc58947b8d65dac"),
+                 5: (134, 131, "b97f151f7605d590"), 40: (134, 121, "52453eeb8ab56c10")},
+}
+
+# thm-3.1 per budget: (instance, verdict, sets_swept) in runner order.  Every
+# default group reshapes, so each report also names its dihedral target and
+# the product-identity pairs checked on it, however little was swept.
+THM_3_1_TARGETS = {
+    "Z2": ("Dih(Z1)", 1), "Z4": ("Dih(Z2)", 4), "Z8": ("Dih(Z4)", 16),
+    "Z6": ("Dih(Z3)", 9), "Z12": ("Dih(Z2xZ3)", 36), "Z20": ("Dih(Z2xZ5)", 100),
+}
+THM_3_1_BUDGET_REFERENCE = {
+    0: [("Z2", "skipped", 0), ("Z4", "skipped", 0), ("Z8", "skipped", 0),
+        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
+    1: [("Z2", "skipped", 1), ("Z4", "skipped", 0), ("Z8", "skipped", 0),
+        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
+    5: [("Z2", "verified", 2), ("Z4", "skipped", 3), ("Z8", "skipped", 0),
+        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
+    40: [("Z2", "verified", 2), ("Z4", "verified", 4), ("Z8", "verified", 16),
+         ("Z6", "verified", 8), ("Z12", "skipped", 10), ("Z20", "skipped", 0)],
+}
+
+
+def _with_budget(caps, budget):
+    from dataclasses import replace
+
+    return replace(caps, sweep_instance_budget=budget)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(BUDGET_REFERENCE))
+def test_budget_skipped_reports_match_reference(theorem_id, caps):
+    import hashlib
+    import json
+
+    for budget, (count, skipped, digest) in BUDGET_REFERENCE[theorem_id].items():
+        reports = run_theorem(theorem_id, {}, _with_budget(caps, budget))
+        text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+        assert len(reports) == count, budget
+        assert sum(r.verdict == "skipped" for r in reports) == skipped, budget
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, budget
+
+
+def test_thm_3_1_budget_skipped_reports(caps):
+    for budget, rows in THM_3_1_BUDGET_REFERENCE.items():
+        reports = run_theorem("thm-3.1", {}, _with_budget(caps, budget))
+        want = []
+        for name, verdict, swept in rows:
+            target, pairs = THM_3_1_TARGETS[name]
+            cert = {"sets_swept": swept, "target_group": target, "eq1_pairs": pairs}
+            want.append(("thm-3.1", name, verdict, cert, {}))
+        got = [(r.theorem_id, r.instance, r.verdict, r.certificate, r.stats) for r in reports]
+        assert got == want, budget
+
+
+def test_thm_3_1_report_does_not_depend_on_earlier_runs(caps):
+    # The dihedral target comes from the group itself: a fresh interpreter
+    # and one that already swept every set give the same report.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import json; from dataclasses import replace; from gcg.caps import Caps; "
+        "from gcg.theorems import run_theorem; "
+        "print(json.dumps([r.certificate for r in run_theorem("
+        "'thm-3.1', {'groups': ['Z4']}, replace(Caps(), sweep_instance_budget=1))]))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    fresh = json.loads(proc.stdout)
+    assert fresh == [{"sets_swept": 1, "target_group": "Dih(Z2)", "eq1_pairs": 4}]
+    run_theorem("thm-3.1", {"groups": ["Z4"]}, caps)
+    again = run_theorem("thm-3.1", {"groups": ["Z4"]}, _with_budget(caps, 1))
+    assert [r.certificate for r in again] == fresh
+
+
+def test_unworthiness_ids_share_one_sweep(caps):
+    for run_caps in (caps, _with_budget(caps, 5)):
+        rows = {}
+        for tid in ("prop-5.1", "cor-5.2", "prop-5.3"):
+            reports = run_theorem(tid, {"max_order": 8}, run_caps)
+            assert {r.theorem_id for r in reports} == {tid}
+            rows[tid] = [(r.instance, r.verdict, r.certificate) for r in reports]
+        assert rows["prop-5.1"] == rows["cor-5.2"] == rows["prop-5.3"]
