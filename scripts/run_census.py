@@ -2,9 +2,10 @@
 """Census driver with a summary table.
 
 Sweeps every builtin group up to --max-order, one JSON line per
-(group, alpha, connection set), then prints aggregate statistics and
-cross-checks the records for internal contradictions.  Interrupted runs
-resume from the journal next to the output file.
+(group, alpha, connection set), then prints aggregate statistics (the
+number of isomorphism classes among them) and cross-checks the records for
+internal contradictions.  Interrupted runs resume from the journal next to
+the output file.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ def main() -> int:
 
     per_group = Counter(r["group"] for r in records)
     print(f"{len(records)} records in {elapsed:.1f}s -> {args.out}")
+    fingerprints = Counter(r["fingerprint"] for r in records)
+    missing = fingerprints.pop(None, 0)
+    print(f"  {len(fingerprints)} isomorphism classes (distinct fingerprints)"
+          + (f", {missing} records without a fingerprint" if missing else ""))
     for name, count in sorted(per_group.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  {name:>14}  {count:>5} records")
     flags = Counter()

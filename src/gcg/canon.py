@@ -77,29 +77,48 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) 
     """Refine cells to equitability in place; returns the node trace.
 
     Splitters are processed FIFO; split parts are ordered by descending
-    neighbor count, which keeps the evolution label-invariant.
+    neighbor count, which keeps the evolution label-invariant.  A pass
+    visits only the non-singleton cells, whose positions and vertex masks
+    `open_` keeps in order, skips those with no neighbor in the splitter
+    (every count is 0), and queues the parts it splits off from left to
+    right.  The splices go in from right to left, so each lands where the
+    pass saw its cell.
     """
+    open_ = [(i, mask_of(c)) for i, c in enumerate(cells) if len(c) > 1]
     qi = 0
-    while qi < len(worklist):
+    while qi < len(worklist) and open_:
         wmask = worklist[qi]
         qi += 1
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) == 1:
-                i += 1
+        near = 0
+        for w in bits(wmask):
+            near |= rows[w]
+        splits: dict[int, list[list[int]]] = {}
+        for i, cmask in open_:
+            if not cmask & near:
                 continue
             by_count: dict[int, list[int]] = {}
-            for v in cell:
+            for v in cells[i]:
                 by_count.setdefault((rows[v] & wmask).bit_count(), []).append(v)
-            if len(by_count) == 1:
-                i += 1
+            if len(by_count) > 1:
+                splits[i] = [by_count[k] for k in sorted(by_count, reverse=True)]
+        if not splits:
+            continue
+        for i in reversed(splits):
+            cells[i : i + 1] = splits[i]
+        still_open = []
+        shift = 0
+        for i, cmask in open_:
+            parts = splits.get(i)
+            if parts is None:
+                still_open.append((i + shift, cmask))
                 continue
-            parts = [by_count[k] for k in sorted(by_count, reverse=True)]
-            cells[i : i + 1] = parts
-            for part in parts:
-                worklist.append(mask_of(part))
-            i += len(parts)
+            for k, part in enumerate(parts):
+                pmask = mask_of(part)
+                worklist.append(pmask)
+                if len(part) > 1:
+                    still_open.append((i + shift + k, pmask))
+            shift += len(parts) - 1
+        open_ = still_open
     return _trace(rows, cells)
 
 

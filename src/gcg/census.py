@@ -11,6 +11,27 @@ output or a journal is reused only when its manifest matches the run.
 
 Expensive verdicts degrade to "unknown" (or a null fingerprint) when a
 budget cap is hit; records are never dropped.
+
+Sharing.  `fingerprint`, `vertex_transitive`, `cayley` and `stability` are
+isomorphism invariants, so a work item computes them once per isomorphism
+class it meets; `compute_record` is the direct, unshared computation.
+(b) Let C(alpha) be the automorphisms phi of G with phi alpha = alpha phi.
+By Prop 2.1, GC(G, S, alpha) is isomorphic to GC(G, phi(S), phi alpha
+phi^-1) = GC(G, phi(S), alpha), through x -> phi(x): alpha(x^-1)y lies in S
+iff alpha(phi(x)^-1)phi(y) lies in phi(S).  So the first set of each
+C(alpha)-orbit in enumeration order is computed in full and every later set
+of that orbit copies its four invariant fields.  (a) Across work items, the
+verdicts of a graph are looked up by its fingerprint, the graph6 of the
+canonically relabelled graph, so equal fingerprints mean isomorphic graphs.
+Only fully known answers are shared: a representative with a null
+fingerprint or any "unknown" is neither stored nor copied, and each other
+set of its orbit is computed on its own.  A budget can therefore turn
+"unknown" into a known, exact answer but never the reverse.  At caps where
+nothing is unknown the bytes are those of `compute_record` on every record,
+whatever the worker count; when a budget leaves answers unknown, which of
+them become known can depend on the items a worker ran before.
+`triangle_hash` depends on the labelling and the other fields are cheap, so
+they stay per record.
 """
 from __future__ import annotations
 
@@ -18,9 +39,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import cache
 from multiprocessing import Pool
 
-from .automorphisms import enumerate_involutory_automorphisms, is_prime
+from .automorphisms import (
+    AutomorphismMap,
+    enumerate_automorphisms,
+    enumerate_involutory_automorphisms,
+    is_prime,
+)
 from .canon import automorphism_group, canonical_form
 from .caps import Caps, caps_from_env
 from .catalog import builtin_descriptors
@@ -33,7 +60,8 @@ from .construct import (
 )
 from .errors import BudgetExceeded, ManifestMismatch
 from .graphs import Graph, triangle_profile
-from .groups import make_group
+from .groups import FiniteGroup, make_group
+from .perms import Perm
 
 
 @dataclass(frozen=True)
@@ -52,6 +80,14 @@ class RunConfig:
 
 
 def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
+    x, record = _labelled_fields(spec, alpha_index)
+    record["fingerprint"] = _fingerprint(x, caps)
+    record.update(_verdicts(x, caps))
+    return record
+
+
+def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict]:
+    """The graph and the fields computed for every record."""
     g = spec.group
     x = build_gc_graph(spec)
     kernel = kernel_subgroup(spec)
@@ -69,21 +105,30 @@ def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
     }
     profile = ",".join(map(str, triangle_profile(x)))
     record["triangle_hash"] = hashlib.sha256(profile.encode("ascii")).hexdigest()[:16]
+    return x, record
+
+
+def _fingerprint(x: Graph, caps: Caps) -> str | None:
     try:
-        record["fingerprint"] = canonical_form(x, caps.aut_node_budget).fingerprint.decode("ascii")
+        return canonical_form(x, caps.aut_node_budget).fingerprint.decode("ascii")
     except BudgetExceeded:
-        record["fingerprint"] = None
+        return None
+
+
+def _verdicts(x: Graph, caps: Caps) -> dict:
+    """vertex_transitive, cayley and stability of x."""
+    out: dict = {}
     try:
         desc = automorphism_group(x, caps.aut_node_budget)
-        record["vertex_transitive"] = len(desc.orbits) <= 1
+        out["vertex_transitive"] = len(desc.orbits) <= 1
     except BudgetExceeded:
-        record["vertex_transitive"] = "unknown"
-    record["cayley"] = detect_cayley(x, caps).status
+        out["vertex_transitive"] = "unknown"
+    out["cayley"] = detect_cayley(x, caps).status
     try:
-        record["stability"] = stability_check(x, caps.aut_node_budget).status
+        out["stability"] = stability_check(x, caps.aut_node_budget).status
     except BudgetExceeded:
-        record["stability"] = "unknown"
-    return record
+        out["stability"] = "unknown"
+    return out
 
 
 def _degree(x: Graph) -> int | list[int]:
@@ -97,13 +142,53 @@ def _item_key(name: str, alpha_index: int) -> str:
     return f"{name}|{alpha_index}"
 
 
+# (fingerprint, caps) -> fully known verdicts, shared across work items
+_VERDICTS: dict[tuple[str, Caps], dict] = {}
+
+
+@cache
+def _automorphism_perms(g: FiniteGroup) -> tuple[Perm, ...]:
+    return tuple(phi.perm for phi in enumerate_automorphisms(g))
+
+
+def _centralizer(g: FiniteGroup, alpha: AutomorphismMap) -> list[Perm]:
+    """C(alpha): the automorphisms of g that commute with alpha."""
+    a = alpha.perm
+    return [p for p in _automorphism_perms(g) if all(p[a[x]] == a[p[x]] for x in range(g.order))]
+
+
+def _invariant_fields(x: Graph, caps: Caps) -> tuple[dict, bool]:
+    """fingerprint and verdicts of x, through the verdict memo, and whether
+    every one is known."""
+    fingerprint = _fingerprint(x, caps)
+    key = (fingerprint, caps)
+    verdicts = _VERDICTS.get(key) if fingerprint is not None else None
+    if verdicts is None:
+        verdicts = _verdicts(x, caps)
+    known = fingerprint is not None and "unknown" not in verdicts.values()
+    if known:
+        _VERDICTS.setdefault(key, verdicts)
+    return {"fingerprint": fingerprint, **verdicts}, known
+
+
 def _work(args: tuple[str, int, Caps]) -> tuple[str, list[dict]]:
     name, alpha_index, caps = args
     g = make_group(name, caps)
     alpha = enumerate_involutory_automorphisms(g)[alpha_index]
+    centralizer = _centralizer(g, alpha)
+    shared: dict[int, dict] = {}   # set mask -> known fields of its C(alpha)-orbit
     records = []
     for spec in enumerate_connection_sets(g, alpha, caps=caps):
-        records.append(compute_record(spec, alpha_index, caps))
+        x, record = _labelled_fields(spec, alpha_index)
+        fields = shared.get(spec.connection.mask)
+        if fields is None:
+            fields, known = _invariant_fields(x, caps)
+            if known:
+                s_ids = spec.set_ids()
+                for p in centralizer:
+                    shared[sum(1 << p[s] for s in s_ids)] = fields
+        record.update(fields)
+        records.append(record)
     return _item_key(name, alpha_index), records
 
 
@@ -145,6 +230,7 @@ def _sort_key(record: dict):
 
 def run_census(config: RunConfig) -> list[dict]:
     caps = config.caps or caps_from_env()
+    _VERDICTS.clear()   # a run never depends on what ran before it
     names = config.groups or tuple(builtin_descriptors(config.max_order))
     items: list[tuple[str, int, Caps]] = []
     resolved: list[str] = []

@@ -956,16 +956,16 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
 
     for name in names:
         g = make_group(name, caps)
-        iota = inversion_map(g)
-        count, skipped, _ = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
-        cert = {"sets_swept": count}
         try:
             target = _dihedral_target(_reshape_cyclic_sylow(g).gprime)
-        except ShapeError:
-            pass                                    # g does not reshape
-        else:
-            cert["target_group"] = target.dih.name
-            cert["eq1_pairs"] = target.eq1_pairs
+        except ShapeError as exc:
+            raise ShapeError(
+                f"thm-3.1 needs an abelian group of even order with a cyclic Sylow 2-subgroup; "
+                f"{g.name}: {exc}"
+            ) from None
+        iota = inversion_map(g)
+        count, skipped, _ = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
+        cert = {"sets_swept": count, "target_group": target.dih.name, "eq1_pairs": target.eq1_pairs}
         reports.append(TheoremReport(
             "thm-3.1", name, "skipped" if skipped else "verified", cert,
         ))

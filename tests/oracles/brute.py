@@ -8,7 +8,9 @@ sifting every generator it is given; it shares only tuple composition and
 inversion with the package.  `enumerated_cayley_status` starts from the
 package's automorphism generators because listing Aut(X) by filtering
 permutations stops at 8 vertices; its regular-subgroup search shares
-nothing with the package.
+nothing with the package.  `scanning_refine` rescans every cell for every
+splitter; it is the reference for `canon._refine`, which visits only the
+cells a splitter can split.
 """
 from __future__ import annotations
 
@@ -325,3 +327,44 @@ class SchreierSimsChain:
                     return True
             done[x] = watermark
         return changed
+
+
+def scanning_refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) -> tuple[int, ...]:
+    """Refine cells to equitability in place, scanning every cell for every
+    splitter; returns the node trace by the all-pairs formula (cell count,
+    cell sizes, then each cell's first vertex's neighbor count in every cell).
+
+    Splitters are processed FIFO; split parts are ordered by descending
+    neighbor count.
+    """
+    def mask(vs) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << v
+        return m
+
+    qi = 0
+    while qi < len(worklist):
+        wmask = worklist[qi]
+        qi += 1
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) == 1:
+                i += 1
+                continue
+            by_count: dict[int, list[int]] = {}
+            for v in cell:
+                by_count.setdefault((rows[v] & wmask).bit_count(), []).append(v)
+            if len(by_count) == 1:
+                i += 1
+                continue
+            parts = [by_count[k] for k in sorted(by_count, reverse=True)]
+            cells[i : i + 1] = parts
+            for part in parts:
+                worklist.append(mask(part))
+            i += len(parts)
+    masks = [mask(c) for c in cells]
+    trace = [len(cells)] + [len(c) for c in cells]
+    trace += [(rows[c[0]] & m).bit_count() for c in cells for m in masks]
+    return tuple(trace)

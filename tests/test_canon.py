@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.canon import (
     _canon_search,
+    _refine,
     _trace,
     automorphism_chain,
     automorphism_group,
@@ -36,6 +37,7 @@ from oracles.brute import (
     brute_automorphisms,
     brute_vertex_orbits,
     is_graph_automorphism,
+    scanning_refine,
 )
 
 FIXTURES = [
@@ -226,3 +228,39 @@ def test_trace_matches_pairwise_formula(data):
     pairwise = [len(cells)] + [len(c) for c in cells]
     pairwise += [(g.rows[c[0]] & m).bit_count() for c in cells for m in masks]
     assert _trace(g.rows, cells) == tuple(pairwise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_refine_matches_scanning_refine(data):
+    # visiting only the cells a splitter touches splits exactly as a scan of
+    # every cell does: same cells, same order within them, same trace
+    n = data.draw(st.integers(min_value=1, max_value=16))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    g = from_edges(n, sorted((a, b) for a, b in edges if a != b))
+    order = data.draw(st.permutations(list(range(n))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    cells = [list(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    worklist = data.draw(st.one_of(
+        st.just([mask_of(range(n))]),
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3),
+    ))
+    fast, slow = [list(c) for c in cells], [list(c) for c in cells]
+    assert _refine(g.rows, fast, list(worklist)) == scanning_refine(g.rows, slow, list(worklist))
+    assert fast == slow
+
+
+def test_refine_matches_scanning_refine_on_search_nodes():
+    # the partitions the searches refine: equitable, then one vertex individualized
+    for g in (cycle_graph(40), petersen_graph(), disjoint_union(cycle_graph(5), path_graph(6))):
+        n = g.n
+        cells = [list(range(n))]
+        assert _refine(g.rows, cells, [mask_of(range(n))]) == scanning_refine(
+            g.rows, [list(range(n))], [mask_of(range(n))])
+        for t, cell in enumerate(cells):
+            for v in cell if len(cell) > 1 else ():
+                fast = [list(c) for c in cells]
+                fast[t : t + 1] = [[v], [u for u in cell if u != v]]
+                slow = [list(c) for c in fast]
+                assert _refine(g.rows, fast, [1 << v]) == scanning_refine(g.rows, slow, [1 << v])
+                assert fast == slow

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -7,12 +8,19 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcg.automorphisms import enumerate_involutory_automorphisms
+from gcg.automorphisms import (
+    automorphism_from_perm,
+    enumerate_automorphisms,
+    enumerate_involutory_automorphisms,
+)
+from gcg.catalog import builtin_descriptors
 from gcg.caps import Caps
 from gcg.census import RunConfig, compute_record, refuting_records, run_census
 from gcg.errors import ManifestMismatch
-from gcg.construct import make_spec
+from gcg.construct import connection_orbits, make_spec
 from gcg.automorphisms import inversion_map
 from gcg.groups import make_group
 
@@ -72,7 +80,8 @@ def test_full_catalog_counts_up_to_8(tmp_path, caps):
 def test_worker_count_does_not_change_bytes(tmp_path, caps):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
-    cfg = dict(max_order=6, caps=caps)
+    # at order 8 orbit sharing and the verdict memo cross work items and workers
+    cfg = dict(max_order=8, caps=caps)
     run_census(RunConfig(out_path=str(serial), jobs=1, **cfg))
     run_census(RunConfig(out_path=str(parallel), jobs=2, **cfg))
     assert serial.read_bytes() == parallel.read_bytes()
@@ -235,3 +244,100 @@ def test_jobs_are_clamped(tmp_path, monkeypatch, caps):
     # Z2 has one involutory automorphism, so one pending item runs in-process
     run_census(RunConfig(groups=("Z2",), out_path=str(tmp_path / "c.jsonl"), jobs=64, caps=caps))
     assert started == [2]
+
+
+def direct_record(rec, caps):
+    """compute_record, with no sharing, for the spec a census record names."""
+    g = make_group(rec["group"], caps)
+    alpha = enumerate_involutory_automorphisms(g)[rec["alpha_index"]]
+    return compute_record(make_spec(g, alpha, rec["set_ids"]), rec["alpha_index"], caps)
+
+
+def test_census_records_equal_direct_records(tmp_path, caps):
+    records = run_census(RunConfig(max_order=9, out_path=str(tmp_path / "c9.jsonl"), caps=caps))
+    assert len(records) == 1058
+    for rec in records:
+        assert rec == direct_record(rec, caps), (rec["group"], rec["alpha_index"], rec["set_ids"])
+
+
+def test_orbit_sharing_follows_only_the_centralizer(caps):
+    # Z4xZ4 is among the first catalog groups where an automorphism outside
+    # C(alpha) maps a valid set to a valid, non-isomorphic one, so sharing
+    # along all of Aut(G) would copy wrong fingerprints into this item
+    from gcg.canon import canonical_form
+    from gcg.census import _work
+    from gcg.construct import build_gc_graph
+
+    g = make_group("Z4xZ4", caps)
+    alpha = enumerate_involutory_automorphisms(g)[4]
+    _, records = _work(("Z4xZ4", 4, caps))
+    assert len(records) == 1024
+    for rec in records:
+        x = build_gc_graph(make_spec(g, alpha, rec["set_ids"]))
+        assert rec["fingerprint"] == canonical_form(x).fingerprint.decode("ascii"), rec["set_ids"]
+
+
+def test_verdicts_are_computed_once_per_class(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    calls = []
+    real = census.stability_check
+    monkeypatch.setattr(census, "stability_check", lambda x, budget: calls.append(x) or real(x, budget))
+    records = run_census(RunConfig(max_order=8, out_path=str(tmp_path / "c8.jsonl"), caps=caps))
+    assert len(records) == 928
+    # one double-cover search per isomorphism class, not per record
+    assert len(calls) == len({r["fingerprint"] for r in records}) == 39
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conjugate_specs_agree_on_invariant_fields(data):
+    # Prop 2.1: GC(G, S, alpha) and GC(G, phi(S), phi alpha phi^-1) are isomorphic
+    caps = Caps()
+    g = make_group(data.draw(st.sampled_from(builtin_descriptors(10))), caps)
+    involutions = enumerate_involutory_automorphisms(g)
+    index = data.draw(st.integers(0, len(involutions) - 1))
+    alpha = involutions[index].perm
+    orbits = connection_orbits(g, involutions[index])
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    s_ids = [s for orbit, keep in zip(orbits, chosen) if keep for s in orbit]
+    phi = data.draw(st.sampled_from(enumerate_automorphisms(g))).perm
+    phi_inv = [0] * g.order
+    for x, y in enumerate(phi):
+        phi_inv[y] = x
+    conj = automorphism_from_perm(g, [phi[alpha[phi_inv[x]]] for x in range(g.order)])
+    conj_index = [a.perm for a in involutions].index(conj.perm)
+    a = compute_record(make_spec(g, involutions[index], s_ids), index, caps)
+    b = compute_record(make_spec(g, conj, [phi[s] for s in s_ids]), conj_index, caps)
+    for field in ("fingerprint", "vertex_transitive", "cayley", "stability",
+                  "kernel_size", "degree", "connected", "bipartite"):
+        assert a[field] == b[field], field
+
+
+def test_budget_only_turns_unknown_into_known(tmp_path, caps):
+    tight = replace(caps, aut_node_budget=8)
+    records = run_census(RunConfig(max_order=7, out_path=str(tmp_path / "tight.jsonl"), caps=tight))
+    assert len(records) == 116
+    unknown, gained = 0, 0
+    for rec in records:
+        direct = direct_record(rec, tight)
+        exact = direct_record(rec, caps)
+        for field, value in rec.items():
+            if value == direct[field]:
+                unknown += direct[field] in (None, "unknown")
+                continue
+            # a shared answer is exact, and only ever replaces an unknown
+            assert direct[field] in (None, "unknown"), (field, rec, direct)
+            assert value == exact[field], (field, rec, exact)
+            gained += 1
+    assert unknown > 0 and gained > 0
+
+
+def test_order_12_census_bytes_are_pinned(tmp_path, caps):
+    out = tmp_path / "c12.jsonl"
+    records = run_census(RunConfig(max_order=12, out_path=str(out), caps=caps))
+    assert len(records) == 4643
+    # captured before records shared their invariant fields
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0a030f1faeea9c129781ecb8abaaad8aac5a3c8f63b9a0d05c1c8dd9b2b557ed"
+    )

@@ -117,6 +117,11 @@ def test_verify_exit_codes(capsys):
     report = json.loads(out.splitlines()[0])
     assert report["certificate"]["branch"] == "neither"
 
+    # a group outside thm-3.1's hypothesis is refused, not verified
+    code, out, err = run_cli(capsys, "verify", "thm-3.1", "--groups", "Z3")
+    assert code == 1 and out == ""
+    assert "cyclic Sylow 2-subgroup; Z3: group has odd order" in err
+
     # a cap small enough to abort enumeration maps to the budget exit code
     code, _, err = run_cli(capsys, "--caps-bits", "2", "verify", "thm-3.1")
     assert code == 3

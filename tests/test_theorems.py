@@ -110,6 +110,17 @@ def test_dihedralization_runner(caps):
         assert r.certificate["sets_swept"] >= 1
 
 
+@pytest.mark.parametrize("name, why", [
+    ("Z3", "odd order"), ("Z9", "odd order"),
+    ("Z2xZ2", "Sylow 2-subgroup is not cyclic"), ("D6", "needs an abelian group"),
+])
+def test_dihedralization_runner_refuses_groups_outside_the_hypothesis(name, why, caps):
+    # only the empty set is valid for Z3, so a sweep alone would "verify" it
+    with pytest.raises(ShapeError, match="thm-3.1 needs an abelian group of even order") as exc:
+        run_theorem("thm-3.1", {"groups": [name]}, caps)
+    assert f"{name}: " in str(exc.value) and why in str(exc.value)
+
+
 def test_example_32_reports(caps):
     rep = verify_example_32(1, 2, caps)
     assert rep.verdict == "verified"
