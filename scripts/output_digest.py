@@ -8,8 +8,11 @@ the sha256 and exit status of `gcg --format json verify <id>`.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 instances,
-where most sweeps stop part-way.  Every gcg run is a fresh interpreter.  Run
-it on two checkouts and diff the two outputs.
+where most sweeps stop part-way.  The verifiers that certify connection-orbit
+layers instead of single sets (prop-2.5, thm-3.1, thm-3.5) are also run at
+budgets of 1 and 40, so a change in how they count sets shows here.  Every
+gcg run is a fresh interpreter.  Run it on two checkouts and diff the two
+outputs.
 """
 from __future__ import annotations
 
@@ -29,7 +32,9 @@ from gcg.theorems import THEOREM_IDS  # noqa: E402
 
 EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
+LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
 SMALL_BUDGET = 5
+LAYER_BUDGETS = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
 # the default caps with a sweep budget of argv[2] instances.
 BUDGET_RUN = """
@@ -75,8 +80,9 @@ def main() -> int:
         )
         print(f"export dot {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
     for tid in SWEEPING_IDS:
-        digest, status = run_digest("-c", BUDGET_RUN, tid, str(SMALL_BUDGET))
-        print(f"verify {tid:<9} budget {SMALL_BUDGET}  {digest}  exit {status}")
+        for budget in LAYER_BUDGETS if tid in LAYER_IDS else (SMALL_BUDGET,):
+            digest, status = run_digest("-c", BUDGET_RUN, tid, str(budget))
+            print(f"verify {tid:<9} budget {budget}  {digest}  exit {status}")
     return 0
 
 

@@ -189,8 +189,10 @@ class OddAbelianDecomposition:
     pair_of: tuple[tuple[int, int], ...]
 
 
+@cache
 def decompose_odd_abelian(g: FiniteGroup, alpha: AutomorphismMap) -> OddAbelianDecomposition:
-    """Split an odd-order abelian group as Fix x omega under an involutory map."""
+    """Split an odd-order abelian group as Fix x omega under an involutory map.
+    Computed once per (group object, map)."""
     if not g.abelian:
         raise ShapeError("decomposition needs an abelian group")
     if g.order % 2 == 0:

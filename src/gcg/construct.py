@@ -103,6 +103,14 @@ def connection_orbits(g: FiniteGroup, alpha: AutomorphismMap) -> list[tuple[int,
     return orbits
 
 
+def capped_connection_orbits(g: FiniteGroup, alpha: AutomorphismMap, caps: Caps) -> list[tuple[int, ...]]:
+    """`connection_orbits`, refused with CapExceeded past the bit budget."""
+    orbits = connection_orbits(g, alpha)
+    if len(orbits) > caps.bit_budget:
+        raise CapExceeded(f"{len(orbits)} orbits exceed bit budget {caps.bit_budget}")
+    return orbits
+
+
 def enumerate_connection_sets(
     g: FiniteGroup,
     alpha: AutomorphismMap,
@@ -118,11 +126,8 @@ def enumerate_connection_sets(
     output order is reproducible.  Raises CapExceeded when the orbit count
     passes the bit budget.
     """
-    caps = caps or caps_from_env()
-    orbits = connection_orbits(g, alpha)
+    orbits = capped_connection_orbits(g, alpha, caps or caps_from_env())
     k = len(orbits)
-    if k > caps.bit_budget:
-        raise CapExceeded(f"{k} orbits exceed bit budget {caps.bit_budget}")
     full = (1 << k) - 1
     for index in range(1 << k):
         if nonempty_only and index == 0:

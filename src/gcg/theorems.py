@@ -39,6 +39,7 @@ from .cayley import detect_cayley
 from .construct import (
     GCSpec,
     build_gc_graph,
+    capped_connection_orbits,
     enumerate_connection_sets,
     kernel_subgroup,
     make_spec,
@@ -105,6 +106,12 @@ class _SweepBudget:
         self.used += 1
         return True
 
+    def take(self, wanted: int) -> int:
+        """Spend up to `wanted` items at once; returns how many were granted."""
+        granted = min(wanted, self.limit - self.used)
+        self.used += granted
+        return granted
+
 
 def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int, bool, object]:
     """Check items one by one until one is refuted or the budget runs out.
@@ -121,6 +128,55 @@ def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int,
             return covered, False, refutation
         covered += 1
     return covered, False, None
+
+
+def _sweep_layers(
+    g: FiniteGroup,
+    alpha: AutomorphismMap,
+    certify: Callable[[GCSpec], Perm] | None,
+    budget: _SweepBudget,
+    caps: Caps,
+) -> tuple[int, bool]:
+    """Certify the sets `enumerate_connection_sets(g, alpha)` would yield
+    through one vertex map checked on single-orbit layers, instead of set by
+    set.
+
+    Lemma.  Let S be the union of connection orbits O.  Every row of
+    `build_gc_graph(S)` is the OR of the same row of the layers X_O, because
+    x ~ alpha(x)s for s in S is a union over orbits.  The same holds for the
+    Cayley target Cay(Dih(.), f(S)) of `dihedralize_inversion` and for the
+    edge rule of `normal_form_odd_abelian`, and the vertex maps of both
+    depend on (G, alpha) only.  A bijection f maps a union of rows to the
+    union of the images, so if one f passes `check_witness` on every layer
+    X_O -> Y_O, it is an isomorphism X_S -> Y_S for every union S of them.
+
+    `certify` checks the witness on one layer (raising on failure) and
+    returns its vertex map; every layer must return the same map.  With
+    `certify` None the sets are only counted.  The budget is spent in sets,
+    exactly as a set-by-set sweep would: the first `covered` sets, by index,
+    are certified, and they use only orbits below bit (covered - 1)'s
+    length, so only those layers are checked.  Returns how many sets were
+    covered and whether the budget ran out before all of them."""
+    orbits = capped_connection_orbits(g, alpha, caps)
+    total = 1 << len(orbits)
+    covered = budget.take(total)
+    if certify is not None:
+        mapping = None
+        for orbit in orbits[: max(covered - 1, 0).bit_length()]:
+            layer_map = certify(make_spec(g, alpha, orbit))
+            if mapping is None:
+                mapping = layer_map
+            elif layer_map != mapping:
+                raise AssertionError(f"layer {orbit} was certified by a different vertex map")
+    return covered, covered < total
+
+
+def _dihedral_map(spec: GCSpec) -> Perm:
+    return dihedralize_inversion(spec).mapping
+
+
+def _normal_form_map(spec: GCSpec) -> Perm:
+    return normal_form_odd_abelian(spec).witness.mapping
 
 
 def _refutation(report: TheoremReport) -> TheoremReport | None:
@@ -612,19 +668,10 @@ def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> Theor
             {"branch": branch, "reason": "inversion is not the identity"},
         )
     if branch != "neither":
-        def check(spec: GCSpec) -> str | None:
-            if branch == "elementary":
-                return None
-            if spec.connection.mask:
-                dihedralize_inversion(spec)
-            elif build_gc_graph(spec).edge_count() != 0:
-                return "empty set built edges"
-            return None
-
+        # on an elementary 2-group GC(G, S, iota) is Cay(G, S) itself
+        certify = None if branch == "elementary" else _dihedral_map
         budget = _SweepBudget(caps.sweep_instance_budget)
-        count, skipped, reason = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
-        if reason:
-            return TheoremReport("thm-3.5", g.name, "refuted", {"branch": branch, "reason": reason})
+        count, skipped = _sweep_layers(g, iota, certify, budget, caps)
         if skipped:
             return TheoremReport(
                 "thm-3.5", g.name, "skipped",
@@ -640,7 +687,7 @@ def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> Theor
         return TheoremReport(
             "thm-3.5", g.name, "verified",
             {"branch": branch, "sets_swept": count,
-             "route": "dihedralization witness per set"},
+             "route": "dihedralization witness per connection orbit"},
         )
     spec, detail = _neither_witness_spec(g)
     x = build_gc_graph(spec)
@@ -743,6 +790,27 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
 # duplicate neighborhoods
 
 
+def coset_law_and_duplicates(g: FiniteGroup, rows: tuple[int, ...], kernel: tuple[int, ...]) -> tuple[bool, bool]:
+    """(coset law, duplicate rows) for vertex rows over the elements of g.
+
+    The coset law says rows[a] == rows[b] exactly when a^-1 b lies in the
+    subgroup `kernel`, that is, each class of equal rows is the left coset
+    aK of its members.  Grouping the vertices by row and comparing each class
+    with the coset of one member decides it in O(|G| |K|) steps: if a class C
+    holding a equals aK, then bK = aK = C for every b in C.  Duplicate rows
+    exist exactly when there are fewer classes than vertices."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << v
+    law = True
+    for members in classes.values():
+        a = (members & -members).bit_length() - 1
+        if members != mask_of(g.mul[a][h] for h in kernel):
+            law = False
+            break
+    return law, len(classes) < len(rows)
+
+
 def verify_unworthy_theory(spec: GCSpec, caps: Caps | None = None) -> TheoremReport:
     """Coset law for equal neighborhoods, the unworthiness criterion, and the
     lexicographic decomposition, all on one spec."""
@@ -753,20 +821,13 @@ def verify_unworthy_theory(spec: GCSpec, caps: Caps | None = None) -> TheoremRep
     k_mask = kernel.sub.set.mask
     k_size = len(kernel)
     cert: dict = {"kernel": list(kernel.sub.members()), "kernel_size": k_size}
-    coset_law = all(
-        (x.rows[a] == x.rows[b]) == bool(k_mask >> g.mul[g.inv[a]][b] & 1)
-        for a in range(g.order)
-        for b in range(g.order)
-    )
+    coset_law, duplicate = coset_law_and_duplicates(g, x.rows, kernel.sub.members())
     cert["coset_law"] = coset_law
-    duplicate = any(
-        x.rows[a] == x.rows[b] for a in range(g.order) for b in range(a)
-    )
     unworthy_ok = duplicate == (k_size > 1)
     cert["unworthy"] = duplicate
     decomposition_ok = True
-    if k_size > 1:
-        quotient = quotient_by_kernel(x, kernel)
+    quotient = quotient_by_kernel(x, kernel) if k_size > 1 else None
+    if quotient is not None:
         lex = lexicographic_product(quotient, empty_graph(k_size))
         mapping = [0] * g.order
         for ci, coset in enumerate(kernel.cosets()):
@@ -784,8 +845,7 @@ def verify_unworthy_theory(spec: GCSpec, caps: Caps | None = None) -> TheoremRep
         if spec.connection.mask == full ^ om.set.mask:
             complement_case = True
             complement_ok = k_mask == om.set.mask
-            if k_size > 1:
-                quotient = quotient_by_kernel(x, kernel)
+            if quotient is not None:
                 m = quotient.n
                 complement_ok = complement_ok and all(
                     quotient.rows[v] == (((1 << m) - 1) ^ (1 << v)) for v in range(m)
@@ -908,16 +968,11 @@ def run_prop_2_5(params: dict, caps: Caps) -> list[TheoremReport]:
     max_order = int(params.get("max_order", 21))
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-
-    def check(spec: GCSpec) -> None:
-        normal_form_odd_abelian(spec)       # raises on any failure
-
     for g in builtin_groups(max_order, caps):
         if not g.abelian or g.order % 2 == 0:
             continue
         for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            specs = enumerate_connection_sets(g, alpha, caps=caps)
-            count, skipped, _ = _sweep(specs, check, budget)
+            count, skipped = _sweep_layers(g, alpha, _normal_form_map, budget, caps)
             reports.append(TheoremReport(
                 "prop-2.5", f"{g.name}|alpha#{idx}", "skipped" if skipped else "verified",
                 {"covered_sets" if skipped else "sets_swept": count},
@@ -949,11 +1004,6 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
         names = [names]
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-
-    def check(spec: GCSpec) -> None:
-        if spec.connection.mask:
-            dihedralize_inversion(spec)             # raises on any failure
-
     for name in names:
         g = make_group(name, caps)
         try:
@@ -963,8 +1013,7 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
                 f"thm-3.1 needs an abelian group of even order with a cyclic Sylow 2-subgroup; "
                 f"{g.name}: {exc}"
             ) from None
-        iota = inversion_map(g)
-        count, skipped, _ = _sweep(enumerate_connection_sets(g, iota, caps=caps), check, budget)
+        count, skipped = _sweep_layers(g, inversion_map(g), _dihedral_map, budget, caps)
         cert = {"sets_swept": count, "target_group": target.dih.name, "eq1_pairs": target.eq1_pairs}
         reports.append(TheoremReport(
             "thm-3.1", name, "skipped" if skipped else "verified", cert,

@@ -10,7 +10,12 @@ package's automorphism generators because listing Aut(X) by filtering
 permutations stops at 8 vertices; its regular-subgroup search shares
 nothing with the package.  `scanning_refine` rescans every cell for every
 splitter; it is the reference for `canon._refine`, which visits only the
-cells a splitter can split.
+cells a splitter can split.  `per_set_sweep` checks connection sets one at a
+time; it is the reference for the verifiers that certify a whole family of
+sets one connection-orbit layer at a time.  `all_pairs_coset_law` and
+`all_pairs_duplicate_rows` compare every pair of vertices; they are the
+reference for `theorems.coset_law_and_duplicates`, which compares each class
+of equal rows with one coset.
 """
 from __future__ import annotations
 
@@ -103,6 +108,34 @@ def valid_connection_sets(mul, inv, alpha: tuple[int, ...]) -> list[frozenset[in
         if all(alpha[inv[x]] in s for x in s):
             out.append(s)
     return out
+
+
+def per_set_sweep(specs, check, left: int) -> tuple[int, bool]:
+    """Run `check` (which raises on a failure) on each spec in turn until
+    `left` of them have passed.  Returns how many passed and whether any
+    spec was left unchecked."""
+    covered = 0
+    for spec in specs:
+        if covered == left:
+            return covered, True
+        check(spec)
+        covered += 1
+    return covered, False
+
+
+def all_pairs_coset_law(mul, inv, rows, kernel_mask: int) -> bool:
+    """rows[a] == rows[b] exactly when a^-1 b is in the kernel, pair by pair."""
+    n = len(rows)
+    return all(
+        (rows[a] == rows[b]) == bool(kernel_mask >> mul[inv[a]][b] & 1)
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def all_pairs_duplicate_rows(rows) -> bool:
+    """Some two distinct vertices have equal rows, pair by pair."""
+    return any(rows[a] == rows[b] for a in range(len(rows)) for b in range(a))
 
 
 def naive_census_count(groups) -> int:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcg.automorphisms import (
     enumerate_automorphisms,
@@ -8,14 +12,24 @@ from gcg.automorphisms import (
     identity_automorphism,
     inversion_map,
 )
-from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
+from gcg.catalog import builtin_groups
+from gcg.construct import (
+    build_gc_graph,
+    connection_orbits,
+    enumerate_connection_sets,
+    kernel_subgroup,
+    make_spec,
+)
 from gcg.errors import ShapeError
-from gcg.graphs import check_witness
-from gcg.groups import make_group
+from gcg.graphs import IsomorphismWitness, check_witness
+from gcg.groups import bits, make_group, mask_of, subgroup_closure
 from gcg.theorems import (
     THEOREM_IDS,
+    _SweepBudget,
+    _sweep_layers,
     build_counterexample,
     check_inversion_dichotomy,
+    coset_law_and_duplicates,
     dihedralize_inversion,
     normal_form_odd_abelian,
     order_2p_witness,
@@ -24,7 +38,10 @@ from gcg.theorems import (
     verify_example_32,
     verify_example_33,
     verify_product_lemma,
+    verify_unworthy_theory,
 )
+
+from oracles.brute import all_pairs_coset_law, all_pairs_duplicate_rows, per_set_sweep
 
 
 def all_verified(reports):
@@ -283,8 +300,8 @@ BUDGET_REFERENCE = {
                  5: (10, 8, "91753af8859ed089"), 40: (10, 7, "48def61ec5d16773")},
     "prop-2.5": {0: (43, 43, "0b3cf1bf4cc3e676"), 1: (43, 42, "8b81bbcbb6695d6b"),
                  5: (43, 40, "6f967981c4c05d05"), 40: (43, 35, "9881806adfcce1be")},
-    "thm-3.5": {0: (50, 38, "2ef6d74f0036aa6b"), 1: (50, 24, "6aa3e2b5184cff43"),
-                5: (50, 22, "e94901e110c9ad94"), 40: (50, 15, "eabab4d83336d715")},
+    "thm-3.5": {0: (50, 38, "2ef6d74f0036aa6b"), 1: (50, 24, "530914e6c0090a4e"),
+                5: (50, 22, "dab61e6ad5757c52"), 40: (50, 15, "1e8b5ce370e7ea56")},
     "lemma-4.2": {0: (10, 10, "f5483015c4fb7b69"), 1: (10, 10, "df8138d0d086023c"),
                   5: (10, 10, "004cd823430eac44"), 40: (10, 6, "961af52f205888bf")},
     "thm-4.3": {0: (20, 20, "cd2e2e02fafa0ffe"), 1: (20, 20, "d55fd0c32d510f4b"),
@@ -377,3 +394,231 @@ def test_unworthiness_ids_share_one_sweep(caps):
             assert {r.theorem_id for r in reports} == {tid}
             rows[tid] = [(r.instance, r.verdict, r.certificate) for r in reports]
         assert rows["prop-5.1"] == rows["cor-5.2"] == rows["prop-5.3"]
+
+
+# ---------------------------------------------------------------------------
+# layer certificates: thm-3.5, thm-3.1 and prop-2.5 certify a whole family
+# of connection sets through one vertex map checked on single-orbit layers
+
+
+def _cyclic_sylow(g) -> bool:
+    """Abelian of even order with one involution: dihedralization applies."""
+    return g.abelian and sum(o == 2 for o in g.element_orders) == 1
+
+
+def _odd_abelian(g) -> bool:
+    return g.abelian and g.order % 2 == 1
+
+
+def _or_rows(graphs, n):
+    rows = [0] * n
+    for x in graphs:
+        for v in range(n):
+            rows[v] |= x.rows[v]
+    return tuple(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_layer_rows_or_to_the_whole_graph(caps, data):
+    g = data.draw(st.sampled_from(builtin_groups(12, caps)), label="group")
+    alpha = data.draw(st.sampled_from(enumerate_involutory_automorphisms(g)), label="alpha")
+    orbits = connection_orbits(g, alpha)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    chosen = [o for o, k in zip(orbits, keep) if k]
+    spec = make_spec(g, alpha, mask_of(s for o in chosen for s in o))
+    layers = [make_spec(g, alpha, o) for o in chosen]
+    assert build_gc_graph(spec).rows == _or_rows([build_gc_graph(x) for x in layers], g.order)
+    if alpha.perm == tuple(g.inv) and _cyclic_sylow(g):
+        whole = dihedralize_inversion(spec)
+        parts = [dihedralize_inversion(x) for x in layers]
+        assert whole.witness.target.rows == _or_rows([w.witness.target for w in parts], g.order)
+        assert all(w.mapping == whole.mapping for w in parts)
+    if _odd_abelian(g):
+        whole = normal_form_odd_abelian(spec)
+        parts = [normal_form_odd_abelian(x) for x in layers]
+        assert whole.normal_graph.rows == _or_rows([nf.normal_graph for nf in parts], g.order)
+        assert all(nf.witness.mapping == whole.witness.mapping for nf in parts)
+
+
+def _dihedralize_nonempty(spec) -> None:
+    if spec.connection.mask:
+        _dihedralize_once(spec.group, spec.connection.mask)
+
+
+@cache
+def _dihedralize_once(g, mask) -> None:
+    # thm-3.5 and thm-3.1 sweep the same inversion specs; check each one once
+    dihedralize_inversion(make_spec(g, inversion_map(g), mask))
+
+
+def _oracle_thm_3_5(caps, budget):
+    """(instance, covered, skipped) of thm-3.5's sweeping branches, set by set;
+    each group has its own budget."""
+    rows = []
+    for g in builtin_groups(24, caps):
+        if not g.abelian:
+            continue
+        if all(o <= 2 for o in g.element_orders):
+            check = lambda spec: None
+        elif _cyclic_sylow(g) or g.order % 2 == 1:
+            check = _dihedralize_nonempty
+        else:
+            continue
+        specs = enumerate_connection_sets(g, inversion_map(g), caps=caps)
+        rows.append((g.name, *per_set_sweep(specs, check, budget)))
+    return rows
+
+
+def _oracle_thm_3_1(caps, budget, names):
+    """(instance, covered, skipped) of thm-3.1, set by set; one shared budget."""
+    rows = []
+    for name in names:
+        g = make_group(name, caps)
+        specs = enumerate_connection_sets(g, inversion_map(g), caps=caps)
+        covered, skipped = per_set_sweep(specs, _dihedralize_nonempty, budget)
+        budget -= covered
+        rows.append((name, covered, skipped))
+    return rows
+
+
+def _oracle_prop_2_5(caps, budget):
+    """(instance, covered, skipped) of prop-2.5, set by set; one shared budget."""
+    rows = []
+    for g in builtin_groups(21, caps):
+        if not _odd_abelian(g):
+            continue
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+            specs = enumerate_connection_sets(g, alpha, caps=caps)
+            covered, skipped = per_set_sweep(specs, normal_form_odd_abelian, budget)
+            budget -= covered
+            rows.append((f"{g.name}|alpha#{idx}", covered, skipped))
+    return rows
+
+
+def _swept(reports):
+    out = []
+    for r in reports:
+        c = r.certificate
+        if "sets_swept" in c or "covered_sets" in c:
+            out.append((r.instance, c.get("sets_swept", c.get("covered_sets")), r.verdict == "skipped"))
+    return out
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 40, None])
+def test_layer_sweeps_match_the_per_set_oracle(budget, caps):
+    run_caps = caps if budget is None else _with_budget(caps, budget)
+    limit = run_caps.sweep_instance_budget
+    reports = run_theorem("thm-3.5", {}, run_caps)
+    assert _swept(reports) == _oracle_thm_3_5(caps, limit)
+    names = [g.name for g in builtin_groups(24, caps) if _cyclic_sylow(g)]
+    reports = run_theorem("thm-3.1", {"groups": names}, run_caps)
+    assert _swept(reports) == _oracle_thm_3_1(caps, limit, names)
+    reports = run_theorem("prop-2.5", {}, run_caps)
+    assert _swept(reports) == _oracle_prop_2_5(caps, limit)
+
+
+def _wrong_on(orbit, layer_only: bool):
+    """A dihedralization check whose vertex map differs from the real one on
+    every set holding `orbit`.  With `layer_only` it composes the map with a
+    swap that is an automorphism of that orbit's layer alone, so the layer
+    passes its own witness check; otherwise the swap breaks the layer too."""
+    a = orbit[0]
+
+    def certify(spec):
+        w = dihedralize_inversion(spec)
+        if not set(orbit) <= set(spec.set_ids()):
+            return w.mapping
+        # the inversion layer of {a} is the matching x ~ a - x, so swapping
+        # 0 with a keeps it and swapping 0 with a + 1 does not
+        b = a if layer_only else a + 1
+        mapping = list(w.mapping)
+        mapping[0], mapping[b] = mapping[b], mapping[0]
+        if not check_witness(IsomorphismWitness(w.witness.source, w.witness.target, tuple(mapping))):
+            raise AssertionError("mutated witness failed")
+        return tuple(mapping)
+
+    return certify
+
+
+def test_a_map_wrong_on_one_orbit_is_rejected(caps):
+    g = make_group("Z12", caps)
+    iota = inversion_map(g)
+    orbits = connection_orbits(g, iota)
+    assert orbits == [(1,), (3,), (5,), (7,), (9,), (11,)]
+    bad = _wrong_on(orbits[2], layer_only=False)
+
+    def both(budget):
+        layered = _sweep_layers(g, iota, bad, _SweepBudget(budget), caps)
+        specs = enumerate_connection_sets(g, iota, caps=caps)
+        return layered, per_set_sweep(specs, bad, budget)
+
+    # the first four sets use orbits 0 and 1 only; set 4 is orbit 2 alone
+    assert both(4) == ((4, True), (4, True))
+    for budget in (5, 64):
+        with pytest.raises(AssertionError, match="mutated witness failed"):
+            _sweep_layers(g, iota, bad, _SweepBudget(budget), caps)
+        specs = enumerate_connection_sets(g, iota, caps=caps)
+        with pytest.raises(AssertionError, match="mutated witness failed"):
+            per_set_sweep(specs, bad, budget)
+    # each layer may pass on its own, but not under a map of its own
+    swapped = _wrong_on(orbits[2], layer_only=True)
+    with pytest.raises(AssertionError, match="different vertex map"):
+        _sweep_layers(g, iota, swapped, _SweepBudget(5), caps)
+    specs = enumerate_connection_sets(g, iota, caps=caps)
+    with pytest.raises(AssertionError, match="mutated witness failed"):
+        per_set_sweep(specs, swapped, 64)
+
+
+def test_thm_3_5_beyond_the_catalog(caps):
+    # Z48 has 24 connection orbits under inversion: 2^24 sets, of which the
+    # default budget covers the first 50,000.  They use 16 orbits, so 16
+    # layer checks certify them; checking them set by set takes about 50 s.
+    reports = run_theorem("thm-3.5", {"group": "Z48"}, caps)
+    assert [r.to_json() for r in reports] == [{
+        "certificate": {"branch": "cyclic-sylow", "covered_sets": 50000},
+        "instance": "Z48", "stats": {"budget": 50000}, "theorem": "thm-3.5",
+        "verdict": "skipped",
+    }]
+
+
+# ---------------------------------------------------------------------------
+# the unworthiness check reads the coset law off a partition of the vertices
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coset_partition_matches_the_all_pairs_formula(caps, data):
+    g = data.draw(st.sampled_from(builtin_groups(12, caps)), label="group")
+    if data.draw(st.booleans(), label="real spec"):
+        alpha = data.draw(st.sampled_from(enumerate_involutory_automorphisms(g)))
+        orbits = connection_orbits(g, alpha)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+        spec = make_spec(g, alpha, mask_of(s for o, k in zip(orbits, keep) if k for s in o))
+        rows = build_gc_graph(spec).rows
+        k_mask = kernel_subgroup(spec).sub.set.mask
+        cert = verify_unworthy_theory(spec, caps).certificate
+        assert cert["coset_law"] == all_pairs_coset_law(g.mul, g.inv, rows, k_mask)
+        assert cert["unworthy"] == all_pairs_duplicate_rows(rows)
+    else:
+        # rows constant on the left or right cosets of K or of another random
+        # subgroup H, so that some draws follow the wrong cosets and break
+        # the law; one coset may take another's row, or one vertex a row of
+        # its own
+        elements = st.lists(st.integers(0, g.order - 1), max_size=2)
+        k_mask = subgroup_closure(g, data.draw(elements, label="kernel"))
+        h_mask = k_mask if data.draw(st.booleans()) else subgroup_closure(g, data.draw(elements))
+        right = data.draw(st.booleans(), label="right cosets")
+        coset_of = {}
+        for x in range(g.order):
+            coset_of[x] = min(g.mul[h][x] if right else g.mul[x][h] for h in bits(h_mask))
+        reps = sorted(set(coset_of.values()))
+        values = {c: i for i, c in enumerate(reps)}
+        if data.draw(st.booleans(), label="merge"):
+            values[data.draw(st.sampled_from(reps))] = values[data.draw(st.sampled_from(reps))]
+        rows = tuple(values[coset_of[x]] for x in range(g.order))
+        if data.draw(st.booleans(), label="split"):
+            v = data.draw(st.integers(0, g.order - 1))
+            rows = rows[:v] + (g.order,) + rows[v + 1:]
+    got = coset_law_and_duplicates(g, rows, tuple(bits(k_mask)))
+    assert got == (all_pairs_coset_law(g.mul, g.inv, rows, k_mask), all_pairs_duplicate_rows(rows))
