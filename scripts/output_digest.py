@@ -3,7 +3,11 @@
     python3 scripts/output_digest.py [--max-order N]
 
 Prints the sha256 and record count of a one-job census to --max-order
-(default 11, written to a temporary directory), then, for every theorem id,
+(default 11, written to a temporary directory), of the same census at two
+pool workers, and of a one-job census to order 7 at an automorphism-search
+budget of 8 nodes, where some answers stay unknown (so a change in how
+records are shared shows on the pool path and under a budget).  Then, for
+every theorem id,
 the sha256 and exit status of `gcg --format json verify <id>`.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
@@ -22,11 +26,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
+from gcg.caps import caps_from_env  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.theorems import THEOREM_IDS  # noqa: E402
 
@@ -34,6 +40,7 @@ EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
 SMALL_BUDGET = 5
+TIGHT_CENSUS = (7, 8)   # max order, aut_node_budget
 LAYER_BUDGETS = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
 # the default caps with a sweep budget of argv[2] instances.
@@ -48,10 +55,13 @@ for r in sorted(reports, key=lambda r: (r.theorem_id, r.instance)):
 """
 
 
-def census_digest(max_order: int) -> tuple[str, int]:
+def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = None) -> tuple[str, int]:
+    caps = caps_from_env()
+    if aut_node_budget is not None:
+        caps = replace(caps, aut_node_budget=aut_node_budget)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "census.jsonl")
-        records = run_census(RunConfig(max_order=max_order, out_path=out, jobs=1))
+        records = run_census(RunConfig(max_order=max_order, out_path=out, jobs=jobs, caps=caps))
         with open(out, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
@@ -69,6 +79,11 @@ def main() -> int:
     args = ap.parse_args()
     digest, count = census_digest(args.max_order)
     print(f"census --max-order {args.max_order}  {digest}  {count} records")
+    digest, count = census_digest(args.max_order, jobs=2)
+    print(f"census --max-order {args.max_order} --jobs 2  {digest}  {count} records")
+    order, budget = TIGHT_CENSUS
+    digest, count = census_digest(order, aut_node_budget=budget)
+    print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")

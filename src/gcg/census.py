@@ -1,10 +1,12 @@
 """Exhaustive census of generalized Cayley graphs over the builtin catalog.
 
-One JSON line per (group, alpha, connection set).  Work items are
-(group, alpha-index) pairs; each expands to one record per valid set.
-The run journals completed work items so an interrupted census resumes,
-and the final file is sorted by (group, alpha_index, set_ids) so worker
-count and scheduling cannot leak into the output bytes.  A manifest sidecar
+One JSON line per (group, alpha, connection set).  A work item is one group
+and one Aut(G)-conjugacy class of its involutory automorphisms, keyed
+`name|rep_index` by the lowest alpha index in the class; it expands to one
+record per valid set of every alpha in the class.  The run journals
+completed work items so an interrupted census resumes, and the final file is
+sorted by (group, alpha_index, set_ids) so worker count and scheduling
+cannot leak into the output bytes.  A manifest sidecar
 `<out>.manifest.json` records what the bytes depend on (schema version,
 resolved group names, max order, caps; not the worker count); a finished
 output or a journal is reused only when its manifest matches the run.
@@ -12,26 +14,42 @@ output or a journal is reused only when its manifest matches the run.
 Expensive verdicts degrade to "unknown" (or a null fingerprint) when a
 budget cap is hit; records are never dropped.
 
-Sharing.  `fingerprint`, `vertex_transitive`, `cayley` and `stability` are
-isomorphism invariants, so a work item computes them once per isomorphism
-class it meets; `compute_record` is the direct, unshared computation.
-(b) Let C(alpha) be the automorphisms phi of G with phi alpha = alpha phi.
-By Prop 2.1, GC(G, S, alpha) is isomorphic to GC(G, phi(S), phi alpha
-phi^-1) = GC(G, phi(S), alpha), through x -> phi(x): alpha(x^-1)y lies in S
-iff alpha(phi(x)^-1)phi(y) lies in phi(S).  So the first set of each
-C(alpha)-orbit in enumeration order is computed in full and every later set
-of that orbit copies its four invariant fields.  (a) Across work items, the
+Transport (Prop 2.1).  Let psi be an automorphism of G, alpha an involutory
+automorphism and alpha' = psi alpha psi^-1.  Then alpha'(psi(x)^-1)psi(y) =
+psi(alpha(x^-1)) psi(y) = psi(alpha(x^-1)y), so alpha(x^-1)y lies in S iff
+alpha'(psi(x)^-1)psi(y) lies in psi(S).  Hence psi(S) is a valid set for
+alpha' exactly when S is one for alpha, and x -> psi(x) is an isomorphism
+GC(G, S, alpha) -> GC(G, psi(S), alpha').  A record of GC(G, psi(S), alpha')
+therefore follows from one of GC(G, S, alpha) without building its graph:
+- `degree`, `connected`, `bipartite`, `fingerprint`, `vertex_transitive`,
+  `cayley` and `stability` are isomorphism invariants and are copied;
+- the kernel K(S) = {x : alpha(x)S = S} satisfies K(psi(S)) = psi(K(S)),
+  because alpha'(psi(x))psi(S) = psi(alpha(x)S); so `kernel_size` and
+  `unworthy` are copied;
+- the triangle profile (triangles through each vertex) depends on the
+  labelling: that of GC(G, psi(S), alpha') is the profile of GC(G, S, alpha)
+  with vertex x renamed psi(x), t'[psi(x)] = t[x], and `triangle_hash` is
+  the hash of that renamed profile.
+Within one alpha, psi ranges over the centralizer C(alpha) (then alpha' =
+alpha): the first set of each C(alpha)-orbit in enumeration order is
+computed in full and every later set phi(S) of the orbit is transported
+from it.  This is done for the class representative only; every other
+member alpha_j receives each representative record through one fixed psi_j
+with psi_j alpha_rep psi_j^-1 = alpha_j.  `compute_record` is the direct,
+untransported computation.
+
+Only fully known invariant answers are shared.  All records transported
+from one C(alpha)-orbit, across the whole class, are isomorphic graphs; they
+copy the orbit's invariant fields once some member has them all known, and
+until then each computes them on its own graph.  Across work items, the
 verdicts of a graph are looked up by its fingerprint, the graph6 of the
-canonically relabelled graph, so equal fingerprints mean isomorphic graphs.
-Only fully known answers are shared: a representative with a null
-fingerprint or any "unknown" is neither stored nor copied, and each other
-set of its orbit is computed on its own.  A budget can therefore turn
-"unknown" into a known, exact answer but never the reverse.  At caps where
-nothing is unknown the bytes are those of `compute_record` on every record,
-whatever the worker count; when a budget leaves answers unknown, which of
-them become known can depend on the items a worker ran before.
-`triangle_hash` depends on the labelling and the other fields are cheap, so
-they stay per record.
+canonically relabelled graph, so equal fingerprints mean isomorphic graphs;
+a null fingerprint or an "unknown" verdict is never stored.  A budget can
+therefore turn "unknown" into a known, exact answer but never the reverse.
+At caps where nothing is unknown the bytes are those of `compute_record` on
+every record, whatever the worker count; when a budget leaves answers
+unknown, which of them become known can depend on the items a worker ran
+before.
 """
 from __future__ import annotations
 
@@ -41,6 +59,7 @@ import os
 from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from .automorphisms import (
     AutomorphismMap,
@@ -55,13 +74,15 @@ from .cayley import detect_cayley, stability_check
 from .construct import (
     GCSpec,
     build_gc_graph,
-    enumerate_connection_sets,
+    capped_connection_orbits,
+    connection_masks,
     kernel_subgroup,
+    make_spec,
 )
 from .errors import BudgetExceeded, ManifestMismatch
 from .graphs import Graph, triangle_profile
 from .groups import FiniteGroup, make_group
-from .perms import Perm
+from .perms import Perm, identity_perm
 
 
 @dataclass(frozen=True)
@@ -80,14 +101,15 @@ class RunConfig:
 
 
 def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
-    x, record = _labelled_fields(spec, alpha_index)
+    x, record, _ = _labelled_fields(spec, alpha_index)
     record["fingerprint"] = _fingerprint(x, caps)
     record.update(_verdicts(x, caps))
     return record
 
 
-def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict]:
-    """The graph and the fields computed for every record."""
+def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict, tuple[int, ...]]:
+    """The graph, the fields computed for every record, and the triangle
+    profile behind `triangle_hash`."""
     g = spec.group
     x = build_gc_graph(spec)
     kernel = kernel_subgroup(spec)
@@ -103,9 +125,13 @@ def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict]:
         "unworthy": len(kernel) > 1,
         "kernel_size": len(kernel),
     }
-    profile = ",".join(map(str, triangle_profile(x)))
-    record["triangle_hash"] = hashlib.sha256(profile.encode("ascii")).hexdigest()[:16]
-    return x, record
+    profile = triangle_profile(x)
+    record["triangle_hash"] = _profile_hash(profile)
+    return x, record, profile
+
+
+def _profile_hash(profile) -> str:
+    return hashlib.sha256(",".join(map(str, profile)).encode("ascii")).hexdigest()[:16]
 
 
 def _fingerprint(x: Graph, caps: Caps) -> str | None:
@@ -151,10 +177,54 @@ def _automorphism_perms(g: FiniteGroup) -> tuple[Perm, ...]:
     return tuple(phi.perm for phi in enumerate_automorphisms(g))
 
 
-def _centralizer(g: FiniteGroup, alpha: AutomorphismMap) -> list[Perm]:
-    """C(alpha): the automorphisms of g that commute with alpha."""
-    a = alpha.perm
-    return [p for p in _automorphism_perms(g) if all(p[a[x]] == a[p[x]] for x in range(g.order))]
+class AlphaClass(NamedTuple):
+    """One Aut(G)-conjugacy class of involutory automorphisms."""
+
+    # (j, psi) with psi alpha_rep psi^-1 = alpha_j, ascending in j; the
+    # representative, the lowest index, comes first with psi = identity
+    members: tuple[tuple[int, Perm], ...]
+    centralizer: tuple[Perm, ...]   # C(alpha_rep)
+
+    @property
+    def rep(self) -> int:
+        return self.members[0][0]
+
+
+@cache
+def _alpha_classes(g: FiniteGroup) -> tuple[AlphaClass, ...]:
+    """`enumerate_involutory_automorphisms(g)` split into Aut(G)-conjugacy
+    classes, in order of their representatives."""
+    involutions = enumerate_involutory_automorphisms(g)
+    index = {a.perm: j for j, a in enumerate(involutions)}
+    classes: list[AlphaClass] = []
+    assigned: set[int] = set()
+    for rep, alpha in enumerate(involutions):
+        if rep in assigned:
+            continue
+        a = alpha.perm
+        members: dict[int, Perm] = {rep: identity_perm(g.order)}
+        centralizer = []
+        for psi in _automorphism_perms(g):
+            conj = [0] * g.order   # psi alpha psi^-1
+            for x, y in enumerate(psi):
+                conj[y] = psi[a[x]]
+            j = index[tuple(conj)]
+            members.setdefault(j, psi)
+            if j == rep:
+                centralizer.append(psi)
+        assigned.update(members)
+        classes.append(AlphaClass(tuple(sorted(members.items())), tuple(centralizer)))
+    return tuple(classes)
+
+
+class _OrbitFields:
+    """The invariant fields of one orbit's (isomorphic) graphs, once one of
+    them has every field known."""
+
+    __slots__ = ("fields",)
+
+    def __init__(self):
+        self.fields: dict | None = None
 
 
 def _invariant_fields(x: Graph, caps: Caps) -> tuple[dict, bool]:
@@ -171,28 +241,77 @@ def _invariant_fields(x: Graph, caps: Caps) -> tuple[dict, bool]:
     return {"fingerprint": fingerprint, **verdicts}, known
 
 
-def _work(args: tuple[str, int, Caps]) -> tuple[str, list[dict]]:
-    name, alpha_index, caps = args
-    g = make_group(name, caps)
-    alpha = enumerate_involutory_automorphisms(g)[alpha_index]
-    centralizer = _centralizer(g, alpha)
-    shared: dict[int, dict] = {}   # set mask -> known fields of its C(alpha)-orbit
-    records = []
-    for spec in enumerate_connection_sets(g, alpha, caps=caps):
-        x, record = _labelled_fields(spec, alpha_index)
-        fields = shared.get(spec.connection.mask)
-        if fields is None:
-            fields, known = _invariant_fields(x, caps)
-            if known:
-                s_ids = spec.set_ids()
-                for p in centralizer:
-                    shared[sum(1 << p[s] for s in s_ids)] = fields
+def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps) -> None:
+    """Give record its orbit's invariant fields, computing them on its own
+    graph, graph_of(), while the orbit has none known."""
+    if shared.fields is None:
+        fields, known = _invariant_fields(graph_of(), caps)
+        if known:
+            shared.fields = fields
         record.update(fields)
-        records.append(record)
-    return _item_key(name, alpha_index), records
+    else:
+        record.update(shared.fields)
 
 
-MANIFEST_SCHEMA = 1
+Transported = tuple[dict, tuple[int, ...], _OrbitFields]   # record, triangle profile, orbit fields
+
+
+def _transport(g: FiniteGroup, source: Transported, phi: Perm, alpha: AutomorphismMap,
+               alpha_index: int, caps: Caps) -> Transported:
+    """The record of GC(G, phi(S), alpha) from that of GC(G, S, alpha'), where
+    phi alpha' phi^-1 = alpha: x -> phi(x) is an isomorphism between them."""
+    record, profile, shared = source
+    renamed = [0] * g.order
+    for x, t in enumerate(profile):
+        renamed[phi[x]] = t
+    out = dict(record, alpha_index=alpha_index, alpha=list(alpha.perm),
+               set_ids=sorted(phi[s] for s in record["set_ids"]),
+               triangle_hash=_profile_hash(renamed))
+    _share(shared, out, lambda: build_gc_graph(make_spec(g, alpha, out["set_ids"])), caps)
+    return out, tuple(renamed), shared
+
+
+def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index: int,
+                            centralizer: tuple[Perm, ...], caps: Caps) -> list[Transported]:
+    """Every valid set's record for alpha, in enumeration order: the first
+    set of each C(alpha)-orbit computed in full, the later ones transported
+    from it."""
+    out: list[Transported] = []
+    pending: dict[int, tuple[Transported, Perm]] = {}   # later set of an orbit -> (first set, phi)
+    for mask in connection_masks(capped_connection_orbits(g, alpha, caps)):
+        if mask in pending:
+            source, phi = pending.pop(mask)
+            out.append(_transport(g, source, phi, alpha, alpha_index, caps))
+            continue
+        spec = make_spec(g, alpha, mask)
+        x, record, profile = _labelled_fields(spec, alpha_index)
+        shared = _OrbitFields()
+        _share(shared, record, lambda: x, caps)
+        first = (record, profile, shared)
+        out.append(first)
+        s_ids = spec.set_ids()
+        for phi in centralizer:
+            image = sum(1 << phi[s] for s in s_ids)
+            if image != mask:
+                pending.setdefault(image, (first, phi))
+    return out
+
+
+def _work(args: tuple[str, int, Caps]) -> tuple[str, list[dict]]:
+    name, rep_index, caps = args
+    g = make_group(name, caps)
+    involutions = enumerate_involutory_automorphisms(g)
+    cls = next((c for c in _alpha_classes(g) if c.rep == rep_index), None)
+    if cls is None:
+        raise ValueError(f"alpha #{rep_index} of {g.name} does not represent its Aut(G)-class")
+    sources = _representative_records(g, involutions[rep_index], rep_index, cls.centralizer, caps)
+    records = [record for record, _, _ in sources]
+    for j, psi in cls.members[1:]:
+        records += [_transport(g, source, psi, involutions[j], j, caps)[0] for source in sources]
+    return _item_key(name, rep_index), records
+
+
+MANIFEST_SCHEMA = 2
 
 
 def _manifest(groups: list[str], max_order: int, caps: Caps) -> dict:
@@ -234,11 +353,14 @@ def run_census(config: RunConfig) -> list[dict]:
     names = config.groups or tuple(builtin_descriptors(config.max_order))
     items: list[tuple[str, int, Caps]] = []
     resolved: list[str] = []
+    item_of: dict[tuple[str, int], str] = {}   # (group, alpha_index) -> key of the item writing it
     for name in names:
         g = make_group(name, caps)
         resolved.append(g.name)
-        for idx in range(len(enumerate_involutory_automorphisms(g))):
-            items.append((name, idx, caps))
+        for cls in _alpha_classes(g):
+            items.append((name, cls.rep, caps))
+            for j, _ in cls.members:
+                item_of[g.name, j] = _item_key(name, cls.rep)
 
     journal_path = config.out_path + ".journal"
     part_path = config.out_path + ".part"
@@ -264,7 +386,7 @@ def run_census(config: RunConfig) -> list[dict]:
                     if not line.strip():
                         continue
                     rec = json.loads(line)
-                    if _item_key(rec["group"], rec["alpha_index"]) in done:
+                    if item_of.get((rec["group"], rec["alpha_index"])) in done:
                         records.append(rec)
 
     pending = [it for it in items if _item_key(it[0], it[1]) not in done]

@@ -111,6 +111,18 @@ def capped_connection_orbits(g: FiniteGroup, alpha: AutomorphismMap, caps: Caps)
     return orbits
 
 
+def connection_masks(orbits: list[tuple[int, ...]]) -> Iterator[int]:
+    """Element masks of the unions of orbits, for orbit-inclusion bitmasks
+    counting up from 0 (the order of `enumerate_connection_sets`)."""
+    orbit_masks = [mask_of(orbit) for orbit in orbits]
+    for index in range(1 << len(orbits)):
+        mask = 0
+        for i, m in enumerate(orbit_masks):
+            if index >> i & 1:
+                mask |= m
+        yield mask
+
+
 def enumerate_connection_sets(
     g: FiniteGroup,
     alpha: AutomorphismMap,
@@ -127,18 +139,12 @@ def enumerate_connection_sets(
     passes the bit budget.
     """
     orbits = capped_connection_orbits(g, alpha, caps or caps_from_env())
-    k = len(orbits)
-    full = (1 << k) - 1
-    for index in range(1 << k):
+    full = (1 << len(orbits)) - 1
+    for index, mask in enumerate(connection_masks(orbits)):
         if nonempty_only and index == 0:
             continue
         if up_to_complement and index > full ^ index:
             continue
-        mask = 0
-        for i in range(k):
-            if index >> i & 1:
-                for s in orbits[i]:
-                    mask |= 1 << s
         spec = make_spec(g, alpha, mask)
         if connected_only and not build_gc_graph(spec).is_connected():
             continue

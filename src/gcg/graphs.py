@@ -14,17 +14,29 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
+        n, rows = self.n, self.rows
+        if len(rows) != n:
             raise SpecError("row count does not match vertex count")
-        for i, r in enumerate(self.rows):
-            if r >> self.n:
+        upper = 0   # bits j > i of each row i
+        for i, r in enumerate(rows):
+            if r >> n:
                 raise SpecError("adjacency bit outside vertex range")
             if r >> i & 1:
                 raise SpecError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in bits(self.rows[i]):
-                if not self.rows[j] >> i & 1:
+            above = r >> i + 1
+            upper += above.bit_count()
+            while above:
+                low = above & -above
+                j = i + low.bit_length()
+                if not rows[j] >> i & 1:
                     raise SpecError(f"asymmetric edge {i}-{j}")
+                above ^= low
+        # Each upper bit i-j now has its mirror j-i below the diagonal, so the
+        # rows are symmetric iff no other bit lies below it.
+        if 2 * upper != sum(r.bit_count() for r in rows):
+            i, j = next((i, j) for i in range(n) for j in bits(rows[i] & ((1 << i) - 1))
+                        if not rows[j] >> i & 1)
+            raise SpecError(f"asymmetric edge {i}-{j}")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)

@@ -6,6 +6,7 @@ import os
 import shutil
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,48 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
         run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))
 
 
+def test_schema_1_journal_is_refused(tmp_path, caps):
+    # A schema-1 journal names single alphas done (say Z2xZ2xZ2|1); read as
+    # a class key it would silently drop the other members' records.
+    out = tmp_path / "old.jsonl"
+    cfg = RunConfig(groups=("Z2xZ2xZ2",), out_path=str(out), caps=caps)
+    run_census(cfg)
+    manifest_path = str(out) + ".manifest.json"
+    with open(manifest_path, "r", encoding="ascii") as fh:
+        manifest = json.load(fh)
+    assert manifest["schema"] == 2
+    with open(manifest_path, "w", encoding="ascii") as fh:
+        json.dump(dict(manifest, schema=1), fh)
+    os.remove(out)
+    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
+        fh.write("Z2xZ2xZ2|1\n")
+    with pytest.raises(ManifestMismatch, match="schema = 1") as exc:
+        run_census(cfg)
+    assert "this run has 2" in str(exc.value)
+
+
+def test_resume_keeps_whole_classes(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    # Z2xZ2 has involutions 0 (identity) and 1, 2, 3, which Aut = S3 conjugates
+    cfg = dict(groups=("Z2xZ2", "Z5"), caps=caps)
+    expected = run_census(RunConfig(out_path=str(tmp_path / "ref.jsonl"), **cfg))
+    out = tmp_path / "resume.jsonl"
+    journaled = [r for r in expected if r["group"] == "Z2xZ2" and r["alpha_index"] > 0]
+    assert {r["alpha_index"] for r in journaled} == {1, 2, 3}
+    with open(str(out) + ".part", "w", encoding="ascii") as fh:
+        for rec in journaled:
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
+        fh.write("Z2xZ2|1\n")
+    shutil.copy(str(tmp_path / "ref.jsonl.manifest.json"), str(out) + ".manifest.json")
+    ran = []
+    real = census._work
+    monkeypatch.setattr(census, "_work", lambda args: ran.append(args[:2]) or real(args))
+    assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
+    assert ran == [("Z2xZ2", 0), ("Z5", 0), ("Z5", 1)]
+
+
 def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):
     g = make_group("Z6", caps)
     spec = make_spec(g, inversion_map(g), (1, 3, 5))
@@ -263,18 +306,81 @@ def test_census_records_equal_direct_records(tmp_path, caps):
 def test_orbit_sharing_follows_only_the_centralizer(caps):
     # Z4xZ4 is among the first catalog groups where an automorphism outside
     # C(alpha) maps a valid set to a valid, non-isomorphic one, so sharing
-    # along all of Aut(G) would copy wrong fingerprints into this item
+    # along all of Aut(G) would copy wrong fingerprints into this item.
+    # alpha #4 is conjugate to alpha #2, so item Z4xZ4|2 writes both.
     from gcg.canon import canonical_form
     from gcg.census import _work
     from gcg.construct import build_gc_graph
 
     g = make_group("Z4xZ4", caps)
-    alpha = enumerate_involutory_automorphisms(g)[4]
-    _, records = _work(("Z4xZ4", 4, caps))
-    assert len(records) == 1024
+    involutions = enumerate_involutory_automorphisms(g)
+    key, records = _work(("Z4xZ4", 2, caps))
+    assert key == "Z4xZ4|2"
+    by_alpha = Counter(rec["alpha_index"] for rec in records)
+    assert by_alpha[2] == by_alpha[4] == 1024
     for rec in records:
-        x = build_gc_graph(make_spec(g, alpha, rec["set_ids"]))
-        assert rec["fingerprint"] == canonical_form(x).fingerprint.decode("ascii"), rec["set_ids"]
+        if rec["alpha_index"] in (2, 4):
+            x = build_gc_graph(make_spec(g, involutions[rec["alpha_index"]], rec["set_ids"]))
+            assert rec["fingerprint"] == canonical_form(x).fingerprint.decode("ascii"), rec["set_ids"]
+    with pytest.raises(ValueError, match="does not represent"):
+        _work(("Z4xZ4", 4, caps))
+
+
+def test_alpha_classes_partition_the_involutions(caps):
+    from gcg.census import _alpha_classes, _automorphism_perms
+
+    items = {}
+    for max_order in (11, 12):
+        classes = 0
+        items[max_order] = 0
+        for name in builtin_descriptors(max_order):
+            g = make_group(name, caps)
+            involutions = [a.perm for a in enumerate_involutory_automorphisms(g)]
+            seen = []
+            for cls in _alpha_classes(g):
+                rep = involutions[cls.rep]
+                assert cls.rep == min(j for j, _ in cls.members)
+                for j, psi in cls.members:
+                    automorphism_from_perm(g, psi)   # raises unless psi is in Aut(G)
+                    # psi alpha_rep psi^-1 = alpha_j
+                    assert all(psi[rep[x]] == involutions[j][psi[x]] for x in range(g.order)), (name, j)
+                    seen.append(j)
+                assert set(cls.centralizer) == {
+                    p for p in _automorphism_perms(g) if all(p[rep[x]] == rep[p[x]] for x in range(g.order))
+                }
+            assert sorted(seen) == list(range(len(involutions))), name
+            classes += len(_alpha_classes(g))
+            items[max_order] += len(involutions)
+        assert classes == {11: 47, 12: 70}[max_order]
+    assert items == {11: 92, 12: 134}
+
+
+@cache
+def class_record_sample(name, rep, caps):
+    """About 128 evenly spaced records of item name|rep, so that every
+    member alpha of the class is sampled without keeping 100k records alive,
+    and as many of its graphs that are not vertex-transitive, whose triangle
+    profiles are the ones that renaming can change."""
+    from gcg.census import _work
+
+    records = _work((name, rep, caps))[1]
+    intransitive = [rec for rec in records if rec["vertex_transitive"] is False]
+    return records[::max(1, len(records) // 128)] + intransitive[::max(1, len(intransitive) // 128)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transported_records_equal_direct_records(data):
+    # order-16 items: Z2xZ2xZ2xZ2 (|Aut| = 20160, classes of 1, 105 and 210
+    # involutions) and Z4xZ4; most records are transported along C(alpha)
+    # or from the class representative
+    from gcg.census import _alpha_classes
+
+    caps = Caps()
+    name = data.draw(st.sampled_from(("Z2xZ2xZ2xZ2", "Z4xZ4")))
+    cls = data.draw(st.sampled_from(_alpha_classes(make_group(name, caps))))
+    rec = data.draw(st.sampled_from(class_record_sample(name, cls.rep, caps)))
+    assert rec == direct_record(rec, caps)
 
 
 def test_verdicts_are_computed_once_per_class(tmp_path, monkeypatch, caps):

@@ -22,6 +22,7 @@ from gcg.graphs import (
     triangle_profile,
     triangles,
 )
+from gcg.errors import SpecError
 
 
 def small_graphs(max_n=7):
@@ -43,6 +44,38 @@ def test_graph_invariants_rejected():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(Exception):
         Graph(1, (0b1,))  # self-loop
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_rows_raise(data):
+    # the row checks scan only the upper neighbours of each row, then count
+    x = data.draw(small_graphs(max_n=12))
+    n, rows = x.n, list(x.rows)
+    assert Graph(n, tuple(rows)) == x
+    kind = data.draw(st.sampled_from(("range", "loop", "above", "below", "drop")))
+    i = data.draw(st.integers(0, n - 1))
+    if kind == "range":
+        rows[i] |= 1 << data.draw(st.integers(n, n + 3))
+        message = "outside vertex range"
+    elif kind == "loop":
+        rows[i] |= 1 << i
+        message = f"loop at vertex {i}"
+    elif kind == "drop":
+        if not rows[i]:
+            return
+        j = data.draw(st.sampled_from(x.neighbors(i)))
+        rows[j] &= ~(1 << i)   # i-j survives only in row i
+        message = f"asymmetric edge {i}-{j}"
+    else:
+        free = [j for j in range(n) if j != i and not rows[i] >> j & 1 and (j > i) == (kind == "above")]
+        if not free:
+            return
+        j = data.draw(st.sampled_from(free))
+        rows[i] |= 1 << j
+        message = f"asymmetric edge {i}-{j}"
+    with pytest.raises(SpecError, match=message):
+        Graph(n, tuple(rows))
 
 
 def test_basic_accessors():
