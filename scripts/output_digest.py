@@ -6,7 +6,10 @@ Prints the sha256 and record count of a one-job census to --max-order
 (default 11, written to a temporary directory), of the same census at two
 pool workers, and of a one-job census to order 7 at an automorphism-search
 budget of 8 nodes, where some answers stay unknown (so a change in how
-records are shared shows on the pool path and under a budget).  Then, for
+records are shared shows on the pool path and under a budget).  Then the
+sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
+reason) of every connected non-bipartite census graph to order 10, in
+census order, so a change in the double-cover search shows.  Then, for
 every theorem id,
 the sha256 and exit status of `gcg --format json verify <id>`.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
@@ -32,8 +35,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
+from gcg.automorphisms import enumerate_involutory_automorphisms  # noqa: E402
 from gcg.caps import caps_from_env  # noqa: E402
+from gcg.catalog import builtin_descriptors  # noqa: E402
+from gcg.cayley import stability_check  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
+from gcg.construct import build_gc_graph, enumerate_connection_sets  # noqa: E402
+from gcg.groups import make_group  # noqa: E402
 from gcg.theorems import THEOREM_IDS  # noqa: E402
 
 EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
@@ -41,6 +49,7 @@ SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-
 LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
 SMALL_BUDGET = 5
 TIGHT_CENSUS = (7, 8)   # max order, aut_node_budget
+STABILITY_ORDER = 10
 LAYER_BUDGETS = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
 # the default caps with a sweep budget of argv[2] instances.
@@ -66,6 +75,22 @@ def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = N
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
 
+def stability_digest(max_order: int) -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for name in builtin_descriptors(max_order):
+        g = make_group(name, caps)
+        for alpha in enumerate_involutory_automorphisms(g):
+            for spec in enumerate_connection_sets(g, alpha, caps=caps):
+                x = build_gc_graph(spec)
+                if x.is_connected() and not x.is_bipartite():
+                    r = stability_check(x, caps.aut_node_budget)
+                    digest.update(repr((r.status, r.aut_order, r.cover_aut_order, r.reason)).encode())
+                    count += 1
+    return digest.hexdigest(), count
+
+
 def run_digest(*args: str) -> tuple[str, int]:
     """sha256 of the stdout of `python -m gcg <args>` (or `python -c`), and its exit status."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -84,6 +109,8 @@ def main() -> int:
     order, budget = TIGHT_CENSUS
     digest, count = census_digest(order, aut_node_budget=budget)
     print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
+    digest, count = stability_digest(STABILITY_ORDER)
+    print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")

@@ -28,6 +28,19 @@ from_strong_generators`), and |Aut| is the product of the basic orbit
 lengths (Seress, Permutation Group Algorithms, 2003); no sifting is needed.
 Each found automorphism also moves b_i outside the orbit known before it,
 so every one is a new strong generator.
+
+The automorphism search may start from seeds, automorphisms already known
+(each is checked first).  The argument above still holds: orbit pruning
+with automorphisms is sound wherever they come from, and every explored
+sibling equivalent to b_i still yields an automorphism that fixes the
+prefix and sends b_i there.  So seeds plus the found automorphisms are a
+strong generating set, and only the node count falls.  The double cover
+X x K2 is searched this way, seeded with the lifts of Aut(X) and the layer
+swap (`double_cover_automorphism_group`).
+
+The prune state of a node (`_SiblingOrbits`) filters the prefix-fixing
+automorphisms again only when new ones are found, and prunes exactly the
+siblings that a fresh walk of each sibling's orbit would.
 """
 from __future__ import annotations
 
@@ -36,7 +49,7 @@ from functools import lru_cache
 
 from .caps import caps_from_env
 from .errors import BudgetExceeded
-from .graphs import Graph, IsomorphismWitness, check_witness, relabel
+from .graphs import Graph, IsomorphismWitness, bipartite_double_cover, check_witness, relabel
 from .groups import bits, mask_of
 from .perms import Perm, StabilizerChain, orbit_partition, pinv
 
@@ -74,7 +87,10 @@ class _Budget:
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) -> tuple[int, ...]:
-    """Refine cells to equitability in place; returns the node trace.
+    """Refine the partition cells to equitability; returns the node trace.
+
+    Cells are replaced in the outer list, never mutated, so a child
+    partition may share its untouched cells with its parent.
 
     Splitters are processed FIFO; split parts are ordered by descending
     neighbor count, which keeps the evolution label-invariant.  A pass
@@ -90,8 +106,11 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) 
         wmask = worklist[qi]
         qi += 1
         near = 0
-        for w in bits(wmask):
-            near |= rows[w]
+        m = wmask
+        while m:
+            low = m & -m
+            near |= rows[low.bit_length() - 1]
+            m ^= low
         splits: dict[int, list[list[int]]] = {}
         for i, cmask in open_:
             if not cmask & near:
@@ -134,8 +153,11 @@ def _trace(rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
     trace.extend(len(c) for c in cells)
     for c in cells:
         counts = [0] * k
-        for w in bits(rows[c[0]]):
-            counts[cell_of[w]] += 1
+        m = rows[c[0]]
+        while m:
+            low = m & -m
+            counts[cell_of[low.bit_length() - 1]] += 1
+            m ^= low
         trace.extend(counts)
     return tuple(trace)
 
@@ -149,11 +171,12 @@ def _target_cell(cells: list[list[int]]) -> int | None:
 
 
 def _child(rows, cells, t, v, budget: _Budget):
-    """Individualize v out of cell t and re-refine; returns (cells, trace)."""
+    """Individualize v out of cell t and re-refine; returns (cells, trace).
+    Only the outer list is copied: `_refine` never mutates a cell."""
     budget.spend()
-    new_cells = [list(c) for c in cells]
-    rest = [u for u in new_cells[t] if u != v]
-    new_cells[t : t + 1] = [[v], rest]
+    new_cells = cells[:t]
+    new_cells += ([v], [u for u in cells[t] if u != v])
+    new_cells += cells[t + 1 :]
     trace = _refine(rows, new_cells, [1 << v])
     return new_cells, trace
 
@@ -200,35 +223,68 @@ def _is_automorphism(rows: tuple[int, ...], p: Perm) -> bool:
     return True
 
 
-def _orbit_hits(v: int, explored: list[int], prefix: tuple[int, ...], gens: list[Perm], n: int) -> bool:
-    """True when v provably lies in the orbit of an explored sibling under
-    the subgroup of found automorphisms fixing the prefix pointwise."""
-    if not explored:
-        return False
-    sub = [g for g in gens if all(g[p] == p for p in prefix)]
-    if not sub:
-        return False
-    seen = 1 << v
-    frontier = [v]
-    targets = mask_of(explored)
-    if targets >> v & 1:
-        return True
-    while frontier:
-        x = frontier.pop()
-        for g in sub:
-            y = g[x]
-            if not seen >> y & 1:
-                if targets >> y & 1:
-                    return True
-                seen |= 1 << y
-                frontier.append(y)
-    return False
+class _SiblingOrbits:
+    """Prune state of one search node: the union of the explored siblings'
+    orbits under the found automorphisms that fix the node's prefix.
+
+    The prefix-fixing generators are filtered again only from those found
+    since the last check, and the union is closed again only when they grow
+    or a sibling was explored since.  For an unexplored sibling v, `hits(v)`
+    is true exactly when v lies in the orbit of an explored sibling."""
+
+    __slots__ = ("prefix", "gens", "seen", "sub", "covered", "fresh")
+
+    def __init__(self, prefix: tuple[int, ...], gens: list[Perm]):
+        self.prefix = prefix
+        self.gens = gens      # the search's list, which only ever grows
+        self.seen = 0         # gens[:seen] have been filtered into sub
+        self.sub: list[Perm] = []
+        self.covered = 0      # closed under sub
+        self.fresh = 0        # explored siblings not yet closed
+
+    def explored(self, v: int) -> None:
+        self.fresh |= 1 << v
+
+    def hits(self, v: int) -> bool:
+        if not (self.covered | self.fresh):
+            return False
+        gens = self.gens
+        start = self.fresh & ~self.covered
+        if self.seen < len(gens):
+            prefix = self.prefix
+            new = [g for g in gens[self.seen :] if all(g[p] == p for p in prefix)]
+            self.seen = len(gens)
+            if new:
+                self.sub += new
+                start = self.covered | self.fresh
+        self.fresh = 0
+        covered = self.covered | start
+        frontier = []
+        while start:
+            low = start & -start
+            frontier.append(low.bit_length() - 1)
+            start ^= low
+        sub = self.sub
+        while frontier:
+            x = frontier.pop()
+            for g in sub:
+                y = g[x]
+                if not covered >> y & 1:
+                    covered |= 1 << y
+                    frontier.append(y)
+        self.covered = covered
+        return covered >> v & 1 == 1
 
 
-def _aut_search(rows: tuple[int, ...], n: int, limit: int):
-    """Returns (base, gens, first_leaf_labeling): gens is a strong generating
-    set of Aut relative to base, the leftmost path's individualized vertices."""
-    budget = _Budget("automorphism search", n, limit)
+def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
+    """Returns (base, gens, first_leaf_labeling): gens, which starts with the
+    seeds, is a strong generating set of Aut relative to base, the leftmost
+    path's individualized vertices.  Every seed must be an automorphism."""
+    gens: list[Perm] = list(seeds)
+    for seed in gens:
+        if len(seed) != n or not _is_automorphism(rows, seed):
+            raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
+    budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))]
     _refine(rows, cells0, [mask_of(range(n))] if n else [])
     # leftmost path
@@ -245,7 +301,6 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int):
         first_traces.append(trace)
     zeta = _labeling(cells, n)
     zeta_bytes = _leaf_key(rows, zeta)
-    gens: list[Perm] = []
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
         t = _target_cell(cells)
@@ -260,18 +315,18 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int):
                 gens.append(gamma)
                 return True
             return False
-        explored: list[int] = []
+        orbits = _SiblingOrbits(prefix, gens)
         found_any = False
         for v in cells[t]:
             if on_first and v == base[depth]:
                 child, _ = _child(rows, cells, t, v, budget)
                 explore(child, depth + 1, prefix + (v,), True)
-                explored.append(v)
+                orbits.explored(v)
                 continue
-            if _orbit_hits(v, explored, prefix, gens, n):
+            if orbits.hits(v):
                 continue
             child, tr = _child(rows, cells, t, v, budget)
-            explored.append(v)
+            orbits.explored(v)
             if tr != first_traces[depth]:
                 continue
             found = explore(child, depth + 1, prefix + (v,), False)
@@ -300,11 +355,11 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
             if best[0] is None or (traces, key) < (best[0], best[1]):
                 best[0], best[1], best[2] = traces, key, lab
             return
-        explored: list[int] = []
+        orbits = _SiblingOrbits(prefix, gens)
         for v in cells[t]:
-            if _orbit_hits(v, explored, prefix, gens, n):
+            if orbits.hits(v):
                 continue
-            explored.append(v)
+            orbits.explored(v)
             child, tr = _child(rows, cells, t, v, budget)
             newtraces = traces + (tr,)
             if best[0] is not None:
@@ -343,6 +398,33 @@ def automorphism_chain(g: Graph, budget: int | None = None) -> StabilizerChain:
     The chain is cached and shared between callers; it is read-only."""
     budget = budget if budget is not None else caps_from_env().aut_node_budget
     return _aut_cached(g.n, g.rows, budget)[0]
+
+
+@lru_cache(maxsize=1024)
+def _cover_cached(n: int, rows: tuple[int, ...], budget: int):
+    """Aut(X x K2) of the graph X with these rows, from a search seeded with
+    the lifts (x, i) -> (sigma x, i) of Aut(X)'s strong generators and the
+    layer swap (x, i) -> (x, 1 - i); the cover's vertex (x, i) is 2x + i."""
+    _, gens = _aut_cached(n, rows, budget)
+    seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * n)) for g in gens]
+    seeds.append(tuple(v ^ 1 for v in range(2 * n)))
+    cover = bipartite_double_cover(Graph(n, rows))
+    base, found, _ = _aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search")
+    return StabilizerChain.from_strong_generators(cover.n, base, found), tuple(found)
+
+
+def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
+    """Aut(g x K2) on the vertices of `bipartite_double_cover(g)`.
+
+    Its generators start with the lifts of Aut(g)'s and the layer swap."""
+    budget = budget if budget is not None else caps_from_env().aut_node_budget
+    chain, gens = _cover_cached(g.n, g.rows, budget)
+    return PermGroupDescription(
+        degree=2 * g.n,
+        generators=gens,
+        order=chain.order(),
+        orbits=orbit_partition(2 * g.n, list(gens)),
+    )
 
 
 @lru_cache(maxsize=1024)

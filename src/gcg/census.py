@@ -4,8 +4,10 @@ One JSON line per (group, alpha, connection set).  A work item is one group
 and one Aut(G)-conjugacy class of its involutory automorphisms, keyed
 `name|rep_index` by the lowest alpha index in the class; it expands to one
 record per valid set of every alpha in the class.  The run journals
-completed work items so an interrupted census resumes, and the final file is
-sorted by (group, alpha_index, set_ids) so worker count and scheduling
+completed work items so an interrupted census resumes (a part-file line cut
+short by the interruption belongs to an unjournaled item and is dropped),
+and the final file is the part file's lines sorted by (group, alpha_index,
+set_ids), each record serialized once, so worker count and scheduling
 cannot leak into the output bytes.  A manifest sidecar
 `<out>.manifest.json` records what the bytes depend on (schema version,
 resolved group names, max order, caps; not the worker count); a finished
@@ -56,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
@@ -368,6 +371,8 @@ def run_census(config: RunConfig) -> list[dict]:
     manifest = _manifest(resolved, config.max_order, caps)
     done: set[str] = set()
     records: list[dict] = []
+    # where each record's line lies in the part file, which the output copies
+    starts, ends = array("q"), array("q")
     resuming = os.path.exists(journal_path)
     if resuming or os.path.exists(config.out_path):
         _check_manifest(manifest_path, manifest, config.out_path)
@@ -381,20 +386,34 @@ def run_census(config: RunConfig) -> list[dict]:
         with open(journal_path, "r", encoding="ascii") as fh:
             done = {line.strip() for line in fh if line.strip()}
         if os.path.exists(part_path):
-            with open(part_path, "r", encoding="ascii") as fh:
+            pos = 0
+            with open(part_path, "rb") as fh:
                 for line in fh:
+                    if not line.endswith(b"\n"):
+                        break   # cut mid-line, so its item is not journaled
+                    start, pos = pos, pos + len(line)
                     if not line.strip():
                         continue
                     rec = json.loads(line)
                     if item_of.get((rec["group"], rec["alpha_index"])) in done:
                         records.append(rec)
+                        starts.append(start)
+                        ends.append(pos)
+            os.truncate(part_path, pos)
 
     pending = [it for it in items if _item_key(it[0], it[1]) not in done]
-    with open(part_path, "a", encoding="ascii") as part, \
+    with open(part_path, "ab") as part, \
             open(journal_path, "a", encoding="ascii") as journal:
+        pos = part.tell()
+
         def consume(key: str, recs: list[dict]) -> None:
+            nonlocal pos
             for rec in recs:
-                part.write(_record_line(rec) + "\n")
+                line = (_record_line(rec) + "\n").encode("ascii")
+                part.write(line)
+                starts.append(pos)
+                pos += len(line)
+                ends.append(pos)
             part.flush()
             journal.write(key + "\n")
             journal.flush()
@@ -410,13 +429,14 @@ def run_census(config: RunConfig) -> list[dict]:
                 for key, recs in pool.imap(_work, pending, chunksize=1):
                     consume(key, recs)
 
-    records.sort(key=_sort_key)
-    with open(config.out_path, "w", encoding="ascii") as out:
-        for rec in records:
-            out.write(_record_line(rec) + "\n")
+    order = sorted(range(len(records)), key=lambda i: _sort_key(records[i]))
+    with open(part_path, "rb") as part, open(config.out_path, "wb") as out:
+        for i in order:
+            part.seek(starts[i])
+            out.write(part.read(ends[i] - starts[i]))
     os.remove(part_path)
     os.remove(journal_path)
-    return records
+    return [records[i] for i in order]
 
 
 def refuting_records(records: list[dict]) -> list[tuple[dict, str]]:

@@ -7,7 +7,7 @@ with the package is meaningful evidence.  There are two exceptions.
 sifting every generator it is given; it shares only tuple composition and
 inversion with the package.  `enumerated_cayley_status` starts from the
 package's automorphism generators because listing Aut(X) by filtering
-permutations stops at 8 vertices; its regular-subgroup search shares
+permutations stops at 10 vertices; its regular-subgroup search shares
 nothing with the package.  `scanning_refine` rescans every cell for every
 splitter; it is the reference for `canon._refine`, which visits only the
 cells a splitter can split.  `per_set_sweep` checks connection sets one at a
@@ -15,12 +15,15 @@ time; it is the reference for the verifiers that certify a whole family of
 sets one connection-orbit layer at a time.  `all_pairs_coset_law` and
 `all_pairs_duplicate_rows` compare every pair of vertices; they are the
 reference for `theorems.coset_law_and_duplicates`, which compares each class
-of equal rows with one coset.
+of equal rows with one coset.  `_orbit_hits` filters every found
+automorphism and walks a sibling's orbit afresh for every sibling; it is the
+reference for the per-node prune state `canon._SiblingOrbits`.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
+from gcg.groups import mask_of
 from gcg.perms import Perm, identity_perm, pinv, pmul
 
 
@@ -34,15 +37,15 @@ def is_graph_automorphism(rows: tuple[int, ...], perm: tuple[int, ...]) -> bool:
 
 
 def brute_automorphisms(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All automorphisms in lexicographic order; n <= 8 only.
+    """All automorphisms in lexicographic order; n <= 10 only.
 
     Every bijection is built one vertex at a time, and a partial one is
     dropped as soon as two of its assigned vertices break adjacency, so the
     result is exactly the permutations that `is_graph_automorphism` accepts,
     without testing all n! of them one by one."""
     n = len(rows)
-    if n > 8:
-        raise ValueError("brute-force automorphism search is capped at 8 vertices")
+    if n > 10:
+        raise ValueError("brute-force automorphism search is capped at 10 vertices")
     out: list[tuple[int, ...]] = []
     perm: list[int] = []
 
@@ -401,3 +404,28 @@ def scanning_refine(rows: tuple[int, ...], cells: list[list[int]], worklist: lis
     trace = [len(cells)] + [len(c) for c in cells]
     trace += [(rows[c[0]] & m).bit_count() for c in cells for m in masks]
     return tuple(trace)
+
+
+def _orbit_hits(v: int, explored: list[int], prefix: tuple[int, ...], gens: list[Perm], n: int) -> bool:
+    """True when v provably lies in the orbit of an explored sibling under
+    the subgroup of found automorphisms fixing the prefix pointwise."""
+    if not explored:
+        return False
+    sub = [g for g in gens if all(g[p] == p for p in prefix)]
+    if not sub:
+        return False
+    seen = 1 << v
+    frontier = [v]
+    targets = mask_of(explored)
+    if targets >> v & 1:
+        return True
+    while frontier:
+        x = frontier.pop()
+        for g in sub:
+            y = g[x]
+            if not seen >> y & 1:
+                if targets >> y & 1:
+                    return True
+                seen |= 1 << y
+                frontier.append(y)
+    return False

@@ -1,25 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcg import canon
 from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.canon import (
+    _aut_search,
     _canon_search,
     _refine,
+    _SiblingOrbits,
     _trace,
     automorphism_chain,
     automorphism_group,
     canonical_form,
+    double_cover_automorphism_group,
     is_isomorphic,
 )
 from gcg.catalog import builtin_descriptors
+from gcg.cayley import stability_check
 from gcg.construct import build_gc_graph, enumerate_connection_sets
 from gcg.errors import BudgetExceeded
 from gcg.graphs import (
+    bipartite_double_cover,
     check_witness,
     complete_graph,
     cycle_graph,
@@ -34,6 +41,7 @@ from gcg.groups import make_group, mask_of
 
 from oracles.brute import (
     SchreierSimsChain,
+    _orbit_hits,
     brute_automorphisms,
     brute_vertex_orbits,
     is_graph_automorphism,
@@ -135,6 +143,25 @@ def test_budget_errors_name_the_search():
         _canon_search(g.rows, g.n, [], 2)
 
 
+def test_cover_budget_error_names_the_search():
+    # the paw's own search fits in 3 nodes; its double cover's does not
+    paw = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(BudgetExceeded) as exc:
+        stability_check(paw, 3)
+    assert str(exc.value) == (
+        "double-cover automorphism search: budget exhausted after 3 refinement nodes on 8 vertices"
+    )
+    assert stability_check(paw, 4).status == "stable"
+
+
+def test_seeds_must_be_automorphisms():
+    g = cycle_graph(5)
+    shift = tuple((v + 1) % 5 for v in range(5))
+    assert _aut_search(g.rows, g.n, 100, [shift])[1][0] == shift
+    with pytest.raises(ValueError, match="is not an automorphism"):
+        _aut_search(g.rows, g.n, 100, [(1, 0, 2, 3, 4)])
+
+
 def test_sympy_cross_check_on_generators():
     sympy = __import__("sympy.combinatorics", fromlist=["Permutation", "PermutationGroup"])
     for name, g, want in FIXTURES:
@@ -185,17 +212,126 @@ def _chain_agrees_with_oracles(g):
             assert u[b] == point
 
 
-def test_chain_orders_on_census_graphs_to_order_8(caps):
+def _distinct_census_graphs(max_order, caps):
     seen = set()
-    for name in builtin_descriptors(8):
+    for name in builtin_descriptors(max_order):
         grp = make_group(name, caps)
         for alpha in enumerate_involutory_automorphisms(grp):
             for spec in enumerate_connection_sets(grp, alpha, caps=caps):
                 x = build_gc_graph(spec)
                 if x.rows not in seen:
                     seen.add(x.rows)
-                    _chain_agrees_with_oracles(x)
-    assert len(seen) > 400
+                    yield x
+
+
+def test_chain_orders_on_census_graphs_to_order_8(caps):
+    graphs = list(_distinct_census_graphs(8, caps))
+    for x in graphs:
+        _chain_agrees_with_oracles(x)
+    assert len(graphs) > 400
+
+
+def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
+    # base, generators, nodes spent and canonical labelling of both searches
+    # over the distinct census graphs to order 8, captured before the search
+    # kept per-node orbit state and shared cells between partitions
+    budgets = []
+
+    class Counting(canon._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(canon, "_Budget", Counting)
+    digest = hashlib.sha256()
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        budgets.clear()
+        base, gens, _ = _aut_search(x.rows, x.n, 10**9)
+        lab = _canon_search(x.rows, x.n, list(gens), 10**9)
+        digest.update(repr((x.rows, base, gens, [b.nodes for b in budgets], lab)).encode())
+        count += 1
+    assert count == 430
+    assert digest.hexdigest() == "3584316667a585fc4b942d187727ae12e95987e45c09c2b980e93a8554b9960a"
+
+
+def _cover_agrees_with_oracles(x):
+    """The seeded double-cover order equals the cold search's, the incremental
+    Schreier-Sims order of the returned generators and, for a connected
+    graph on at most 5 vertices, the brute-force count (the cover of a
+    disconnected one can have 10! automorphisms)."""
+    desc = double_cover_automorphism_group(x)
+    cover = bipartite_double_cover(x)
+    assert desc.degree == cover.n
+    assert all(is_graph_automorphism(cover.rows, gen) for gen in desc.generators)
+    assert desc.order == automorphism_group(cover).order
+    sifted = SchreierSimsChain(cover.n)
+    for gen in desc.generators:
+        sifted.add(gen)
+    assert desc.order == sifted.order()
+    if x.n <= 5 and x.is_connected():
+        assert desc.order == len(brute_automorphisms(cover.rows))
+
+
+def test_seeded_cover_orders_on_census_graphs_to_order_8(caps):
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        if x.is_connected() and not x.is_bipartite():
+            _cover_agrees_with_oracles(x)
+            count += 1
+    assert count > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] < e[1]
+            )),
+        )
+    )
+)
+def test_seeded_cover_orders_on_random_graphs(case):
+    n, edges = case
+    _cover_agrees_with_oracles(from_edges(n, sorted(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sibling_orbits_prune_like_the_oracle(data):
+    # the per-node state prunes exactly the siblings `_orbit_hits` prunes,
+    # also when automorphisms are found part-way through the node, before
+    # or after a sibling is explored
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    points = list(range(n))
+    prefix = tuple(data.draw(st.lists(st.sampled_from(points), unique=True, max_size=min(3, n - 1))))
+    rest = [p for p in points if p not in prefix]
+
+    def perm():
+        if not data.draw(st.booleans()):
+            return tuple(data.draw(st.permutations(points)))
+        p = list(points)   # fixes the prefix
+        for a, b in zip(rest, data.draw(st.permutations(rest))):
+            p[a] = b
+        return tuple(p)
+
+    gens = [perm() for _ in range(data.draw(st.integers(0, 2)))]
+    orbits = _SiblingOrbits(prefix, gens)
+    explored: list[int] = []
+    leftmost = data.draw(st.booleans())
+    for k, v in enumerate(data.draw(st.permutations(rest))):
+        gens += [perm() for _ in range(data.draw(st.integers(0, 2)))]
+        if k == 0 and leftmost:   # the leftmost path's child is never checked
+            explored.append(v)
+            orbits.explored(v)
+            continue
+        hit = orbits.hits(v)
+        assert hit == _orbit_hits(v, explored, prefix, gens, n)
+        if not hit:
+            explored.append(v)
+            orbits.explored(v)
 
 
 @settings(max_examples=60, deadline=None)

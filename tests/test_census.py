@@ -115,6 +115,27 @@ def test_census_resumes_from_journal(tmp_path, caps):
     assert not any(r["triangle_hash"] == "feedfacefeedface" for r in resumed)
 
 
+def test_census_resumes_after_a_line_cut_short(tmp_path, caps):
+    # a run killed while writing a record leaves a part line without its
+    # newline; its item is not journaled, so the resumed run drops the cut
+    # line and recomputes the item
+    ref = tmp_path / "ref.jsonl"
+    cfg = dict(groups=("Z4", "Z5"), caps=caps)
+    expected = run_census(RunConfig(out_path=str(ref), **cfg))
+    out = tmp_path / "cut.jsonl"
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in expected]
+    z4_first = [line for r, line in zip(expected, lines) if r["group"] == "Z4" and r["alpha_index"] == 0]
+    z5_line = next(line for r, line in zip(expected, lines) if r["group"] == "Z5")
+    with open(str(out) + ".part", "w", encoding="ascii") as fh:
+        fh.write("".join(line + "\n" for line in z4_first) + z5_line[: len(z5_line) // 2])
+    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
+        fh.write("Z4|0\n")
+    shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
+
+    assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
+    assert ref.read_bytes() == out.read_bytes()
+
+
 def test_census_reload_is_idempotent(tmp_path, caps):
     out = tmp_path / "reload.jsonl"
     cfg = RunConfig(groups=("Z6",), out_path=str(out), caps=caps)
