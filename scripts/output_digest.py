@@ -9,9 +9,12 @@ budget of 8 nodes, where some answers stay unknown (so a change in how
 records are shared shows on the pool path and under a budget).  Then the
 sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
 reason) of every connected non-bipartite census graph to order 10, in
-census order, so a change in the double-cover search shows.  Then, for
-every theorem id,
-the sha256 and exit status of `gcg --format json verify <id>`.  Then the
+census order, so a change in the double-cover search shows.  Then the
+sha256 of the `enumerate_automorphisms` and
+`enumerate_involutory_automorphisms` perm lists of every catalog group, in
+order, so a change in the Aut(G) enumeration or in the alpha indices shows.
+Then, for every theorem id, the sha256 and exit status of
+`gcg --format json verify <id>`.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 instances,
@@ -35,7 +38,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
-from gcg.automorphisms import enumerate_involutory_automorphisms  # noqa: E402
+from gcg.automorphisms import (  # noqa: E402
+    enumerate_automorphisms,
+    enumerate_involutory_automorphisms,
+)
 from gcg.caps import caps_from_env  # noqa: E402
 from gcg.catalog import builtin_descriptors  # noqa: E402
 from gcg.cayley import stability_check  # noqa: E402
@@ -91,6 +97,17 @@ def stability_digest(max_order: int) -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def automorphism_digest() -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    names = builtin_descriptors()
+    for name in names:
+        g = make_group(name, caps)
+        for autos in (enumerate_automorphisms(g), enumerate_involutory_automorphisms(g)):
+            digest.update(repr([a.perm for a in autos]).encode())
+    return digest.hexdigest(), len(names)
+
+
 def run_digest(*args: str) -> tuple[str, int]:
     """sha256 of the stdout of `python -m gcg <args>` (or `python -c`), and its exit status."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -111,6 +128,8 @@ def main() -> int:
     print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
     digest, count = stability_digest(STABILITY_ORDER)
     print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
+    digest, count = automorphism_digest()
+    print(f"automorphisms  {digest}  {count} groups")
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")

@@ -74,76 +74,61 @@ def generating_ids(g: FiniteGroup) -> list[int]:
 def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list[AutomorphismMap]:
     """All automorphisms (optionally only those of order <= 2), sorted by perm.
 
-    Backtracks over generator images with closure propagation; candidates are
-    pruned by element order, injectivity, and (optionally) the order-2 law.
+    Chooses the images of `generating_ids(g)` one at a time, each among the
+    elements of the same order.  After each choice it walks the subgroup H
+    spanned by the chosen generators T from the identity, setting
+    phi(xt) = phi(x) phi(t) for every x in H and t in T, and rejects the
+    choice on a clash or a repeated image.  With `involutory_only` it also
+    rejects a choice where phi(phi(x)) != x with both values known.
+
+    Lemma: a walk that finishes is an injective homomorphism on H.  Every
+    element of H is a product of the generators in T (H is finite, so no
+    inverses are needed), so the walk reaches all of H.  For x, y in H,
+    induction on the word length of y gives phi(xy) = phi(x) phi(y): y = e
+    holds since phi(e) = e, and for y = y't, phi(xy't) = phi(xy') phi(t)
+    = phi(x) phi(y') phi(t) = phi(x) phi(y't).  Once every generator is
+    chosen H = G, so every leaf is an automorphism.  Conversely an
+    automorphism keeps element orders and passes every walk, so it is a
+    leaf.  With `involutory_only` the prune sees the whole map at a leaf,
+    so the leaves are exactly the automorphisms of order <= 2.
     """
     n = g.order
-    if n == 1:
-        return [identity_automorphism(g)]
+    mul = g.mul
     gens = generating_ids(g)
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(g.element_orders[x], []).append(x)
-
     found: list[tuple[int, ...]] = []
 
-    def close(phi: list[int], used: set[int], fresh: list[int]) -> bool:
-        assigned = [x for x in range(n) if phi[x] >= 0]
-        queue = list(fresh)
-        while queue:
-            a = queue.pop()
-            i = 0
-            while i < len(assigned):
-                b = assigned[i]
-                i += 1
-                for x, y in (
-                    (g.mul[a][b], g.mul[phi[a]][phi[b]]),
-                    (g.mul[b][a], g.mul[phi[b]][phi[a]]),
-                ):
-                    if phi[x] < 0:
-                        if y in used or g.element_orders[x] != g.element_orders[y]:
-                            return False
-                        phi[x] = y
-                        used.add(y)
-                        assigned.append(x)
-                        queue.append(x)
-                    elif phi[x] != y:
-                        return False
-        if involutory_only:
-            for x in range(n):
-                y = phi[x]
-                if y >= 0 and phi[y] >= 0 and phi[y] != x:
-                    return False
-        return True
-
-    def backtrack(level: int, phi: list[int], used: set[int]) -> None:
-        if level == len(gens):
-            if all(v >= 0 for v in phi):
-                found.append(tuple(phi))
+    def extend(images: list[int]) -> None:
+        chosen = list(zip(gens, images))
+        phi = [-1] * n
+        phi[0] = 0
+        used = [False] * n
+        used[0] = True
+        queue = [0]
+        for x in queue:
+            row, image_row = mul[x], mul[phi[x]]
+            for t, u in chosen:
+                y, z = row[t], image_row[u]
+                if phi[y] < 0:
+                    if used[z]:
+                        return
+                    phi[y] = z
+                    used[z] = True
+                    queue.append(y)
+                elif phi[y] != z:
+                    return
+        if involutory_only and any(phi[y] not in (-1, x) for x, y in enumerate(phi) if y >= 0):
             return
-        src = gens[level]
-        if phi[src] >= 0:
-            backtrack(level + 1, phi, used)
+        if len(images) == len(gens):
+            found.append(tuple(phi))
             return
-        for img in by_order[g.element_orders[src]]:
-            if img in used:
-                continue
-            if involutory_only and phi[img] >= 0 and phi[img] != src:
-                continue
-            phi2 = list(phi)
-            used2 = set(used)
-            phi2[src] = img
-            used2.add(img)
-            if close(phi2, used2, [src]):
-                backtrack(level + 1, phi2, used2)
+        for img in by_order[g.element_orders[gens[len(images)]]]:
+            extend(images + [img])
 
-    phi0 = [-1] * n
-    phi0[0] = 0
-    backtrack(0, phi0, {0})
-    out = [automorphism_from_perm(g, p) for p in sorted(found)]
-    if involutory_only:
-        out = [a for a in out if a.order2]
-    return out
+    extend([])
+    return [automorphism_from_perm(g, p) for p in sorted(found)]
 
 
 @cache

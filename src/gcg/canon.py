@@ -5,10 +5,10 @@ equitability, branch on the vertices of the first smallest non-singleton
 cell, and prune with (a) node invariants ("traces") that any automorphism
 must preserve and (b) orbits of the automorphisms found so far.
 
-The automorphism pass explores the leftmost path fully; for every sibling
-branch it probes for a single automorphism mapping the leftmost prefix onto
-that branch and then abandons the branch (the coset argument makes the
-generated group complete).  The canonical pass keeps the minimal
+The automorphism pass records the leftmost path during the first walk; for
+every sibling branch it probes for a single automorphism mapping the
+leftmost prefix onto that branch and then abandons the branch (the coset
+argument makes the generated group complete).  The canonical pass keeps the minimal
 (trace sequence, labeled adjacency) leaf; isomorphic graphs therefore get
 identical fingerprints.
 
@@ -287,29 +287,20 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
     budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))]
     _refine(rows, cells0, [mask_of(range(n))] if n else [])
-    # leftmost path
+    # the leftmost path, recorded as the first walk takes it
     base: list[int] = []
     first_traces: list[tuple[int, ...]] = []
-    cells = cells0
-    while True:
-        t = _target_cell(cells)
-        if t is None:
-            break
-        v = cells[t][0]
-        base.append(v)
-        cells, trace = _child(rows, cells, t, v, budget)
-        first_traces.append(trace)
-    zeta = _labeling(cells, n)
-    zeta_bytes = _leaf_key(rows, zeta)
+    zeta: list = [(), b""]  # the first leaf's labelling and key
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
         t = _target_cell(cells)
         if t is None:
             lab = _labeling(cells, n)
-            if lab == zeta:
+            if on_first:
+                zeta[:] = lab, _leaf_key(rows, lab)
                 return False
-            if _leaf_key(rows, lab) == zeta_bytes:
-                gamma = _gamma_from_labelings(zeta, lab)
+            if _leaf_key(rows, lab) == zeta[1]:
+                gamma = _gamma_from_labelings(zeta[0], lab)
                 if not _is_automorphism(rows, gamma):
                     raise AssertionError("leaf key collision without automorphism")
                 gens.append(gamma)
@@ -318,8 +309,10 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
         orbits = _SiblingOrbits(prefix, gens)
         found_any = False
         for v in cells[t]:
-            if on_first and v == base[depth]:
-                child, _ = _child(rows, cells, t, v, budget)
+            if on_first and v == cells[t][0]:
+                base.append(v)
+                child, tr = _child(rows, cells, t, v, budget)
+                first_traces.append(tr)
                 explore(child, depth + 1, prefix + (v,), True)
                 orbits.explored(v)
                 continue
@@ -337,7 +330,7 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
 
     if n:
         explore(cells0, 0, (), True)
-    return base, gens, zeta
+    return base, gens, zeta[0]
 
 
 def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):

@@ -1023,7 +1023,9 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
 
 def run_ex_3_2(params: dict, caps: Caps) -> list[TheoremReport]:
     pairs = params.get("pairs") or [(1, 2), (2, 2), (1, 3)]
-    if "m" in params and "n" in params:
+    if ("m" in params) != ("n" in params):
+        raise ShapeError("ex-3.2 reads m and n together")
+    if "m" in params:
         pairs = [(int(params["m"]), int(params["n"]))]
     return [verify_example_32(m, n, caps) for m, n in pairs]
 
@@ -1247,10 +1249,41 @@ THEOREM_RUNNERS: dict[str, Callable[[dict, Caps], list[TheoremReport]]] = {
 
 THEOREM_IDS = tuple(THEOREM_RUNNERS)
 
+# The parameters each verifier reads; `run_theorem` refuses any other, so a
+# command-line flag is never silently ignored.
+THEOREM_PARAMS: dict[str, tuple[str, ...]] = {
+    "prop-2.1": ("max_order",),
+    "prop-2.2": ("max_order",),
+    "lemma-2.3": ("max_order",),
+    "prop-2.4": ("max_order",),
+    "prop-2.5": ("max_order",),
+    "prop-2.6": ("max_order",),
+    "thm-3.1": ("groups",),
+    "ex-3.2": ("m", "n", "pairs"),
+    "ex-3.3": ("k", "ks"),
+    "lemma-3.4": (),
+    "thm-3.5": ("group", "max_order"),
+    "lemma-4.1": ("p",),
+    "lemma-4.2": ("p",),
+    "thm-4.3": ("p",),
+    "prop-5.1": ("max_order",),
+    "cor-5.2": ("max_order",),
+    "prop-5.3": ("max_order",),
+    "cor-5.4": ("max_order",),
+}
+
 
 def run_theorem(theorem_id: str, params: dict | None = None, caps: Caps | None = None) -> list[TheoremReport]:
     caps = caps or caps_from_env()
+    params = params or {}
     runner = THEOREM_RUNNERS.get(theorem_id)
     if runner is None:
         raise ShapeError(f"unknown theorem id {theorem_id!r}")
-    return runner(params or {}, caps)
+    reads = THEOREM_PARAMS[theorem_id]
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ShapeError(
+            f"{theorem_id} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(reads) or 'no parameters'}"
+        )
+    return runner(params, caps)

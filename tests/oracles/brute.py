@@ -18,12 +18,23 @@ reference for `theorems.coset_law_and_duplicates`, which compares each class
 of equal rows with one coset.  `_orbit_hits` filters every found
 automorphism and walks a sibling's orbit afresh for every sibling; it is the
 reference for the per-node prune state `canon._SiblingOrbits`.
+`closure_automorphisms` extends each partial map by closing it over every
+pair of assigned elements after each new one; it is the reference for
+`automorphisms.enumerate_automorphisms`, which walks the span of the chosen
+generators once per choice.  Both start from `generating_ids` and wrap their
+maps with `automorphism_from_perm`.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
-from gcg.groups import mask_of
+from gcg.automorphisms import (
+    AutomorphismMap,
+    automorphism_from_perm,
+    generating_ids,
+    identity_automorphism,
+)
+from gcg.groups import FiniteGroup, mask_of
 from gcg.perms import Perm, identity_perm, pinv, pmul
 
 
@@ -429,3 +440,78 @@ def _orbit_hits(v: int, explored: list[int], prefix: tuple[int, ...], gens: list
                 seen |= 1 << y
                 frontier.append(y)
     return False
+
+
+def closure_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list[AutomorphismMap]:
+    """All automorphisms (optionally only those of order <= 2), sorted by perm.
+
+    Backtracks over generator images with closure propagation; candidates are
+    pruned by element order, injectivity, and (optionally) the order-2 law.
+    """
+    n = g.order
+    if n == 1:
+        return [identity_automorphism(g)]
+    gens = generating_ids(g)
+    by_order: dict[int, list[int]] = {}
+    for x in range(n):
+        by_order.setdefault(g.element_orders[x], []).append(x)
+
+    found: list[tuple[int, ...]] = []
+
+    def close(phi: list[int], used: set[int], fresh: list[int]) -> bool:
+        assigned = [x for x in range(n) if phi[x] >= 0]
+        queue = list(fresh)
+        while queue:
+            a = queue.pop()
+            i = 0
+            while i < len(assigned):
+                b = assigned[i]
+                i += 1
+                for x, y in (
+                    (g.mul[a][b], g.mul[phi[a]][phi[b]]),
+                    (g.mul[b][a], g.mul[phi[b]][phi[a]]),
+                ):
+                    if phi[x] < 0:
+                        if y in used or g.element_orders[x] != g.element_orders[y]:
+                            return False
+                        phi[x] = y
+                        used.add(y)
+                        assigned.append(x)
+                        queue.append(x)
+                    elif phi[x] != y:
+                        return False
+        if involutory_only:
+            for x in range(n):
+                y = phi[x]
+                if y >= 0 and phi[y] >= 0 and phi[y] != x:
+                    return False
+        return True
+
+    def backtrack(level: int, phi: list[int], used: set[int]) -> None:
+        if level == len(gens):
+            if all(v >= 0 for v in phi):
+                found.append(tuple(phi))
+            return
+        src = gens[level]
+        if phi[src] >= 0:
+            backtrack(level + 1, phi, used)
+            return
+        for img in by_order[g.element_orders[src]]:
+            if img in used:
+                continue
+            if involutory_only and phi[img] >= 0 and phi[img] != src:
+                continue
+            phi2 = list(phi)
+            used2 = set(used)
+            phi2[src] = img
+            used2.add(img)
+            if close(phi2, used2, [src]):
+                backtrack(level + 1, phi2, used2)
+
+    phi0 = [-1] * n
+    phi0[0] = 0
+    backtrack(0, phi0, {0})
+    out = [automorphism_from_perm(g, p) for p in sorted(found)]
+    if involutory_only:
+        out = [a for a in out if a.order2]
+    return out

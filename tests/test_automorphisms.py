@@ -15,12 +15,13 @@ from gcg.automorphisms import (
     is_prime,
     omega_set,
 )
+from gcg.catalog import builtin_descriptors
 from gcg.cayley import detect_cayley
 from gcg.errors import DescriptorError
 from gcg.graphs import complete_graph
 from gcg.groups import make_group
 
-from oracles.brute import group_automorphisms_brute
+from oracles.brute import closure_automorphisms, group_automorphisms_brute
 
 
 def test_identity_and_inversion_maps(caps):
@@ -50,6 +51,18 @@ def test_enumeration_matches_brute_force(caps):
         ours = {a.perm for a in enumerate_automorphisms(g)}
         brute = set(group_automorphisms_brute(g.mul, g.order))
         assert ours == brute, name
+
+
+def test_enumeration_matches_closure_oracle_on_catalog(caps):
+    # the same perm lists, in the same order, so every alpha index is unchanged.
+    # On the catalog's presentations every injective walk is a homomorphism;
+    # D6xZ2 and Z2xD8 also have injective walks that break phi(xt) = phi(x)phi(t)
+    for name in (*builtin_descriptors(24), "D6xZ2", "Z2xD8"):
+        g = make_group(name, caps)
+        for involutory_only in (False, True):
+            ours = [a.perm for a in enumerate_automorphisms(g, involutory_only)]
+            oracle = [a.perm for a in closure_automorphisms(g, involutory_only)]
+            assert ours == oracle, (name, involutory_only)
 
 
 def test_identity_is_always_first(caps):

@@ -23,7 +23,7 @@ from gcg.canon import (
 )
 from gcg.catalog import builtin_descriptors
 from gcg.cayley import stability_check
-from gcg.construct import build_gc_graph, enumerate_connection_sets
+from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
 from gcg.errors import BudgetExceeded
 from gcg.graphs import (
     bipartite_double_cover,
@@ -143,15 +143,17 @@ def test_budget_errors_name_the_search():
         _canon_search(g.rows, g.n, [], 2)
 
 
-def test_cover_budget_error_names_the_search():
-    # the paw's own search fits in 3 nodes; its double cover's does not
-    paw = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+def test_cover_budget_error_names_the_search(caps):
+    # Cay(D6, {1, 2, 3, 4}) (alpha #0): its own search fits in 9 nodes, its
+    # double cover's needs 14
+    g = make_group("D6", caps)
+    x = build_gc_graph(make_spec(g, enumerate_involutory_automorphisms(g)[0], (1, 2, 3, 4)))
     with pytest.raises(BudgetExceeded) as exc:
-        stability_check(paw, 3)
+        stability_check(x, 9)
     assert str(exc.value) == (
-        "double-cover automorphism search: budget exhausted after 3 refinement nodes on 8 vertices"
+        "double-cover automorphism search: budget exhausted after 9 refinement nodes on 12 vertices"
     )
-    assert stability_check(paw, 4).status == "stable"
+    assert stability_check(x, 14).status == "unstable"
 
 
 def test_seeds_must_be_automorphisms():
@@ -234,7 +236,9 @@ def test_chain_orders_on_census_graphs_to_order_8(caps):
 def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
     # base, generators, nodes spent and canonical labelling of both searches
     # over the distinct census graphs to order 8, captured before the search
-    # kept per-node orbit state and shared cells between partitions
+    # kept per-node orbit state and shared cells between partitions, and
+    # before it stopped walking the leftmost path a second time: that walk
+    # spent one node per base point, added back here
     budgets = []
 
     class Counting(canon._Budget):
@@ -249,7 +253,9 @@ def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
         budgets.clear()
         base, gens, _ = _aut_search(x.rows, x.n, 10**9)
         lab = _canon_search(x.rows, x.n, list(gens), 10**9)
-        digest.update(repr((x.rows, base, gens, [b.nodes for b in budgets], lab)).encode())
+        aut_budget, canon_budget = budgets
+        nodes = [aut_budget.nodes + len(base), canon_budget.nodes]
+        digest.update(repr((x.rows, base, gens, nodes, lab)).encode())
         count += 1
     assert count == 430
     assert digest.hexdigest() == "3584316667a585fc4b942d187727ae12e95987e45c09c2b980e93a8554b9960a"

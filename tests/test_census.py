@@ -442,7 +442,9 @@ def test_conjugate_specs_agree_on_invariant_fields(data):
 
 
 def test_budget_only_turns_unknown_into_known(tmp_path, caps):
-    tight = replace(caps, aut_node_budget=8)
+    # at 6 nodes some answers stay unknown and some are shared into records
+    # whose own computation runs out (at 8 every shared answer is known)
+    tight = replace(caps, aut_node_budget=6)
     records = run_census(RunConfig(max_order=7, out_path=str(tmp_path / "tight.jsonl"), caps=tight))
     assert len(records) == 116
     unknown, gained = 0, 0

@@ -128,6 +128,28 @@ def test_verify_exit_codes(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("thm-3.1", "--group", "Z8"), "thm-3.1 does not read group; it reads groups"),
+    (("lemma-2.3", "--group", "Z8"), "lemma-2.3 does not read group; it reads max_order"),
+    (("thm-3.5", "--groups", "Z8"), "thm-3.5 does not read groups; it reads group, max_order"),
+    (("lemma-3.4", "--max-order", "8"), "lemma-3.4 does not read max_order; it reads no parameters"),
+    (("ex-3.2", "--m", "2"), "ex-3.2 reads m and n together"),
+])
+def test_verify_refuses_flags_its_verifier_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_verify_runs_only_the_instances_its_flags_name(capsys):
+    code, out, _ = run_cli(capsys, "verify", "thm-3.5", "--group", "Z8")
+    assert code == 0
+    assert [json.loads(line)["instance"] for line in out.splitlines()] == ["Z8"]
+    code, out, _ = run_cli(capsys, "verify", "lemma-4.1", "--p", "5")
+    assert code == 0
+    assert [json.loads(line)["instance"] for line in out.splitlines()] == ["Z10"]
+
+
 def test_verify_rejects_unknown_theorem(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm-0.0"])

@@ -25,6 +25,7 @@ from gcg.graphs import IsomorphismWitness, check_witness
 from gcg.groups import bits, make_group, mask_of, subgroup_closure
 from gcg.theorems import (
     THEOREM_IDS,
+    THEOREM_PARAMS,
     _SweepBudget,
     _sweep_layers,
     build_counterexample,
@@ -56,6 +57,10 @@ def test_theorem_registry():
     assert THEOREM_IDS[0] == "prop-2.1"
     with pytest.raises(ShapeError):
         run_theorem("thm-9.9")
+    assert tuple(THEOREM_PARAMS) == THEOREM_IDS
+    # a parameter the verifier does not read is refused before any work
+    with pytest.raises(ShapeError, match="prop-2.2 does not read groups, p; it reads max_order"):
+        run_theorem("prop-2.2", {"groups": ["Z8"], "p": 3})
 
 
 def test_conjugation_isomorphism_direct(caps):
