@@ -14,7 +14,12 @@ sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
 Then, for every theorem id, the sha256 and exit status of
-`gcg --format json verify <id>`.  Then the
+`gcg --format json verify <id>`, then of eight verifier runs with flags
+(each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
+--groups) and the exit status of one flag a verifier refuses.  Then the
+sha256 and exit status of `gcg --format json build` and `analyze` on a
+fixed list of specs, one of them invalid and one given with its ids
+unsorted and repeated.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 instances,
@@ -51,6 +56,18 @@ from gcg.groups import make_group  # noqa: E402
 from gcg.theorems import THEOREM_IDS  # noqa: E402
 
 EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
+FLAGGED_VERIFY = (
+    ("thm-4.3", "--p", "7"),
+    ("thm-3.1", "--groups", "Z4,Z12"),
+    ("ex-3.2", "--m", "2", "--n", "3"),
+    ("ex-3.3", "--k", "3"),
+    ("thm-3.5", "--group", "Z2xZ2xZ3"),
+    ("lemma-4.1", "--p", "7"),
+    ("lemma-4.2", "--p", "7"),
+    ("prop-5.1", "--max-order", "8"),
+)
+REFUSED_VERIFY = ("lemma-3.4", "--max-order", "8")
+SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
 SMALL_BUDGET = 5
@@ -133,6 +150,15 @@ def main() -> int:
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")
+    for argv in (*FLAGGED_VERIFY, REFUSED_VERIFY):
+        digest, status = run_digest("-m", "gcg", "--format", "json", "verify", *argv)
+        print(f"verify {' '.join(argv)}  {digest}  exit {status}")
+    for command in ("build", "analyze"):
+        for group, alpha, ids in SPECS:
+            digest, status = run_digest(
+                "-m", "gcg", "--format", "json", command, "--group", group, "--alpha", alpha, "--set", ids
+            )
+            print(f"{command} {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
     digest, status = run_digest("-m", "gcg", "--format", "json", "group", "list")
     print(f"group list  {digest}  exit {status}")
     for group, alpha, ids in EXPORTS:

@@ -82,7 +82,7 @@ from .construct import (
     kernel_subgroup,
     make_spec,
 )
-from .errors import BudgetExceeded, ManifestMismatch
+from .errors import BudgetExceeded, DescriptorError, ManifestMismatch
 from .graphs import Graph, triangle_profile
 from .groups import FiniteGroup, make_group
 from .perms import Perm, identity_perm
@@ -359,6 +359,8 @@ def run_census(config: RunConfig) -> list[dict]:
     item_of: dict[tuple[str, int], str] = {}   # (group, alpha_index) -> key of the item writing it
     for name in names:
         g = make_group(name, caps)
+        if g.name in resolved:
+            raise DescriptorError(f"census group {g.name} is listed twice")
         resolved.append(g.name)
         for cls in _alpha_classes(g):
             items.append((name, cls.rep, caps))

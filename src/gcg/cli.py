@@ -33,7 +33,7 @@ from .errors import (
 )
 from .catalog import builtin_descriptors
 from .formats import graph_to_dict, to_dot, to_graph6
-from .groups import make_group, mask_of
+from .groups import bits, make_group, mask_of
 from .theorems import THEOREM_IDS, run_theorem
 
 USAGE_EXIT = 1
@@ -48,13 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gcg", description="generalized Cayley graph toolkit")
     parser.add_argument("--caps-aut", type=int, default=None, metavar="N",
                         help="override the automorphism search node budget")
     parser.add_argument("--caps-bits", type=int, default=None, metavar="N",
                         help="override the connection-set enumeration bit budget")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker count for the census (at most the CPU count "
                              "and the number of pending work items)")
     parser.add_argument("--format", default=None,
@@ -90,7 +100,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--groups", default=None, help="comma-separated descriptors")
 
     census = sub.add_parser("census", help="run the catalog census")
-    census.add_argument("--max-order", type=int, default=8)
+    census.add_argument("--max-order", type=_positive_int, default=8)
     census.add_argument("--out", required=True)
     census.add_argument("--groups", default=None, help="comma-separated descriptors")
 
@@ -167,13 +177,14 @@ def cmd_group_list(args, caps: Caps) -> int:
 
 def cmd_build(args, caps: Caps) -> int:
     g, alpha, ids = _resolve_spec(args, caps)
-    report = validate_connection_set(g, alpha, mask_of(ids))
+    mask = mask_of(ids)
+    report = validate_connection_set(g, alpha, mask)
     payload = {
         "group": g.name,
         "order": g.order,
         "alpha_index": args.alpha,
         "alpha": list(alpha.perm),
-        "set_ids": list(ids),
+        "set_ids": list(bits(mask)),   # sorted and distinct, as analyze and the census print them
         "cond_i": report.cond_i,
         "cond_ii": report.cond_ii,
         "cond_iii": report.cond_iii,

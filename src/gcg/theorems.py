@@ -12,10 +12,11 @@ statement, which would indicate a bug in this artifact), or "skipped".
 """
 from __future__ import annotations
 
+import inspect
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .automorphisms import (
     AutomorphismMap,
@@ -71,7 +72,7 @@ from .groups import (
     product_id,
     subgroup_closure,
 )
-from .perms import Perm
+from .perms import Perm, pinv
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,12 @@ class TheoremReport:
 
 
 class _SweepBudget:
-    """Counts work items; `spend` returns False once the budget is gone so
-    the caller can emit an explicit skipped report."""
+    """Counts work items; `take` grants none once the budget is gone so the
+    caller can emit an explicit skipped report."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-
-    def spend(self) -> bool:
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
 
     def take(self, wanted: int) -> int:
         """Spend up to `wanted` items at once; returns how many were granted."""
@@ -121,7 +116,7 @@ def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int,
     ran out, and the refutation or None."""
     covered = 0
     for item in items:
-        if not budget.spend():
+        if not budget.take(1):
             return covered, True, None
         refutation = check(item)
         if refutation is not None:
@@ -243,11 +238,8 @@ def verify_conjugation_isomorphism(spec: GCSpec, phi: AutomorphismMap) -> Theore
     g = spec.group
     if phi.group is not g:
         raise ShapeError("phi must be an automorphism of the spec's group")
-    n = g.order
-    inv_phi = [0] * n
-    for x, y in enumerate(phi.perm):
-        inv_phi[y] = x
-    conj_perm = tuple(phi.perm[spec.alpha.perm[inv_phi[x]]] for x in range(n))
+    inv_phi = pinv(phi.perm)
+    conj_perm = tuple(phi.perm[spec.alpha.perm[inv_phi[x]]] for x in range(g.order))
     conj_alpha = automorphism_from_perm(g, conj_perm)
     conj_ids = tuple(sorted(phi.perm[s] for s in spec.set_ids()))
     try:
@@ -473,17 +465,30 @@ def dihedralize_inversion(spec: GCSpec) -> DihedralizationWitness:
 # the two non-vertex-transitive families
 
 
+def _orbit_split(x: Graph, caps: Caps) -> dict:
+    """The orbit count of Aut(x) and, when there are two orbits or more, an
+    `orbit_witness`: one vertex of each of the first two, which no
+    automorphism maps to each other."""
+    orbits = automorphism_group(x, caps.aut_node_budget).orbits
+    cert: dict = {"orbit_count": len(orbits)}
+    if len(orbits) >= 2:
+        cert["orbit_witness"] = [orbits[0][0], orbits[1][0]]
+    return cert
+
+
 def build_counterexample(kind: str, params: dict, caps: Caps | None = None) -> GCSpec:
+    """The inversion spec of one family member: `params` holds m and n for
+    "ex32" (Ex 3.2), k for "ex33" (Ex 3.3)."""
     caps = caps or caps_from_env()
     if kind == "ex32":
-        m, n = int(params.get("m", 1)), int(params.get("n", 2))
+        m, n = params["m"], params["n"]
         if m < 1 or n < 2:
             raise ShapeError("the two-power family needs m >= 1 and n >= 2")
         g = make_group(Product((Cyclic(1 << m), Cyclic(1 << n))), caps)
         stride = 1 << n
         s_ids = (stride, 1, stride + 1)       # (1,0), (0,1), (1,1)
     elif kind == "ex33":
-        k = int(params.get("k", 1))
+        k = params["k"]
         if k < 1:
             raise ShapeError("the elementary-times-odd family needs k >= 1")
         q = 2 * k + 1
@@ -499,11 +504,8 @@ def verify_example_32(m: int, n: int, caps: Caps | None = None) -> TheoremReport
     spec = build_counterexample("ex32", {"m": m, "n": n}, caps)
     g = spec.group
     x = build_gc_graph(spec)
-    desc = automorphism_group(x, caps.aut_node_budget)
-    cert: dict = {"set": list(spec.set_ids()), "orbit_count": len(desc.orbits)}
-    ok = len(desc.orbits) >= 2
-    if ok:
-        cert["orbit_witness"] = [desc.orbits[0][0], desc.orbits[1][0]]
+    cert: dict = {"set": list(spec.set_ids()), **_orbit_split(x, caps)}
+    ok = cert["orbit_count"] >= 2
     # every triangle contains an element of order dividing 2
     for u, v, w in triangles(x):
         if not any(g.mul[t][t] == 0 for t in (u, v, w)):
@@ -532,20 +534,17 @@ def verify_example_33(k: int, caps: Caps | None = None) -> TheoremReport:
     spec = build_counterexample("ex33", {"k": k}, caps)
     x = build_gc_graph(spec)
     q = 2 * k + 1
-    desc = automorphism_group(x, caps.aut_node_budget)
     profile = triangle_profile(x)
     # (0,0,k) sits on the triangle [(0,0,k), (1,0,-k), (0,1,k+1)]
     v1, v2, v3 = k, 2 * q + (q - k), q + (k + 1)
     triangle_ok = x.has_edge(v1, v2) and x.has_edge(v2, v3) and x.has_edge(v1, v3)
-    ok = len(desc.orbits) >= 2 and profile[0] == 0 and triangle_ok
     cert = {
         "set": list(spec.set_ids()),
-        "orbit_count": len(desc.orbits),
+        **_orbit_split(x, caps),
         "triangle_free_vertex": 0,
         "triangle": [v1, v2, v3],
     }
-    if len(desc.orbits) >= 2:
-        cert["orbit_witness"] = [desc.orbits[0][0], desc.orbits[1][0]]
+    ok = cert["orbit_count"] >= 2 and profile[0] == 0 and triangle_ok
     return TheoremReport(
         "ex-3.3", f"k={k}", "verified" if ok else "refuted", cert, {"vertices": x.n}
     )
@@ -690,12 +689,8 @@ def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> Theor
              "route": "dihedralization witness per connection orbit"},
         )
     spec, detail = _neither_witness_spec(g)
-    x = build_gc_graph(spec)
-    desc = automorphism_group(x, caps.aut_node_budget)
-    ok = len(desc.orbits) >= 2
-    cert = {"branch": branch, **detail, "orbit_count": len(desc.orbits)}
-    if ok:
-        cert["orbit_witness"] = [desc.orbits[0][0], desc.orbits[1][0]]
+    cert = {"branch": branch, **detail, **_orbit_split(build_gc_graph(spec), caps)}
+    ok = cert["orbit_count"] >= 2
     return TheoremReport("thm-3.5", g.name, "verified" if ok else "refuted", cert)
 
 
@@ -878,8 +873,15 @@ def _pair_key(a: GCSpec, b: GCSpec) -> str:
     return f"{_spec_key(a)} x {_spec_key(b)}"
 
 
-def run_prop_2_1(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 6))
+def _alpha_walk(groups: Iterable[FiniteGroup]) -> Iterator[tuple[str, FiniteGroup, AutomorphismMap]]:
+    """Each involutory automorphism of each group, with its instance name
+    `G|alpha#i` (i its index in `enumerate_involutory_automorphisms`)."""
+    for g in groups:
+        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+            yield f"{g.name}|alpha#{idx}", g, alpha
+
+
+def run_prop_2_1(caps: Caps, max_order: int = 6) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
     for g in builtin_groups(max_order, caps):
@@ -908,103 +910,88 @@ def run_prop_2_1(params: dict, caps: Caps) -> list[TheoremReport]:
     return reports
 
 
-def run_prop_2_2(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 16))
+def run_prop_2_2(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
     reports = []
-    for g in builtin_groups(max_order, caps):
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            fix = fix_set(g, alpha)          # raises if not a subgroup
-            om = omega_set(g, alpha)
-            inverted = all(
-                alpha.perm[x] == g.inv[x] for x in om.set.members()
-            )
-            ok = inverted and (om.is_subgroup or not g.abelian)
-            reports.append(TheoremReport(
-                "prop-2.2", f"{g.name}|alpha#{idx}",
-                "verified" if ok else "refuted",
-                {
-                    "fix_size": len(fix),
-                    "omega_size": len(om.set),
-                    "omega_subgroup": om.is_subgroup,
-                    "abelian": g.abelian,
-                    "alpha_inverts_omega": inverted,
-                },
-            ))
+    for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
+        fix = fix_set(g, alpha)          # raises if not a subgroup
+        om = omega_set(g, alpha)
+        inverted = all(alpha.perm[x] == g.inv[x] for x in om.set.members())
+        ok = inverted and (om.is_subgroup or not g.abelian)
+        reports.append(TheoremReport(
+            "prop-2.2", key, "verified" if ok else "refuted",
+            {
+                "fix_size": len(fix),
+                "omega_size": len(om.set),
+                "omega_subgroup": om.is_subgroup,
+                "abelian": g.abelian,
+                "alpha_inverts_omega": inverted,
+            },
+        ))
     return reports
 
 
-def run_lemma_2_3(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 16))
+def run_lemma_2_3(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
     reports = []
-    for g in builtin_groups(max_order, caps):
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            fix = fix_set(g, alpha)
-            om = omega_set(g, alpha)
-            ok = len(fix) * len(om.set) == g.order
-            reports.append(TheoremReport(
-                "lemma-2.3", f"{g.name}|alpha#{idx}",
-                "verified" if ok else "refuted",
-                {"fix_size": len(fix), "omega_size": len(om.set), "order": g.order},
-            ))
+    for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
+        fix = fix_set(g, alpha)
+        om = omega_set(g, alpha)
+        ok = len(fix) * len(om.set) == g.order
+        reports.append(TheoremReport(
+            "lemma-2.3", key, "verified" if ok else "refuted",
+            {"fix_size": len(fix), "omega_size": len(om.set), "order": g.order},
+        ))
     return reports
 
 
-def run_prop_2_4(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 21))
+def _odd_abelian_groups(max_order: int, caps: Caps) -> Iterator[FiniteGroup]:
+    return (g for g in builtin_groups(max_order, caps) if g.abelian and g.order % 2)
+
+
+def run_prop_2_4(caps: Caps, max_order: int = 21) -> list[TheoremReport]:
     reports = []
-    for g in builtin_groups(max_order, caps):
-        if not g.abelian or g.order % 2 == 0:
-            continue
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            dec = decompose_odd_abelian(g, alpha)   # raises on any failure
-            reports.append(TheoremReport(
-                "prop-2.4", f"{g.name}|alpha#{idx}", "verified",
-                {"fix": list(dec.fix.members()), "omega": list(dec.omega.members())},
-            ))
+    for key, g, alpha in _alpha_walk(_odd_abelian_groups(max_order, caps)):
+        dec = decompose_odd_abelian(g, alpha)   # raises on any failure
+        reports.append(TheoremReport(
+            "prop-2.4", key, "verified",
+            {"fix": list(dec.fix.members()), "omega": list(dec.omega.members())},
+        ))
     return reports
 
 
-def run_prop_2_5(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 21))
+def run_prop_2_5(caps: Caps, max_order: int = 21) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for g in builtin_groups(max_order, caps):
-        if not g.abelian or g.order % 2 == 0:
-            continue
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            count, skipped = _sweep_layers(g, alpha, _normal_form_map, budget, caps)
-            reports.append(TheoremReport(
-                "prop-2.5", f"{g.name}|alpha#{idx}", "skipped" if skipped else "verified",
-                {"covered_sets" if skipped else "sets_swept": count},
-            ))
+    for key, g, alpha in _alpha_walk(_odd_abelian_groups(max_order, caps)):
+        count, skipped = _sweep_layers(g, alpha, _normal_form_map, budget, caps)
+        reports.append(TheoremReport(
+            "prop-2.5", key, "skipped" if skipped else "verified",
+            {"covered_sets" if skipped else "sets_swept": count},
+        ))
     return reports
 
 
-def run_prop_2_6(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 24))
+def run_prop_2_6(caps: Caps, max_order: int = 24) -> list[TheoremReport]:
+    # the Sylow 2-subgroup of an abelian group is cyclic iff it has one involution
+    groups = (
+        g for g in builtin_groups(max_order, caps)
+        if g.abelian and g.order % 2 == 0 and sum(o == 2 for o in g.element_orders) <= 1
+    )
     reports = []
-    for g in builtin_groups(max_order, caps):
-        if not g.abelian or g.order % 2 != 0:
-            continue
-        involutions = sum(1 for o in g.element_orders if o == 2)
-        if involutions > 1:
-            continue                              # Sylow 2-subgroup not cyclic
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            dec = decompose_cyclic_sylow(g, alpha)  # raises on any failure
-            reports.append(TheoremReport(
-                "prop-2.6", f"{g.name}|alpha#{idx}", "verified",
-                {"n": dec.n, "a": dec.a, "h1_size": len(dec.h1), "h2_size": len(dec.h2)},
-            ))
+    for key, g, alpha in _alpha_walk(groups):
+        dec = decompose_cyclic_sylow(g, alpha)  # raises on any failure
+        reports.append(TheoremReport(
+            "prop-2.6", key, "verified",
+            {"n": dec.n, "a": dec.a, "h1_size": len(dec.h1), "h2_size": len(dec.h2)},
+        ))
     return reports
 
 
-def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
-    names = params.get("groups") or ["Z2", "Z4", "Z8", "Z6", "Z12", "Z20"]
-    if isinstance(names, str):
-        names = [names]
+def run_thm_3_1(
+    caps: Caps, groups: Iterable[str] = ("Z2", "Z4", "Z8", "Z6", "Z12", "Z20")
+) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for name in names:
+    for name in groups:
         g = make_group(name, caps)
         try:
             target = _dihedral_target(_reshape_cyclic_sylow(g).gprime)
@@ -1021,23 +1008,18 @@ def run_thm_3_1(params: dict, caps: Caps) -> list[TheoremReport]:
     return reports
 
 
-def run_ex_3_2(params: dict, caps: Caps) -> list[TheoremReport]:
-    pairs = params.get("pairs") or [(1, 2), (2, 2), (1, 3)]
-    if ("m" in params) != ("n" in params):
+def run_ex_3_2(caps: Caps, m: int | None = None, n: int | None = None) -> list[TheoremReport]:
+    if (m is None) != (n is None):
         raise ShapeError("ex-3.2 reads m and n together")
-    if "m" in params:
-        pairs = [(int(params["m"]), int(params["n"]))]
+    pairs = [(1, 2), (2, 2), (1, 3)] if m is None else [(m, n)]
     return [verify_example_32(m, n, caps) for m, n in pairs]
 
 
-def run_ex_3_3(params: dict, caps: Caps) -> list[TheoremReport]:
-    ks = params.get("ks") or [1, 2]
-    if "k" in params:
-        ks = [int(params["k"])]
-    return [verify_example_33(k, caps) for k in ks]
+def run_ex_3_3(caps: Caps, k: int | None = None) -> list[TheoremReport]:
+    return [verify_example_33(k, caps) for k in ([1, 2] if k is None else [k])]
 
 
-def run_lemma_3_4(params: dict, caps: Caps) -> list[TheoremReport]:
+def run_lemma_3_4(caps: Caps) -> list[TheoremReport]:
     z4 = make_group("Z4", caps)
     z3 = make_group("Z3", caps)
     z5 = make_group("Z5", caps)
@@ -1070,20 +1052,17 @@ def run_lemma_3_4(params: dict, caps: Caps) -> list[TheoremReport]:
     return reports
 
 
-def run_thm_3_5(params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 24))
-    name = params.get("group")
-    if name:
-        return [check_inversion_dichotomy(make_group(name, caps), caps)]
-    reports = []
-    for g in builtin_groups(max_order, caps):
-        if g.abelian:
-            reports.append(check_inversion_dichotomy(g, caps))
-    return reports
+def run_thm_3_5(caps: Caps, group: str | None = None, max_order: int = 24) -> list[TheoremReport]:
+    if group:
+        return [check_inversion_dichotomy(make_group(group, caps), caps)]
+    return [
+        check_inversion_dichotomy(g, caps)
+        for g in builtin_groups(max_order, caps) if g.abelian
+    ]
 
 
-def run_lemma_4_1(params: dict, caps: Caps) -> list[TheoremReport]:
-    ps = [int(params["p"])] if "p" in params else [2, 3, 5]
+def run_lemma_4_1(caps: Caps, p: int | None = None) -> list[TheoremReport]:
+    ps = [2, 3, 5] if p is None else [p]
     reports = []
     for p in ps:
         if not is_prime(p):
@@ -1100,14 +1079,14 @@ def run_lemma_4_1(params: dict, caps: Caps) -> list[TheoremReport]:
     return reports
 
 
-def run_lemma_4_2(params: dict, caps: Caps) -> list[TheoremReport]:
-    ps = [int(params["p"])] if "p" in params else [3, 5]
+def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
 
     def check(spec: GCSpec) -> None:
         order_2p_witness(spec, caps)                # raises on any failure
 
+    ps = [3, 5] if p is None else [p]
     for p in ps:
         if not is_prime(p) or p == 2:
             raise ShapeError(f"{p} must be an odd prime")
@@ -1117,22 +1096,24 @@ def run_lemma_4_2(params: dict, caps: Caps) -> list[TheoremReport]:
         found = {a.perm for a in enumerate_involutory_automorphisms(g)}
         if perms != found:
             reports.append(TheoremReport(
-                "lemma-4.2", f"D{2 * p}", "refuted",
+                "lemma-4.2", g.name, "refuted",
                 {"reason": "classification does not match enumeration"},
             ))
             continue
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
+        for key, _, alpha in _alpha_walk([g]):
             count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
             reports.append(TheoremReport(
-                "lemma-4.2", f"D{2 * p}|alpha#{idx}",
-                "skipped" if skipped else "verified",
+                "lemma-4.2", key, "skipped" if skipped else "verified",
                 {"sets_swept": count, "involutions": len(classified)},
             ))
     return reports
 
 
-def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
-    ps = [int(params["p"])] if "p" in params else [2, 3, 5]
+def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
+    ps = [2, 3, 5] if p is None else [p]
+    for p in ps:
+        if not is_prime(p):
+            raise ShapeError(f"{p} is not prime")
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
     unknown = 0     # detect_cayley cross-checks cut short by a budget
@@ -1148,32 +1129,18 @@ def run_thm_4_3(params: dict, caps: Caps) -> list[TheoremReport]:
         route = w.route
         return None
 
-    for p in ps:
-        if not is_prime(p):
-            raise ShapeError(f"{p} is not prime")
-        names = [f"Z{2 * p}", f"D{2 * p}"]
-        for name in names:
-            g = make_group(name, caps)
-            for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-                unknown, route = 0, None
-                specs = enumerate_connection_sets(g, alpha, caps=caps)
-                count, skipped, contradicted = _sweep(specs, check, budget)
-                if contradicted:
-                    reports.append(TheoremReport(
-                        "thm-4.3", f"{name}|alpha#{idx}", "refuted",
-                        {"contradicting_spec": contradicted, "cayley_unknown": unknown},
-                    ))
-                elif skipped:
-                    reports.append(TheoremReport(
-                        "thm-4.3", f"{name}|alpha#{idx}", "skipped",
-                        {"covered_sets": count, "cayley_unknown": unknown},
-                    ))
-                else:
-                    reports.append(TheoremReport(
-                        "thm-4.3", f"{name}|alpha#{idx}", "verified",
-                        {"sets_swept": count, "route_of_last": route,
-                         "cayley_unknown": unknown},
-                    ))
+    groups = (make_group(f"{kind}{2 * p}", caps) for p in ps for kind in "ZD")
+    for key, g, alpha in _alpha_walk(groups):
+        unknown, route = 0, None
+        specs = enumerate_connection_sets(g, alpha, caps=caps)
+        count, skipped, contradicted = _sweep(specs, check, budget)
+        if contradicted:
+            verdict, cert = "refuted", {"contradicting_spec": contradicted}
+        elif skipped:
+            verdict, cert = "skipped", {"covered_sets": count}
+        else:
+            verdict, cert = "verified", {"sets_swept": count, "route_of_last": route}
+        reports.append(TheoremReport("thm-4.3", key, verdict, {**cert, "cayley_unknown": unknown}))
     return reports
 
 
@@ -1183,50 +1150,41 @@ def _unworthy_sweep(max_order: int, caps: Caps) -> tuple[TheoremReport, ...]:
     run once per (max_order, caps) and reported under "prop-5.3"."""
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for g in builtin_groups(max_order, caps):
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            count, skipped, bad = _sweep(
-                enumerate_connection_sets(g, alpha, caps=caps),
-                lambda spec: _refutation(verify_unworthy_theory(spec, caps)),
-                budget,
-            )
-            if bad:
-                reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
-            else:
-                reports.append(TheoremReport(
-                    "prop-5.3", f"{g.name}|alpha#{idx}",
-                    "skipped" if skipped else "verified",
-                    {"sets_swept": count},
-                ))
+    for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
+        count, skipped, bad = _sweep(
+            enumerate_connection_sets(g, alpha, caps=caps),
+            lambda spec: _refutation(verify_unworthy_theory(spec, caps)),
+            budget,
+        )
+        if bad:
+            reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
+        else:
+            reports.append(TheoremReport(
+                "prop-5.3", key, "skipped" if skipped else "verified", {"sets_swept": count},
+            ))
     return tuple(reports)
 
 
-def _run_unworthy(theorem_id: str, params: dict, caps: Caps) -> list[TheoremReport]:
-    max_order = int(params.get("max_order", 12))
+def _run_unworthy(theorem_id: str, caps: Caps, max_order: int = 12) -> list[TheoremReport]:
     # a deep copy, so a caller that edits a certificate leaves the cache intact
     return [replace(r, theorem_id=theorem_id) for r in deepcopy(_unworthy_sweep(max_order, caps))]
 
 
-def run_cor_5_4(params: dict, caps: Caps) -> list[TheoremReport]:
+def run_cor_5_4(caps: Caps, max_order: int = 12) -> list[TheoremReport]:
     """The complement-of-omega specs on abelian groups decompose into a
     complete graph blown up by an edgeless one."""
-    max_order = int(params.get("max_order", 12))
     reports = []
-    for g in builtin_groups(max_order, caps):
-        if not g.abelian:
-            continue
+    for key, g, alpha in _alpha_walk(g for g in builtin_groups(max_order, caps) if g.abelian):
         full = (1 << g.order) - 1
-        for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            om = omega_set(g, alpha)
-            spec = make_spec(g, alpha, full ^ om.set.mask)
-            rep = verify_unworthy_theory(spec, caps)
-            reports.append(TheoremReport(
-                "cor-5.4", f"{g.name}|alpha#{idx}", rep.verdict, rep.certificate,
-            ))
+        spec = make_spec(g, alpha, full ^ omega_set(g, alpha).set.mask)
+        rep = verify_unworthy_theory(spec, caps)
+        reports.append(TheoremReport("cor-5.4", key, rep.verdict, rep.certificate))
     return reports
 
 
-THEOREM_RUNNERS: dict[str, Callable[[dict, Caps], list[TheoremReport]]] = {
+# Each runner takes the caps and then its parameters as keywords with their
+# defaults; those keywords are the parameters the verifier reads.
+THEOREM_RUNNERS: dict[str, Callable[..., list[TheoremReport]]] = {
     "prop-2.1": run_prop_2_1,
     "prop-2.2": run_prop_2_2,
     "lemma-2.3": run_lemma_2_3,
@@ -1249,41 +1207,25 @@ THEOREM_RUNNERS: dict[str, Callable[[dict, Caps], list[TheoremReport]]] = {
 
 THEOREM_IDS = tuple(THEOREM_RUNNERS)
 
-# The parameters each verifier reads; `run_theorem` refuses any other, so a
-# command-line flag is never silently ignored.
-THEOREM_PARAMS: dict[str, tuple[str, ...]] = {
-    "prop-2.1": ("max_order",),
-    "prop-2.2": ("max_order",),
-    "lemma-2.3": ("max_order",),
-    "prop-2.4": ("max_order",),
-    "prop-2.5": ("max_order",),
-    "prop-2.6": ("max_order",),
-    "thm-3.1": ("groups",),
-    "ex-3.2": ("m", "n", "pairs"),
-    "ex-3.3": ("k", "ks"),
-    "lemma-3.4": (),
-    "thm-3.5": ("group", "max_order"),
-    "lemma-4.1": ("p",),
-    "lemma-4.2": ("p",),
-    "thm-4.3": ("p",),
-    "prop-5.1": ("max_order",),
-    "cor-5.2": ("max_order",),
-    "prop-5.3": ("max_order",),
-    "cor-5.4": ("max_order",),
-}
-
 
 def run_theorem(theorem_id: str, params: dict | None = None, caps: Caps | None = None) -> list[TheoremReport]:
+    """Run one verifier with `params` as its runner's keyword parameters.
+
+    A parameter the runner does not take is refused before any work, so a
+    command-line flag is never silently ignored.  The runner is looked up in
+    THEOREM_RUNNERS at call time, and its parameters are read from its
+    signature (which follows `__wrapped__`), so a wrapped runner put in its
+    place keeps them."""
     caps = caps or caps_from_env()
     params = params or {}
     runner = THEOREM_RUNNERS.get(theorem_id)
     if runner is None:
         raise ShapeError(f"unknown theorem id {theorem_id!r}")
-    reads = THEOREM_PARAMS[theorem_id]
+    reads = list(inspect.signature(runner).parameters)[1:]   # all but caps
     unread = sorted(set(params) - set(reads))
     if unread:
         raise ShapeError(
             f"{theorem_id} does not read {', '.join(unread)}; "
             f"it reads {', '.join(reads) or 'no parameters'}"
         )
-    return runner(params, caps)
+    return runner(caps, **params)

@@ -20,7 +20,7 @@ from gcg.automorphisms import (
 from gcg.catalog import builtin_descriptors
 from gcg.caps import Caps
 from gcg.census import RunConfig, compute_record, refuting_records, run_census
-from gcg.errors import ManifestMismatch
+from gcg.errors import DescriptorError, ManifestMismatch
 from gcg.construct import connection_orbits, make_spec
 from gcg.automorphisms import inversion_map
 from gcg.groups import make_group
@@ -265,6 +265,15 @@ def test_bad_config_rejected():
         RunConfig(jobs=0)
     with pytest.raises(ValueError):
         RunConfig(max_order=0)
+
+
+def test_a_group_listed_twice_is_refused_before_anything_is_written(tmp_path, caps):
+    # "Z04" resolves to Z4, so the check goes by resolved name
+    for groups in (("Z4", "Z4"), ("Z4", "Z5", "Z04")):
+        out = tmp_path / "census.jsonl"
+        with pytest.raises(DescriptorError, match="census group Z4 is listed twice"):
+            run_census(RunConfig(groups=groups, out_path=str(out), caps=caps))
+        assert os.listdir(tmp_path) == []
 
 
 def test_degree_is_read_off_the_graph(monkeypatch, caps):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gcg.caps import PROFILES, caps_from_env
 from gcg.cli import main
 
 
@@ -49,6 +50,19 @@ def test_build_invalid_spec_exit_2(capsys):
     assert payload["valid"] is False
     assert payload["cond_ii"] is False
     assert payload["witness_ii"] == 1
+
+
+def test_build_echoes_the_sorted_distinct_set(capsys):
+    for ids, code_want, echo in (("3,1,1", 0, [1, 3]), ("2,2", 2, [2])):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "build", "--group", "Z4", "--alpha", "1", "--set", ids,
+        )
+        assert code == code_want
+        assert json.loads(out)["set_ids"] == echo
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "analyze", "--group", "Z4", "--alpha", "1", "--set", "3,1,1",
+    )
+    assert code == 0 and json.loads(out)["set_ids"] == [1, 3]
 
 
 def test_build_trivial_group(capsys):
@@ -172,6 +186,39 @@ def test_census_command(tmp_path, capsys):
     )
     assert code == 1 and out == ""
     assert "groups" in err and str(out_path) in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("census", "--max-order", "0"), "--max-order"),
+    (("--jobs", "0", "census"), "--jobs"),
+    (("--jobs", "two", "census"), "--jobs"),
+])
+def test_census_counts_must_be_positive(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "census.jsonl")])
+    assert exc.value.code == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_refuses_a_group_listed_twice(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "census", "--groups", "Z4,Z4", "--out", str(tmp_path / "c.jsonl"))
+    assert code == 1 and out == ""
+    assert "census group Z4 is listed twice" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_caps_profile_is_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("GCG_CAPS_PROFILE", "extended")
+    assert caps_from_env() == PROFILES["extended"]
+    assert caps_from_env() != PROFILES["desk"]
+
+
+def test_unknown_caps_profile_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GCG_CAPS_PROFILE", "huge")
+    code, out, err = run_cli(capsys, "group", "list")
+    assert code == 1 and out == ""
+    assert "unknown caps profile 'huge'" in err
 
 
 def test_export_formats(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from functools import cache
 
 import pytest
@@ -25,7 +26,6 @@ from gcg.graphs import IsomorphismWitness, check_witness
 from gcg.groups import bits, make_group, mask_of, subgroup_closure
 from gcg.theorems import (
     THEOREM_IDS,
-    THEOREM_PARAMS,
     _SweepBudget,
     _sweep_layers,
     build_counterexample,
@@ -52,15 +52,56 @@ def all_verified(reports):
     return reports
 
 
+# The keyword parameters of each verifier's runner, in signature order.
+VERIFIER_PARAMS = {
+    "prop-2.1": ("max_order",), "prop-2.2": ("max_order",), "lemma-2.3": ("max_order",),
+    "prop-2.4": ("max_order",), "prop-2.5": ("max_order",), "prop-2.6": ("max_order",),
+    "thm-3.1": ("groups",), "ex-3.2": ("m", "n"), "ex-3.3": ("k",), "lemma-3.4": (),
+    "thm-3.5": ("group", "max_order"), "lemma-4.1": ("p",), "lemma-4.2": ("p",),
+    "thm-4.3": ("p",), "prop-5.1": ("max_order",), "cor-5.2": ("max_order",),
+    "prop-5.3": ("max_order",), "cor-5.4": ("max_order",),
+}
+
+
 def test_theorem_registry():
     assert len(THEOREM_IDS) == 18
     assert THEOREM_IDS[0] == "prop-2.1"
     with pytest.raises(ShapeError):
         run_theorem("thm-9.9")
-    assert tuple(THEOREM_PARAMS) == THEOREM_IDS
+    assert tuple(VERIFIER_PARAMS) == THEOREM_IDS
+    for tid, reads in VERIFIER_PARAMS.items():
+        message = f"{tid} does not read caps, q; it reads {', '.join(reads) or 'no parameters'}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            run_theorem(tid, {"q": 1, "caps": None})
     # a parameter the verifier does not read is refused before any work
     with pytest.raises(ShapeError, match="prop-2.2 does not read groups, p; it reads max_order"):
         run_theorem("prop-2.2", {"groups": ["Z8"], "p": 3})
+
+
+@pytest.mark.parametrize("tid, params, reads", [
+    ("lemma-4.1", {"p": 3}, "p"),
+    ("prop-5.1", {"max_order": 4}, "max_order"),   # a functools.partial runner
+])
+def test_a_wrapped_runner_keeps_its_parameters(monkeypatch, caps, tid, params, reads):
+    # run_theorem looks the runner up at call time and reads its parameters
+    # through `__wrapped__`, so a timing wrapper put in its place still works
+    import functools
+
+    import gcg.theorems as theorems
+
+    original = theorems.THEOREM_RUNNERS[tid]
+    calls = []
+
+    @functools.wraps(original)
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(theorems.THEOREM_RUNNERS, tid, wrapped)
+    with pytest.raises(ShapeError, match=f"{tid} does not read q; it reads {reads}$"):
+        run_theorem(tid, {"q": 1}, caps)
+    all_verified(run_theorem(tid, params, caps))
+    assert calls == [params]
 
 
 def test_conjugation_isomorphism_direct(caps):
