@@ -14,18 +14,24 @@ sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
 Then, for every theorem id, the sha256 and exit status of
-`gcg --format json verify <id>`, then of eight verifier runs with flags
+`gcg --format json verify <id>`, then of ten verifier runs with flags
 (each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
---groups) and the exit status of one flag a verifier refuses.  Then the
+--groups; two of them thm-3.5 on Z48 and Z64, whose 2^24 and 2^32 sets
+lie past the catalog and past the bit cap on set enumeration), and the
+exit status of four runs that must be refused: a flag the verifier does
+not read, a --max-order that leaves nothing to check, and an empty --group
+and --groups.  Then the
 sha256 and exit status of `gcg --format json build` and `analyze` on a
 fixed list of specs, one of them invalid and one given with its ids
 unsorted and repeated.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
-and of each sweeping verifier's reports at a sweep budget of 5 instances,
-where most sweeps stop part-way.  The verifiers that certify connection-orbit
-layers instead of single sets (prop-2.5, thm-3.1, thm-3.5) are also run at
-budgets of 1 and 40, so a change in how they count sets shows here.  Every
+and of each sweeping verifier's reports at a sweep budget of 5 checks,
+where most sweeps stop part-way.  A check is one budget unit: a connection
+set, a (spec, phi) pair, or one connection-orbit layer of the verifiers that
+certify layers instead of single sets (prop-2.5, thm-3.1, thm-3.5), whose j
+layers certify the first 2^j sets.  Those three are also run at budgets of
+1 and 40, so a change in how they count layers or sets shows here.  Every
 gcg run is a fresh interpreter.  Run it on two checkouts and diff the two
 outputs.
 """
@@ -62,11 +68,18 @@ FLAGGED_VERIFY = (
     ("ex-3.2", "--m", "2", "--n", "3"),
     ("ex-3.3", "--k", "3"),
     ("thm-3.5", "--group", "Z2xZ2xZ3"),
+    ("thm-3.5", "--group", "Z48"),
+    ("thm-3.5", "--group", "Z64"),
     ("lemma-4.1", "--p", "7"),
     ("lemma-4.2", "--p", "7"),
     ("prop-5.1", "--max-order", "8"),
 )
-REFUSED_VERIFY = ("lemma-3.4", "--max-order", "8")
+REFUSED_VERIFY = (
+    ("lemma-3.4", "--max-order", "8"),
+    ("prop-2.2", "--max-order", "0"),
+    ("thm-3.5", "--group", ""),
+    ("thm-3.1", "--groups", ""),
+)
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
@@ -150,9 +163,9 @@ def main() -> int:
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")
-    for argv in (*FLAGGED_VERIFY, REFUSED_VERIFY):
+    for argv in (*FLAGGED_VERIFY, *REFUSED_VERIFY):
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", *argv)
-        print(f"verify {' '.join(argv)}  {digest}  exit {status}")
+        print(f"verify {' '.join(arg or repr(arg) for arg in argv)}  {digest}  exit {status}")
     for command in ("build", "analyze"):
         for group, alpha, ids in SPECS:
             digest, status = run_digest(

@@ -9,20 +9,20 @@ the output file.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections import Counter
 
 from gcg.caps import caps_from_env
 from gcg.census import RunConfig, refuting_records, run_census
-from gcg.errors import ManifestMismatch
+from gcg.cli import UsageParser, positive_int
+from gcg.errors import DescriptorError, ManifestMismatch
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-order", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser = UsageParser(description=__doc__)
+    parser.add_argument("--max-order", type=positive_int, default=8)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--out", default="census.jsonl")
     parser.add_argument("--groups", default=None,
                         help="comma-separated descriptor filter")
@@ -33,12 +33,12 @@ def main() -> int:
         out_path=args.out,
         jobs=args.jobs,
         caps=caps_from_env(),
-        groups=tuple(args.groups.split(",")) if args.groups else None,
+        groups=tuple(args.groups.split(",")) if args.groups is not None else None,
     )
     started = time.perf_counter()
     try:
         records = run_census(config)
-    except ManifestMismatch as exc:
+    except (DescriptorError, ManifestMismatch) as exc:
         print(f"run_census: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started

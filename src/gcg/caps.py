@@ -18,7 +18,7 @@ class Caps:
     bit_budget: int = 24          # orbit count cap for connection-set enumeration
     aut_node_budget: int = 500_000  # refinement-tree nodes per automorphism search
     regular_search_budget: int = 200_000  # stabilizer-chain nodes per regular-subgroup search
-    sweep_instance_budget: int = 50_000   # instances per theorem sweep
+    sweep_instance_budget: int = 50_000   # checks per theorem sweep: sets, (spec, phi) pairs or layers
 
 
 PROFILES = {

@@ -41,14 +41,16 @@ SPEC_EXIT = 2
 BUDGET_EXIT = 3
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with USAGE_EXIT."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -58,13 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gcg", description="generalized Cayley graph toolkit")
+def _build_parser() -> UsageParser:
+    parser = UsageParser(prog="gcg", description="generalized Cayley graph toolkit")
     parser.add_argument("--caps-aut", type=int, default=None, metavar="N",
                         help="override the automorphism search node budget")
     parser.add_argument("--caps-bits", type=int, default=None, metavar="N",
                         help="override the connection-set enumeration bit budget")
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker count for the census (at most the CPU count "
                              "and the number of pending work items)")
     parser.add_argument("--format", default=None,
@@ -100,7 +102,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--groups", default=None, help="comma-separated descriptors")
 
     census = sub.add_parser("census", help="run the catalog census")
-    census.add_argument("--max-order", type=_positive_int, default=8)
+    census.add_argument("--max-order", type=positive_int, default=8)
     census.add_argument("--out", required=True)
     census.add_argument("--groups", default=None, help="comma-separated descriptors")
 
@@ -257,9 +259,9 @@ def cmd_verify(args, caps: Caps) -> int:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    if args.group:
+    if args.group is not None:
         params["group"] = args.group
-    if args.groups:
+    if args.groups is not None:
         params["groups"] = args.groups.split(",")
     reports = run_theorem(args.theorem_id, params, caps)
     for report in sorted(reports, key=lambda r: (r.theorem_id, r.instance)):
@@ -273,7 +275,7 @@ def cmd_verify(args, caps: Caps) -> int:
 
 
 def cmd_census(args, caps: Caps) -> int:
-    groups = tuple(args.groups.split(",")) if args.groups else None
+    groups = tuple(args.groups.split(",")) if args.groups is not None else None
     config = RunConfig(
         max_order=args.max_order,
         out_path=args.out,

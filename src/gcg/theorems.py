@@ -40,7 +40,7 @@ from .cayley import detect_cayley
 from .construct import (
     GCSpec,
     build_gc_graph,
-    capped_connection_orbits,
+    connection_orbits,
     enumerate_connection_sets,
     kernel_subgroup,
     make_spec,
@@ -94,29 +94,31 @@ class TheoremReport:
 
 
 class _SweepBudget:
-    """Counts work items; `take` grants none once the budget is gone so the
+    """Counts checks; `take` grants none once the budget is gone so the
     caller can emit an explicit skipped report."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 
-    def take(self, wanted: int) -> int:
-        """Spend up to `wanted` items at once; returns how many were granted."""
-        granted = min(wanted, self.limit - self.used)
-        self.used += granted
-        return granted
+    def take(self) -> bool:
+        """Spend one unit on one check; False once the budget is gone."""
+        if self.used == self.limit:
+            return False
+        self.used += 1
+        return True
 
 
 def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int, bool, object]:
     """Check items one by one until one is refuted or the budget runs out.
 
-    `check` returns None when the item conforms and the refutation otherwise
-    (it may also raise).  Returns how many items passed, whether the budget
-    ran out, and the refutation or None."""
+    Each item costs one budget unit: a connection set, a (spec, phi) pair or
+    a connection-orbit layer.  `check` returns None when the item conforms
+    and the refutation otherwise (it may also raise).  Returns how many items
+    passed, whether the budget ran out, and the refutation or None."""
     covered = 0
     for item in items:
-        if not budget.take(1):
+        if not budget.take():
             return covered, True, None
         refutation = check(item)
         if refutation is not None:
@@ -126,15 +128,11 @@ def _sweep(items: Iterable, check: Callable, budget: _SweepBudget) -> tuple[int,
 
 
 def _sweep_layers(
-    g: FiniteGroup,
-    alpha: AutomorphismMap,
-    certify: Callable[[GCSpec], Perm] | None,
-    budget: _SweepBudget,
-    caps: Caps,
-) -> tuple[int, bool]:
-    """Certify the sets `enumerate_connection_sets(g, alpha)` would yield
-    through one vertex map checked on single-orbit layers, instead of set by
-    set.
+    g: FiniteGroup, alpha: AutomorphismMap, certify: Callable[[GCSpec], Perm] | None
+) -> Callable[[tuple[int, ...]], None]:
+    """A `_sweep` check over `connection_orbits(g, alpha)` that certifies
+    the sets `enumerate_connection_sets(g, alpha)` would yield through one
+    vertex map checked on single-orbit layers, instead of set by set.
 
     Lemma.  Let S be the union of connection orbits O.  Every row of
     `build_gc_graph(S)` is the OR of the same row of the layers X_O, because
@@ -147,23 +145,34 @@ def _sweep_layers(
 
     `certify` checks the witness on one layer (raising on failure) and
     returns its vertex map; every layer must return the same map.  With
-    `certify` None the sets are only counted.  The budget is spent in sets,
-    exactly as a set-by-set sweep would: the first `covered` sets, by index,
-    are certified, and they use only orbits below bit (covered - 1)'s
-    length, so only those layers are checked.  Returns how many sets were
-    covered and whether the budget ran out before all of them."""
-    orbits = capped_connection_orbits(g, alpha, caps)
-    total = 1 << len(orbits)
-    covered = budget.take(total)
-    if certify is not None:
-        mapping = None
-        for orbit in orbits[: max(covered - 1, 0).bit_length()]:
-            layer_map = certify(make_spec(g, alpha, orbit))
-            if mapping is None:
-                mapping = layer_map
-            elif layer_map != mapping:
-                raise AssertionError(f"layer {orbit} was certified by a different vertex map")
-    return covered, covered < total
+    `certify` None the layers are only counted.  Set i of the enumeration is
+    the union of the orbits at the one bits of i, so the first j layers
+    certify exactly the sets with index below 2^j."""
+    mapping = None
+
+    def check(orbit: tuple[int, ...]) -> None:
+        nonlocal mapping
+        if certify is None:
+            return
+        layer_map = certify(make_spec(g, alpha, orbit))
+        if mapping is None:
+            mapping = layer_map
+        elif layer_map != mapping:
+            raise AssertionError(f"layer {orbit} was certified by a different vertex map")
+
+    return check
+
+
+def _sweep_report(
+    theorem_id: str, instance: str, count: int, skipped: bool, stats: dict | None = None, **fields
+) -> TheoremReport:
+    """The report of a set or layer sweep that certified `count` connection
+    sets: "skipped" with `covered_sets` when the budget ran out first,
+    "verified" with `sets_swept` otherwise.  `fields` are the runner's other
+    certificate fields."""
+    if skipped:
+        return TheoremReport(theorem_id, instance, "skipped", {"covered_sets": count, **fields}, stats or {})
+    return TheoremReport(theorem_id, instance, "verified", {"sets_swept": count, **fields}, stats or {})
 
 
 def _dihedral_map(spec: GCSpec) -> Perm:
@@ -668,26 +677,15 @@ def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> Theor
         )
     if branch != "neither":
         # on an elementary 2-group GC(G, S, iota) is Cay(G, S) itself
-        certify = None if branch == "elementary" else _dihedral_map
-        budget = _SweepBudget(caps.sweep_instance_budget)
-        count, skipped = _sweep_layers(g, iota, certify, budget, caps)
-        if skipped:
-            return TheoremReport(
-                "thm-3.5", g.name, "skipped",
-                {"branch": branch, "covered_sets": count},
-                {"budget": budget.limit},
-            )
         if branch == "elementary":
-            return TheoremReport(
-                "thm-3.5", g.name, "verified",
-                {"branch": branch, "reduction": "inversion equals identity",
-                 "sets_swept": count},
-            )
-        return TheoremReport(
-            "thm-3.5", g.name, "verified",
-            {"branch": branch, "sets_swept": count,
-             "route": "dihedralization witness per connection orbit"},
-        )
+            certify, detail = None, {"reduction": "inversion equals identity"}
+        else:
+            certify, detail = _dihedral_map, {"route": "dihedralization witness per connection orbit"}
+        budget = _SweepBudget(caps.sweep_instance_budget)
+        layers, skipped, _ = _sweep(connection_orbits(g, iota), _sweep_layers(g, iota, certify), budget)
+        if skipped:
+            return _sweep_report("thm-3.5", g.name, 1 << layers, True, {"budget": budget.limit}, branch=branch)
+        return _sweep_report("thm-3.5", g.name, 1 << layers, False, branch=branch, **detail)
     spec, detail = _neither_witness_spec(g)
     cert = {"branch": branch, **detail, **_orbit_split(build_gc_graph(spec), caps)}
     ok = cert["orbit_count"] >= 2
@@ -962,11 +960,9 @@ def run_prop_2_5(caps: Caps, max_order: int = 21) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
     for key, g, alpha in _alpha_walk(_odd_abelian_groups(max_order, caps)):
-        count, skipped = _sweep_layers(g, alpha, _normal_form_map, budget, caps)
-        reports.append(TheoremReport(
-            "prop-2.5", key, "skipped" if skipped else "verified",
-            {"covered_sets" if skipped else "sets_swept": count},
-        ))
+        check = _sweep_layers(g, alpha, _normal_form_map)
+        layers, skipped, _ = _sweep(connection_orbits(g, alpha), check, budget)
+        reports.append(_sweep_report("prop-2.5", key, 1 << layers, skipped))
     return reports
 
 
@@ -1000,10 +996,11 @@ def run_thm_3_1(
                 f"thm-3.1 needs an abelian group of even order with a cyclic Sylow 2-subgroup; "
                 f"{g.name}: {exc}"
             ) from None
-        count, skipped = _sweep_layers(g, inversion_map(g), _dihedral_map, budget, caps)
-        cert = {"sets_swept": count, "target_group": target.dih.name, "eq1_pairs": target.eq1_pairs}
-        reports.append(TheoremReport(
-            "thm-3.1", name, "skipped" if skipped else "verified", cert,
+        iota = inversion_map(g)
+        layers, skipped, _ = _sweep(connection_orbits(g, iota), _sweep_layers(g, iota, _dihedral_map), budget)
+        reports.append(_sweep_report(
+            "thm-3.1", name, 1 << layers, skipped,
+            target_group=target.dih.name, eq1_pairs=target.eq1_pairs,
         ))
     return reports
 
@@ -1053,7 +1050,7 @@ def run_lemma_3_4(caps: Caps) -> list[TheoremReport]:
 
 
 def run_thm_3_5(caps: Caps, group: str | None = None, max_order: int = 24) -> list[TheoremReport]:
-    if group:
+    if group is not None:
         return [check_inversion_dichotomy(make_group(group, caps), caps)]
     return [
         check_inversion_dichotomy(g, caps)
@@ -1102,10 +1099,7 @@ def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
             continue
         for key, _, alpha in _alpha_walk([g]):
             count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
-            reports.append(TheoremReport(
-                "lemma-4.2", key, "skipped" if skipped else "verified",
-                {"sets_swept": count, "involutions": len(classified)},
-            ))
+            reports.append(_sweep_report("lemma-4.2", key, count, skipped, involutions=len(classified)))
     return reports
 
 
@@ -1135,12 +1129,11 @@ def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
         specs = enumerate_connection_sets(g, alpha, caps=caps)
         count, skipped, contradicted = _sweep(specs, check, budget)
         if contradicted:
-            verdict, cert = "refuted", {"contradicting_spec": contradicted}
-        elif skipped:
-            verdict, cert = "skipped", {"covered_sets": count}
+            cert = {"contradicting_spec": contradicted, "cayley_unknown": unknown}
+            reports.append(TheoremReport("thm-4.3", key, "refuted", cert))
         else:
-            verdict, cert = "verified", {"sets_swept": count, "route_of_last": route}
-        reports.append(TheoremReport("thm-4.3", key, verdict, {**cert, "cayley_unknown": unknown}))
+            last = {} if skipped else {"route_of_last": route}
+            reports.append(_sweep_report("thm-4.3", key, count, skipped, cayley_unknown=unknown, **last))
     return reports
 
 
@@ -1159,9 +1152,7 @@ def _unworthy_sweep(max_order: int, caps: Caps) -> tuple[TheoremReport, ...]:
         if bad:
             reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
         else:
-            reports.append(TheoremReport(
-                "prop-5.3", key, "skipped" if skipped else "verified", {"sets_swept": count},
-            ))
+            reports.append(_sweep_report("prop-5.3", key, count, skipped))
     return tuple(reports)
 
 
@@ -1228,4 +1219,8 @@ def run_theorem(theorem_id: str, params: dict | None = None, caps: Caps | None =
             f"{theorem_id} does not read {', '.join(unread)}; "
             f"it reads {', '.join(reads) or 'no parameters'}"
         )
-    return runner(caps, **params)
+    reports = runner(caps, **params)
+    if not reports:
+        given = ", ".join(f"{key}={value!r}" for key, value in params.items())
+        raise ShapeError(f"{theorem_id} found no instance to check with {given or 'its defaults'}")
+    return reports

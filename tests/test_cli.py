@@ -137,9 +137,29 @@ def test_verify_exit_codes(capsys):
     assert "cyclic Sylow 2-subgroup; Z3: group has odd order" in err
 
     # a cap small enough to abort enumeration maps to the budget exit code
-    code, _, err = run_cli(capsys, "--caps-bits", "2", "verify", "thm-3.1")
+    code, _, err = run_cli(capsys, "--caps-bits", "2", "verify", "lemma-4.2")
     assert code == 3
     assert "budget" in err
+
+
+def test_the_bit_cap_limits_set_enumeration_not_layer_sweeps(capsys):
+    # thm-3.5 checks Z48's 24 connection orbits one layer at a time and
+    # enumerates no set, so only listing the 2^24 sets meets the cap
+    code, out, _ = run_cli(capsys, "--caps-bits", "8", "verify", "thm-3.5", "--group", "Z48")
+    assert code == 0 and json.loads(out)["verdict"] == "verified"
+    code, out, err = run_cli(capsys, "--caps-bits", "8", "enumerate", "--group", "Z48", "--alpha", "7")
+    assert code == 3 and out == ""
+    assert "24 orbits exceed bit budget 8" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("prop-2.2", "--max-order", "0"), "prop-2.2 found no instance to check with max_order=0"),
+    (("thm-3.5", "--max-order", "0"), "thm-3.5 found no instance to check with max_order=0"),
+])
+def test_verify_that_checks_nothing_is_an_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -162,6 +182,19 @@ def test_verify_runs_only_the_instances_its_flags_name(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma-4.1", "--p", "5")
     assert code == 0
     assert [json.loads(line)["instance"] for line in out.splitlines()] == ["Z10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm-3.5", "--group", ""),
+    ("verify", "thm-3.1", "--groups", ""),
+    ("census", "--groups", "", "--out", "census.jsonl"),
+])
+def test_an_empty_group_flag_is_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "bad descriptor ''" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_unknown_theorem(capsys):
@@ -198,6 +231,25 @@ def test_census_counts_must_be_positive(tmp_path, capsys, argv, flag):
         main([*argv, "--out", str(tmp_path / "census.jsonl")])
     assert exc.value.code == 1
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--max-order", "--jobs"])
+def test_census_script_counts_must_be_positive(tmp_path, flag):
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_census.py"), flag, "0",
+         "--out", str(tmp_path / "census.jsonl")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: run_census.py")
+    assert f"error: argument {flag}: must be at least 1, got 0" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

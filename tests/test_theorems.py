@@ -26,6 +26,7 @@ from gcg.graphs import IsomorphismWitness, check_witness
 from gcg.groups import bits, make_group, mask_of, subgroup_closure
 from gcg.theorems import (
     THEOREM_IDS,
+    _sweep,
     _SweepBudget,
     _sweep_layers,
     build_counterexample,
@@ -344,34 +345,36 @@ def test_report_json_shape(caps):
 BUDGET_REFERENCE = {
     "prop-2.1": {0: (10, 10, "8382dfa116a06f57"), 1: (10, 9, "7609adbde837b6c5"),
                  5: (10, 8, "91753af8859ed089"), 40: (10, 7, "48def61ec5d16773")},
-    "prop-2.5": {0: (43, 43, "0b3cf1bf4cc3e676"), 1: (43, 42, "8b81bbcbb6695d6b"),
-                 5: (43, 40, "6f967981c4c05d05"), 40: (43, 35, "9881806adfcce1be")},
-    "thm-3.5": {0: (50, 38, "2ef6d74f0036aa6b"), 1: (50, 24, "530914e6c0090a4e"),
-                5: (50, 22, "dab61e6ad5757c52"), 40: (50, 15, "1e8b5ce370e7ea56")},
-    "lemma-4.2": {0: (10, 10, "f5483015c4fb7b69"), 1: (10, 10, "df8138d0d086023c"),
-                  5: (10, 10, "004cd823430eac44"), 40: (10, 6, "961af52f205888bf")},
+    "prop-2.5": {0: (43, 30, "e069ae4ae7047063"), 1: (43, 29, "dfa2b7c739542167"),
+                 5: (43, 28, "8b69b690793439f3"), 40: (43, 16, "da3f2deca2698391")},
+    "thm-3.5": {0: (50, 24, "bf8e2f3d2138a3cb"), 1: (50, 23, "e99928db9061e94d"),
+                5: (50, 15, "066e20cfb8552fa8"), 40: (50, 0, "4a3b562c27145d45")},
+    "lemma-4.2": {0: (10, 10, "102529cacda9a48d"), 1: (10, 10, "0ae0d3a481bb93ae"),
+                  5: (10, 10, "dccfe8ec33d945a8"), 40: (10, 6, "619cc94f1a289db8")},
     "thm-4.3": {0: (20, 20, "cd2e2e02fafa0ffe"), 1: (20, 20, "d55fd0c32d510f4b"),
                 5: (20, 19, "bff7db234109d6fb"), 40: (20, 12, "91be5a2fbc6ceae7")},
-    "prop-5.1": {0: (134, 134, "f94ea893254492eb"), 1: (134, 133, "8fc58947b8d65dac"),
-                 5: (134, 131, "b97f151f7605d590"), 40: (134, 121, "52453eeb8ab56c10")},
+    "prop-5.1": {0: (134, 134, "b63bfe77358eaf85"), 1: (134, 133, "e79589b95c777dec"),
+                 5: (134, 131, "ea42ead834e9adee"), 40: (134, 121, "aa12db448b86f9a7")},
 }
 
-# thm-3.1 per budget: (instance, verdict, sets_swept) in runner order.  Every
-# default group reshapes, so each report also names its dihedral target and
-# the product-identity pairs checked on it, however little was swept.
+# thm-3.1 per budget: (instance, verdict, certified sets) in runner order,
+# the count named `sets_swept` when verified and `covered_sets` when skipped.
+# A budget unit is one layer, and the empty set needs none.  Every default
+# group reshapes, so each report also names its dihedral target and the
+# product-identity pairs checked on it, however little was swept.
 THM_3_1_TARGETS = {
     "Z2": ("Dih(Z1)", 1), "Z4": ("Dih(Z2)", 4), "Z8": ("Dih(Z4)", 16),
     "Z6": ("Dih(Z3)", 9), "Z12": ("Dih(Z2xZ3)", 36), "Z20": ("Dih(Z2xZ5)", 100),
 }
 THM_3_1_BUDGET_REFERENCE = {
-    0: [("Z2", "skipped", 0), ("Z4", "skipped", 0), ("Z8", "skipped", 0),
-        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
-    1: [("Z2", "skipped", 1), ("Z4", "skipped", 0), ("Z8", "skipped", 0),
-        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
-    5: [("Z2", "verified", 2), ("Z4", "skipped", 3), ("Z8", "skipped", 0),
-        ("Z6", "skipped", 0), ("Z12", "skipped", 0), ("Z20", "skipped", 0)],
+    0: [("Z2", "skipped", 1), ("Z4", "skipped", 1), ("Z8", "skipped", 1),
+        ("Z6", "skipped", 1), ("Z12", "skipped", 1), ("Z20", "skipped", 1)],
+    1: [("Z2", "verified", 2), ("Z4", "skipped", 1), ("Z8", "skipped", 1),
+        ("Z6", "skipped", 1), ("Z12", "skipped", 1), ("Z20", "skipped", 1)],
+    5: [("Z2", "verified", 2), ("Z4", "verified", 4), ("Z8", "skipped", 4),
+        ("Z6", "skipped", 1), ("Z12", "skipped", 1), ("Z20", "skipped", 1)],
     40: [("Z2", "verified", 2), ("Z4", "verified", 4), ("Z8", "verified", 16),
-         ("Z6", "verified", 8), ("Z12", "skipped", 10), ("Z20", "skipped", 0)],
+         ("Z6", "verified", 8), ("Z12", "verified", 64), ("Z20", "verified", 1024)],
 }
 
 
@@ -400,7 +403,8 @@ def test_thm_3_1_budget_skipped_reports(caps):
         want = []
         for name, verdict, swept in rows:
             target, pairs = THM_3_1_TARGETS[name]
-            cert = {"sets_swept": swept, "target_group": target, "eq1_pairs": pairs}
+            count = "sets_swept" if verdict == "verified" else "covered_sets"
+            cert = {count: swept, "target_group": target, "eq1_pairs": pairs}
             want.append(("thm-3.1", name, verdict, cert, {}))
         got = [(r.theorem_id, r.instance, r.verdict, r.certificate, r.stats) for r in reports]
         assert got == want, budget
@@ -426,7 +430,7 @@ def test_thm_3_1_report_does_not_depend_on_earlier_runs(caps):
         capture_output=True, text=True, check=True,
     )
     fresh = json.loads(proc.stdout)
-    assert fresh == [{"sets_swept": 1, "target_group": "Dih(Z2)", "eq1_pairs": 4}]
+    assert fresh == [{"covered_sets": 2, "target_group": "Dih(Z2)", "eq1_pairs": 4}]
     run_theorem("thm-3.1", {"groups": ["Z4"]}, caps)
     again = run_theorem("thm-3.1", {"groups": ["Z4"]}, _with_budget(caps, 1))
     assert [r.certificate for r in again] == fresh
@@ -498,6 +502,17 @@ def _dihedralize_once(g, mask) -> None:
     dihedralize_inversion(make_spec(g, inversion_map(g), mask))
 
 
+def _layer_oracle(g, alpha, check, budget, caps):
+    """(covered, skipped, layers spent) of one layer sweep, set by set.
+
+    A layer sweep with `budget` units left checks j = min(k, budget) of the
+    k connection orbits, one unit each, and counts the first 2^j sets as
+    covered; each of those sets is checked here on its own."""
+    layers = min(len(connection_orbits(g, alpha)), budget)
+    specs = enumerate_connection_sets(g, alpha, caps=caps)
+    return (*per_set_sweep(specs, check, 1 << layers), layers)
+
+
 def _oracle_thm_3_5(caps, budget):
     """(instance, covered, skipped) of thm-3.5's sweeping branches, set by set;
     each group has its own budget."""
@@ -511,8 +526,8 @@ def _oracle_thm_3_5(caps, budget):
             check = _dihedralize_nonempty
         else:
             continue
-        specs = enumerate_connection_sets(g, inversion_map(g), caps=caps)
-        rows.append((g.name, *per_set_sweep(specs, check, budget)))
+        covered, skipped, _ = _layer_oracle(g, inversion_map(g), check, budget, caps)
+        rows.append((g.name, covered, skipped))
     return rows
 
 
@@ -521,9 +536,8 @@ def _oracle_thm_3_1(caps, budget, names):
     rows = []
     for name in names:
         g = make_group(name, caps)
-        specs = enumerate_connection_sets(g, inversion_map(g), caps=caps)
-        covered, skipped = per_set_sweep(specs, _dihedralize_nonempty, budget)
-        budget -= covered
+        covered, skipped, spent = _layer_oracle(g, inversion_map(g), _dihedralize_nonempty, budget, caps)
+        budget -= spent
         rows.append((name, covered, skipped))
     return rows
 
@@ -535,9 +549,8 @@ def _oracle_prop_2_5(caps, budget):
         if not _odd_abelian(g):
             continue
         for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            specs = enumerate_connection_sets(g, alpha, caps=caps)
-            covered, skipped = per_set_sweep(specs, normal_form_odd_abelian, budget)
-            budget -= covered
+            covered, skipped, spent = _layer_oracle(g, alpha, normal_form_odd_abelian, budget, caps)
+            budget -= spent
             rows.append((f"{g.name}|alpha#{idx}", covered, skipped))
     return rows
 
@@ -547,7 +560,8 @@ def _swept(reports):
     for r in reports:
         c = r.certificate
         if "sets_swept" in c or "covered_sets" in c:
-            out.append((r.instance, c.get("sets_swept", c.get("covered_sets")), r.verdict == "skipped"))
+            count = c["covered_sets"] if r.verdict == "skipped" else c["sets_swept"]
+            out.append((r.instance, count, r.verdict == "skipped"))
     return out
 
 
@@ -594,38 +608,47 @@ def test_a_map_wrong_on_one_orbit_is_rejected(caps):
     assert orbits == [(1,), (3,), (5,), (7,), (9,), (11,)]
     bad = _wrong_on(orbits[2], layer_only=False)
 
-    def both(budget):
-        layered = _sweep_layers(g, iota, bad, _SweepBudget(budget), caps)
-        specs = enumerate_connection_sets(g, iota, caps=caps)
-        return layered, per_set_sweep(specs, bad, budget)
+    def layered(certify, budget):
+        return _sweep(orbits, _sweep_layers(g, iota, certify), _SweepBudget(budget))
 
-    # the first four sets use orbits 0 and 1 only; set 4 is orbit 2 alone
-    assert both(4) == ((4, True), (4, True))
+    def per_set(certify, budget):
+        return per_set_sweep(enumerate_connection_sets(g, iota, caps=caps), certify, budget)
+
+    # two layers certify the first four sets, which use orbits 0 and 1 only;
+    # set 4 is orbit 2 alone
+    assert layered(bad, 2) == (2, True, None)
+    assert per_set(bad, 4) == (4, True)
+    for budget in (3, 6):
+        with pytest.raises(AssertionError, match="mutated witness failed"):
+            layered(bad, budget)
     for budget in (5, 64):
         with pytest.raises(AssertionError, match="mutated witness failed"):
-            _sweep_layers(g, iota, bad, _SweepBudget(budget), caps)
-        specs = enumerate_connection_sets(g, iota, caps=caps)
-        with pytest.raises(AssertionError, match="mutated witness failed"):
-            per_set_sweep(specs, bad, budget)
+            per_set(bad, budget)
     # each layer may pass on its own, but not under a map of its own
     swapped = _wrong_on(orbits[2], layer_only=True)
     with pytest.raises(AssertionError, match="different vertex map"):
-        _sweep_layers(g, iota, swapped, _SweepBudget(5), caps)
-    specs = enumerate_connection_sets(g, iota, caps=caps)
+        layered(swapped, 3)
     with pytest.raises(AssertionError, match="mutated witness failed"):
-        per_set_sweep(specs, swapped, 64)
+        per_set(swapped, 64)
 
 
-def test_thm_3_5_beyond_the_catalog(caps):
-    # Z48 has 24 connection orbits under inversion: 2^24 sets, of which the
-    # default budget covers the first 50,000.  They use 16 orbits, so 16
-    # layer checks certify them; checking them set by set takes about 50 s.
-    reports = run_theorem("thm-3.5", {"group": "Z48"}, caps)
-    assert [r.to_json() for r in reports] == [{
-        "certificate": {"branch": "cyclic-sylow", "covered_sets": 50000},
-        "instance": "Z48", "stats": {"budget": 50000}, "theorem": "thm-3.5",
-        "verdict": "skipped",
-    }]
+def test_thm_3_5_beyond_the_catalog(capsys):
+    # Z48 and Z64 have 24 and 32 connection orbits under inversion, so 24
+    # and 32 layer checks certify all 2^24 and 2^32 sets, well inside the
+    # default budget and past the bit cap on set enumeration
+    import json
+
+    from gcg.cli import main
+
+    for name, sets in (("Z48", 1 << 24), ("Z64", 1 << 32)):
+        assert main(["--format", "json", "verify", "thm-3.5", "--group", name]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "certificate": {
+                "branch": "cyclic-sylow", "route": "dihedralization witness per connection orbit",
+                "sets_swept": sets,
+            },
+            "instance": name, "stats": {}, "theorem": "thm-3.5", "verdict": "verified",
+        }
 
 
 # ---------------------------------------------------------------------------
