@@ -14,16 +14,18 @@ sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
 Then, for every theorem id, the sha256 and exit status of
-`gcg --format json verify <id>`, then of ten verifier runs with flags
+`gcg --format json verify <id>`, then of eleven verifier runs with flags
 (each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
 --groups; two of them thm-3.5 on Z48 and Z64, whose 2^24 and 2^32 sets
-lie past the catalog and past the bit cap on set enumeration), and the
-exit status of four runs that must be refused: a flag the verifier does
-not read, a --max-order that leaves nothing to check, and an empty --group
-and --groups.  Then the
-sha256 and exit status of `gcg --format json build` and `analyze` on a
-fixed list of specs, one of them invalid and one given with its ids
-unsorted and repeated.  Then the
+lie past the catalog and past the bit cap on set enumeration, and one
+thm-3.1 on product presentations, whose even factor sits first, last or
+beside an odd part), and the exit status of five runs that must be
+refused: a flag the verifier does not read, a --max-order that leaves
+nothing to check, an empty --group and --groups, and a group listed twice.
+Then the sha256 and exit status of `gcg --format json build` and `analyze`
+on a fixed list of specs, one of them invalid and one given with its ids
+unsorted and repeated, and of an `analyze` under a negative --caps-aut,
+which must be refused.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 checks,
@@ -73,12 +75,14 @@ FLAGGED_VERIFY = (
     ("lemma-4.1", "--p", "7"),
     ("lemma-4.2", "--p", "7"),
     ("prop-5.1", "--max-order", "8"),
+    ("thm-3.1", "--groups", "Z2xZ3,Z3xZ4,Z3xZ6,Z3xZ8,Z4xZ5"),
 )
 REFUSED_VERIFY = (
     ("lemma-3.4", "--max-order", "8"),
     ("prop-2.2", "--max-order", "0"),
     ("thm-3.5", "--group", ""),
     ("thm-3.1", "--groups", ""),
+    ("thm-3.1", "--groups", "Z4,Z4"),
 )
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
@@ -172,6 +176,12 @@ def main() -> int:
                 "-m", "gcg", "--format", "json", command, "--group", group, "--alpha", alpha, "--set", ids
             )
             print(f"{command} {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
+    group, alpha, ids = SPECS[0]
+    digest, status = run_digest(
+        "-m", "gcg", "--caps-aut", "-1", "--format", "json", "analyze",
+        "--group", group, "--alpha", alpha, "--set", ids,
+    )
+    print(f"analyze --caps-aut -1 {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
     digest, status = run_digest("-m", "gcg", "--format", "json", "group", "list")
     print(f"group list  {digest}  exit {status}")
     for group, alpha, ids in EXPORTS:

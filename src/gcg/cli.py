@@ -50,21 +50,29 @@ class UsageParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> UsageParser:
     parser = UsageParser(prog="gcg", description="generalized Cayley graph toolkit")
-    parser.add_argument("--caps-aut", type=int, default=None, metavar="N",
+    parser.add_argument("--caps-aut", type=nonnegative_int, default=None, metavar="N",
                         help="override the automorphism search node budget")
-    parser.add_argument("--caps-bits", type=int, default=None, metavar="N",
+    parser.add_argument("--caps-bits", type=nonnegative_int, default=None, metavar="N",
                         help="override the connection-set enumeration bit budget")
     parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker count for the census (at most the CPU count "
@@ -209,7 +217,7 @@ def cmd_build(args, caps: Caps) -> int:
         "degree": len(spec.connection),
         "connected": x.is_connected(),
         "bipartite": x.is_bipartite(),
-        "kernel": list(kernel.sub.members()),
+        "kernel": list(kernel.members()),
         "kernel_size": len(kernel),
         "unworthy": len(kernel) > 1,
     })

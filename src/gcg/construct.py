@@ -151,21 +151,9 @@ def enumerate_connection_sets(
         yield spec
 
 
-@dataclass(frozen=True)
-class KernelSubgroup:
+def kernel_subgroup(spec: GCSpec) -> SubgroupHandle:
     """K = {g : alpha(g)S = S}; vertices in one left coset of K share their
     whole neighborhood."""
-
-    sub: SubgroupHandle
-
-    def cosets(self) -> tuple[tuple[int, ...], ...]:
-        return self.sub.cosets()
-
-    def __len__(self) -> int:
-        return len(self.sub)
-
-
-def kernel_subgroup(spec: GCSpec) -> KernelSubgroup:
     g, perm, s_mask = spec.group, spec.alpha.perm, spec.connection.mask
     s_ids = list(bits(s_mask))
     members = []
@@ -173,12 +161,12 @@ def kernel_subgroup(spec: GCSpec) -> KernelSubgroup:
         ax = perm[x]
         if all(s_mask >> g.mul[ax][s] & 1 for s in s_ids):
             members.append(x)
-    return KernelSubgroup(subgroup_handle(g, mask_of(members)))
+    return subgroup_handle(g, mask_of(members))
 
 
-def quotient_by_kernel(graph: Graph, kernel: KernelSubgroup) -> Graph:
+def quotient_by_kernel(graph: Graph, kernel: SubgroupHandle) -> Graph:
     """Graph on the left cosets of K; cosets adjacent iff any cross pair is."""
-    g = kernel.sub.group
+    g = kernel.group
     if graph.n != g.order:
         raise SpecError("graph order does not match the kernel's group")
     cosets = kernel.cosets()

@@ -46,7 +46,7 @@ from .construct import (
     make_spec,
     quotient_by_kernel,
 )
-from .errors import ShapeError, SpecError
+from .errors import DescriptorError, ShapeError, SpecError
 from .graphs import (
     Graph,
     IsomorphismWitness,
@@ -330,17 +330,21 @@ def normal_form_odd_abelian(spec: GCSpec) -> OddAbelianNormalForm:
 
 
 @dataclass(frozen=True)
-class _ReshapedGroup:
-    gprime: FiniteGroup
-    psi: Perm                    # element id bijection g -> gprime
-    orders: tuple[int, ...]      # gprime coordinate orders, 2-power first
-    iota: AutomorphismMap        # inversion on gprime
+class _DihedralTarget:
+    dih: FiniteGroup             # Dih(Z_{2^(n-1)} x odd part); ids from |dih|/2 on are reflections
+    phi: Perm                    # vertex map G -> dih
+    eq1_pairs: int               # product-identity pairs checked
 
 
 @cache
-def _reshape_cyclic_sylow(g: FiniteGroup) -> _ReshapedGroup:
-    """Present an abelian group with cyclic Sylow 2-subgroup as
-    Z_{2^n} x (odd cyclic factors), with a verified coordinate bijection."""
+def _dihedral_target(g: FiniteGroup) -> _DihedralTarget:
+    """Dih(Z_{2^(n-1)} x H) for an abelian G = Z_{2^n} x H with H odd, with
+    a vertex bijection and the checked semidirect-product identity.
+
+    G's one coordinate c of even order 2^n * m splits by the Chinese
+    remainder theorem into x = c mod 2^n and c mod m; vertex v goes to
+    (x mod 2) * |inner| + id(x // 2, c mod m, G's other coordinates of
+    order > 1), where inner = Z_{2^(n-1)} x Z_m x (those coordinates)."""
     if not g.abelian:
         raise ShapeError("dihedralization needs an abelian group")
     orders = _cyclic_orders(g)
@@ -350,50 +354,17 @@ def _reshape_cyclic_sylow(g: FiniteGroup) -> _ReshapedGroup:
     if len(evens) > 1:
         raise ShapeError("Sylow 2-subgroup is not cyclic")
     e = evens[0]
-    n2, odd_e = _two_part(orders[e])
-    new_orders = [1 << n2] + ([odd_e] if odd_e > 1 else []) + [
-        orders[j] for j in range(len(orders)) if j != e and orders[j] > 1
-    ]
-    gprime = make_group(_product_descriptor(new_orders))
-    psi = []
-    for x in range(g.order):
-        coords = product_coords(x, orders)
-        new_coords = [coords[e] % (1 << n2)] + ([coords[e] % odd_e] if odd_e > 1 else []) + [
-            coords[j] for j in range(len(orders)) if j != e and orders[j] > 1
-        ]
-        psi.append(product_id(new_coords, new_orders))
-    psi = tuple(psi)
-    if sorted(psi) != list(range(g.order)):
-        raise AssertionError("coordinate change is not a bijection")
-    for a in range(g.order):
-        for b in range(g.order):
-            if psi[g.mul[a][b]] != gprime.mul[psi[a]][psi[b]]:
-                raise AssertionError("coordinate change is not multiplicative")
-    return _ReshapedGroup(gprime, psi, tuple(new_orders), inversion_map(gprime))
-
-
-@dataclass(frozen=True)
-class _DihedralTarget:
-    inner: FiniteGroup
-    dih: FiniteGroup
-    phi: Perm                    # vertex map gprime -> dih
-    eq1_pairs: int               # product-identity pairs checked
-
-
-@cache
-def _dihedral_target(gprime: FiniteGroup) -> _DihedralTarget:
-    """Dih(Z_{2^(n-1)} x odd part) for a reshaped Z_{2^n} x odd part, with a
-    vertex bijection and the checked semidirect-product identity."""
-    orders = _cyclic_orders(gprime)
-    half = orders[0] // 2
-    inner_orders = ([half] if half > 1 else []) + orders[1:]
+    n, odd = _two_part(orders[e])
+    rest = [j for j, m in enumerate(orders) if j != e and m > 1]
+    inner_orders = ([1 << (n - 1)] if n > 1 else []) + ([odd] if odd > 1 else []) + [orders[j] for j in rest]
     inner = make_group(_product_descriptor(inner_orders))
     dih = make_generalized_dihedral(inner, Dih(inner.descriptor))
     phi = []
-    for v in range(gprime.order):
+    for v in range(g.order):
         coords = product_coords(v, orders)
-        x, rest = coords[0], coords[1:]
-        inner_coords = ([x // 2] if half > 1 else []) + rest
+        x = coords[e] % (1 << n)
+        inner_coords = ([x // 2] if n > 1 else []) + ([coords[e] % odd] if odd > 1 else [])
+        inner_coords += [coords[j] for j in rest]
         phi.append((x % 2) * inner.order + product_id(inner_coords, inner_orders))
     phi = tuple(phi)
     if sorted(phi) != list(range(dih.order)):
@@ -410,14 +381,12 @@ def _dihedral_target(gprime: FiniteGroup) -> _DihedralTarget:
             if dih.mul[a0][m + i2] != want or dih.mul[a1][i2] != want:
                 raise AssertionError("semidirect product identity failed")
             pairs += 1
-    return _DihedralTarget(inner, dih, phi, pairs)
+    return _DihedralTarget(dih, phi, pairs)
 
 
 @dataclass(frozen=True)
 class DihedralizationWitness:
     source: GCSpec
-    reshaped: GCSpec
-    psi: Perm
     target_group: FiniteGroup
     target_set_ids: tuple[int, ...]
     mapping: Perm                # source vertex -> target vertex
@@ -426,48 +395,34 @@ class DihedralizationWitness:
 
 
 def dihedralize_inversion(spec: GCSpec) -> DihedralizationWitness:
-    """Turn GC(G, S, inversion) with cyclic Sylow 2-part into an ordinary
-    Cayley graph on a generalized dihedral group, with a checked witness."""
+    """Turn GC(G, S, inversion) on an abelian G with cyclic Sylow 2-subgroup
+    into the ordinary Cayley graph Cay(Dih(Z_{2^(n-1)} x H), f(S)) (Thm 3.1).
+
+    One vertex map f, read off G's own coordinates by `_dihedral_target`,
+    sends x to its image in Dih(.); `check_witness` then checks that f is an
+    isomorphism X -> Cay(Dih(.), f(S))."""
     g = spec.group
     if spec.alpha.perm != tuple(g.inv):
         raise ShapeError("dihedralization applies to the inversion map only")
-    re = _reshape_cyclic_sylow(g)
-    s_prime = tuple(sorted(re.psi[s] for s in spec.set_ids()))
-    reshaped = make_spec(re.gprime, re.iota, s_prime)
-    target = _dihedral_target(re.gprime)
-    inner_order = target.inner.order
+    target = _dihedral_target(g)
+    n = _two_part(g.order)[0]
     phi_s = []
-    for s in s_prime:
-        x = product_coords(s, re.orders)[0]
-        if x % 2 == 0:
+    for s in spec.set_ids():
+        # s has an odd Z_{2^n} coordinate iff 2^n divides its order
+        if _two_part(g.element_orders[s])[0] < n:
             raise SpecError(
                 f"connection element {s} has an even 2-part coordinate; spec cannot be valid"
             )
         img = target.phi[s]
-        if img < inner_order:
+        if img < target.dih.order // 2:
             raise AssertionError("connection image missed the reflection half")
         phi_s.append(img)
     phi_s = tuple(sorted(phi_s))
     cay = make_spec(target.dih, identity_automorphism(target.dih), phi_s)
-    y = build_gc_graph(cay)
-    x_graph = build_gc_graph(spec)
-    mapping = tuple(target.phi[re.psi[v]] for v in range(g.order))
-    witness = IsomorphismWitness(x_graph, y, mapping)
+    witness = IsomorphismWitness(build_gc_graph(spec), build_gc_graph(cay), target.phi)
     if not check_witness(witness):
         raise AssertionError("dihedralization witness failed")
-    mid = IsomorphismWitness(build_gc_graph(reshaped), y, target.phi)
-    if not check_witness(mid):
-        raise AssertionError("dihedralization witness failed on the reshaped spec")
-    return DihedralizationWitness(
-        source=spec,
-        reshaped=reshaped,
-        psi=re.psi,
-        target_group=target.dih,
-        target_set_ids=phi_s,
-        mapping=mapping,
-        witness=witness,
-        eq1_pairs=target.eq1_pairs,
-    )
+    return DihedralizationWitness(spec, target.dih, phi_s, target.phi, witness, target.eq1_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +766,10 @@ def verify_unworthy_theory(spec: GCSpec, caps: Caps | None = None) -> TheoremRep
     g = spec.group
     x = build_gc_graph(spec)
     kernel = kernel_subgroup(spec)
-    k_mask = kernel.sub.set.mask
+    k_mask = kernel.set.mask
     k_size = len(kernel)
-    cert: dict = {"kernel": list(kernel.sub.members()), "kernel_size": k_size}
-    coset_law, duplicate = coset_law_and_duplicates(g, x.rows, kernel.sub.members())
+    cert: dict = {"kernel": list(kernel.members()), "kernel_size": k_size}
+    coset_law, duplicate = coset_law_and_duplicates(g, x.rows, kernel.members())
     cert["coset_law"] = coset_law
     unworthy_ok = duplicate == (k_size > 1)
     cert["unworthy"] = duplicate
@@ -985,12 +940,15 @@ def run_prop_2_6(caps: Caps, max_order: int = 24) -> list[TheoremReport]:
 def run_thm_3_1(
     caps: Caps, groups: Iterable[str] = ("Z2", "Z4", "Z8", "Z6", "Z12", "Z20")
 ) -> list[TheoremReport]:
+    resolved = [make_group(name, caps) for name in groups]
+    for i, g in enumerate(resolved):
+        if any(h.name == g.name for h in resolved[:i]):
+            raise DescriptorError(f"thm-3.1 group {g.name} is listed twice")
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for name in groups:
-        g = make_group(name, caps)
+    for g in resolved:
         try:
-            target = _dihedral_target(_reshape_cyclic_sylow(g).gprime)
+            target = _dihedral_target(g)
         except ShapeError as exc:
             raise ShapeError(
                 f"thm-3.1 needs an abelian group of even order with a cyclic Sylow 2-subgroup; "
@@ -999,7 +957,7 @@ def run_thm_3_1(
         iota = inversion_map(g)
         layers, skipped, _ = _sweep(connection_orbits(g, iota), _sweep_layers(g, iota, _dihedral_map), budget)
         reports.append(_sweep_report(
-            "thm-3.1", name, 1 << layers, skipped,
+            "thm-3.1", g.name, 1 << layers, skipped,
             target_group=target.dih.name, eq1_pairs=target.eq1_pairs,
         ))
     return reports

@@ -260,6 +260,45 @@ def test_census_refuses_a_group_listed_twice(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("groups, twice", [
+    ("Z4,Z4", "Z4"), ("Z4,Z04", "Z4"), ("Z2,Z4,Z02", "Z2"),
+    ("Z3,Z4,Z4", "Z4"),   # refused before Z3 meets the hypothesis check
+])
+def test_thm_3_1_refuses_a_group_listed_twice(capsys, groups, twice):
+    code, out, err = run_cli(capsys, "verify", "thm-3.1", "--groups", groups)
+    assert code == 1 and out == ""
+    assert f"thm-3.1 group {twice} is listed twice" in err
+
+
+def test_thm_3_1_names_each_instance_by_its_resolved_group(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "thm-3.1", "--groups", "Z04,Z02xZ3")
+    assert code == 0
+    assert [json.loads(line)["instance"] for line in out.splitlines()] == ["Z2xZ3", "Z4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--caps-bits", "-1", "enumerate", "--group", "Z4", "--alpha", "0"),
+    ("--caps-aut", "-3", "analyze", "--group", "Z4", "--alpha", "1", "--set", "1,3"),
+])
+def test_negative_caps_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: gcg")
+    assert f"error: argument {argv[0]}: must be at least 0, got {argv[1]}" in err
+
+
+def test_zero_caps_are_accepted(capsys):
+    # a zero budget is a budget: the bit cap refuses the enumeration, and the
+    # automorphism search answers unknown
+    code, out, err = run_cli(capsys, "--caps-bits", "0", "enumerate", "--group", "Z4", "--alpha", "0")
+    assert code == 3 and "2 orbits exceed bit budget 0" in err
+    code, out, _ = run_cli(capsys, "--caps-aut", "0", "--format", "json", "analyze",
+                           "--group", "Z4", "--alpha", "1", "--set", "1,3")
+    assert code == 0 and json.loads(out)["vertex_transitive"] == "unknown"
+
+
 def test_caps_profile_is_read_from_the_environment(monkeypatch):
     monkeypatch.setenv("GCG_CAPS_PROFILE", "extended")
     assert caps_from_env() == PROFILES["extended"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import re
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -21,9 +23,9 @@ from gcg.construct import (
     kernel_subgroup,
     make_spec,
 )
-from gcg.errors import ShapeError
+from gcg.errors import ShapeError, SpecError
 from gcg.graphs import IsomorphismWitness, check_witness
-from gcg.groups import bits, make_group, mask_of, subgroup_closure
+from gcg.groups import ElementSet, bits, make_group, mask_of, subgroup_closure
 from gcg.theorems import (
     THEOREM_IDS,
     _sweep,
@@ -165,6 +167,12 @@ def test_dihedralization_direct(caps):
     assert all(s >= w.target_group.order // 2 for s in w.target_set_ids)
     with pytest.raises(ShapeError):
         dihedralize_inversion(make_spec(g, identity_automorphism(g), (1, 11)))
+    # a spec that skipped validation: in Z3xZ4, element 2 = (0, 2) has an
+    # even Z4 coordinate (it is the square of (0, 1), so no valid S holds it)
+    h = make_group("Z3xZ4", caps)
+    unchecked = replace(make_spec(h, inversion_map(h), ()), connection=ElementSet(h, mask_of((2,))))
+    with pytest.raises(SpecError, match="connection element 2 has an even 2-part coordinate"):
+        dihedralize_inversion(unchecked)
 
 
 def test_dihedralization_runner(caps):
@@ -183,6 +191,53 @@ def test_dihedralization_runner_refuses_groups_outside_the_hypothesis(name, why,
     with pytest.raises(ShapeError, match="thm-3.1 needs an abelian group of even order") as exc:
         run_theorem("thm-3.1", {"groups": [name]}, caps)
     assert f"{name}: " in str(exc.value) and why in str(exc.value)
+
+
+# thm-3.1 on every cyclic-Sylow catalog group to order 24, in catalog order:
+# instance -> (target group, semidirect-product pairs checked).  The product
+# presentations put the even factor first (Z2xZ3), last (Z3xZ8) or next to
+# an odd part of its own (Z3xZ6).
+THM_3_1_TARGETS = {
+    "Z2": ("Dih(Z1)", 1), "Z4": ("Dih(Z2)", 4), "Z2xZ3": ("Dih(Z3)", 9), "Z6": ("Dih(Z3)", 9),
+    "Z8": ("Dih(Z4)", 16), "Z10": ("Dih(Z5)", 25), "Z2xZ5": ("Dih(Z5)", 25),
+    "Z12": ("Dih(Z2xZ3)", 36), "Z3xZ4": ("Dih(Z2xZ3)", 36), "Z14": ("Dih(Z7)", 49),
+    "Z16": ("Dih(Z8)", 64), "Z18": ("Dih(Z9)", 81), "Z2xZ9": ("Dih(Z9)", 81),
+    "Z3xZ6": ("Dih(Z3xZ3)", 81), "Z20": ("Dih(Z2xZ5)", 100), "Z4xZ5": ("Dih(Z2xZ5)", 100),
+    "Z22": ("Dih(Z11)", 121), "Z2xZ11": ("Dih(Z11)", 121), "Z24": ("Dih(Z4xZ3)", 144),
+    "Z3xZ8": ("Dih(Z4xZ3)", 144),
+}
+
+# The vertex map G -> Dih(.) of three presentations, element id by element id.
+DIHEDRAL_MAPS = {
+    "Z12": (0, 7, 5, 9, 1, 8, 3, 10, 2, 6, 4, 11),
+    "Z3xZ6": (0, 12, 6, 9, 3, 15, 1, 13, 7, 10, 4, 16, 2, 14, 8, 11, 5, 17),
+    "Z3xZ8": (0, 12, 3, 15, 6, 18, 9, 21, 1, 13, 4, 16, 7, 19, 10, 22,
+              2, 14, 5, 17, 8, 20, 11, 23),
+}
+
+
+def test_thm_3_1_targets_of_every_cyclic_sylow_group(caps):
+    names = [g.name for g in builtin_groups(24, caps) if _cyclic_sylow(g)]
+    reports = all_verified(run_theorem("thm-3.1", {"groups": names}, caps))
+    got = {r.instance: (r.certificate["target_group"], r.certificate["eq1_pairs"]) for r in reports}
+    assert list(got) == list(THM_3_1_TARGETS) and got == THM_3_1_TARGETS
+
+
+@pytest.mark.parametrize("name", list(THM_3_1_TARGETS))
+def test_dihedralize_inversion_has_one_map_per_group(name, caps):
+    g = make_group(name, caps)
+    iota = inversion_map(g)
+    orbits = connection_orbits(g, iota)
+    rng = random.Random(name)
+    chosen = [o for o in orbits if rng.random() < 0.5] or orbits[:1]
+    full = dihedralize_inversion(make_spec(g, iota, mask_of(s for o in orbits for s in o)))
+    some = dihedralize_inversion(make_spec(g, iota, mask_of(s for o in chosen for s in o)))
+    assert full.mapping == some.mapping
+    assert full.target_group is some.target_group and full.target_group.order == g.order
+    half = g.order // 2
+    assert all(s >= half for s in full.target_set_ids + some.target_set_ids)
+    if name in DIHEDRAL_MAPS:
+        assert full.mapping == DIHEDRAL_MAPS[name]
 
 
 def test_example_32_reports(caps):
@@ -359,13 +414,10 @@ BUDGET_REFERENCE = {
 
 # thm-3.1 per budget: (instance, verdict, certified sets) in runner order,
 # the count named `sets_swept` when verified and `covered_sets` when skipped.
-# A budget unit is one layer, and the empty set needs none.  Every default
-# group reshapes, so each report also names its dihedral target and the
-# product-identity pairs checked on it, however little was swept.
-THM_3_1_TARGETS = {
-    "Z2": ("Dih(Z1)", 1), "Z4": ("Dih(Z2)", 4), "Z8": ("Dih(Z4)", 16),
-    "Z6": ("Dih(Z3)", 9), "Z12": ("Dih(Z2xZ3)", 36), "Z20": ("Dih(Z2xZ5)", 100),
-}
+# A budget unit is one layer, and the empty set needs none.  The target is
+# built before any sweep, so each report also names its dihedral target and
+# the product-identity pairs checked on it (THM_3_1_TARGETS), however little
+# was swept.
 THM_3_1_BUDGET_REFERENCE = {
     0: [("Z2", "skipped", 1), ("Z4", "skipped", 1), ("Z8", "skipped", 1),
         ("Z6", "skipped", 1), ("Z12", "skipped", 1), ("Z20", "skipped", 1)],
@@ -379,8 +431,6 @@ THM_3_1_BUDGET_REFERENCE = {
 
 
 def _with_budget(caps, budget):
-    from dataclasses import replace
-
     return replace(caps, sweep_instance_budget=budget)
 
 
@@ -665,7 +715,7 @@ def test_coset_partition_matches_the_all_pairs_formula(caps, data):
         keep = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
         spec = make_spec(g, alpha, mask_of(s for o, k in zip(orbits, keep) if k for s in o))
         rows = build_gc_graph(spec).rows
-        k_mask = kernel_subgroup(spec).sub.set.mask
+        k_mask = kernel_subgroup(spec).set.mask
         cert = verify_unworthy_theory(spec, caps).certificate
         assert cert["coset_law"] == all_pairs_coset_law(g.mul, g.inv, rows, k_mask)
         assert cert["unworthy"] == all_pairs_duplicate_rows(rows)
