@@ -14,14 +14,16 @@ sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
 Then, for every theorem id, the sha256 and exit status of
-`gcg --format json verify <id>`, then of eleven verifier runs with flags
+`gcg --format json verify <id>`, then of thirteen verifier runs with flags
 (each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
 --groups; two of them thm-3.5 on Z48 and Z64, whose 2^24 and 2^32 sets
-lie past the catalog and past the bit cap on set enumeration, and one
+lie past the catalog and past the bit cap on set enumeration, one
 thm-3.1 on product presentations, whose even factor sits first, last or
-beside an odd part), and the exit status of five runs that must be
-refused: a flag the verifier does not read, a --max-order that leaves
-nothing to check, an empty --group and --groups, and a group listed twice.
+beside an odd part, prop-5.1 to order 16, whose unworthiness sweep runs
+out of its budget part-way through orders 13-16, and cor-5.4 to order 16),
+and the exit status of five runs that must be refused: a flag the verifier
+does not read, a --max-order that leaves nothing to check, an empty
+--group and --groups, and a group listed twice.
 Then the sha256 and exit status of `gcg --format json build` and `analyze`
 on a fixed list of specs, one of them invalid and one given with its ids
 unsorted and repeated, and of an `analyze` under a negative --caps-aut,
@@ -32,8 +34,9 @@ and of each sweeping verifier's reports at a sweep budget of 5 checks,
 where most sweeps stop part-way.  A check is one budget unit: a connection
 set, a (spec, phi) pair, or one connection-orbit layer of the verifiers that
 certify layers instead of single sets (prop-2.5, thm-3.1, thm-3.5), whose j
-layers certify the first 2^j sets.  Those three are also run at budgets of
-1 and 40, so a change in how they count layers or sets shows here.  Every
+layers certify the first 2^j sets.  Those three and prop-5.1, whose sets
+are built from the same layers, are also run at budgets of 1 and 40, so a
+change in how they count layers or sets shows here.  Every
 gcg run is a fresh interpreter.  Run it on two checkouts and diff the two
 outputs.
 """
@@ -76,6 +79,8 @@ FLAGGED_VERIFY = (
     ("lemma-4.2", "--p", "7"),
     ("prop-5.1", "--max-order", "8"),
     ("thm-3.1", "--groups", "Z2xZ3,Z3xZ4,Z3xZ6,Z3xZ8,Z4xZ5"),
+    ("prop-5.1", "--max-order", "16"),
+    ("cor-5.4", "--max-order", "16"),
 )
 REFUSED_VERIFY = (
     ("lemma-3.4", "--max-order", "8"),
@@ -86,11 +91,12 @@ REFUSED_VERIFY = (
 )
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
-LAYER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5")
+# run at every budget of BUDGET_LADDER, the other sweeping ids at SMALL_BUDGET only
+LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "prop-5.1")
 SMALL_BUDGET = 5
 TIGHT_CENSUS = (7, 8)   # max order, aut_node_budget
 STABILITY_ORDER = 10
-LAYER_BUDGETS = (1, SMALL_BUDGET, 40)
+BUDGET_LADDER = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
 # the default caps with a sweep budget of argv[2] instances.
 BUDGET_RUN = """
@@ -190,7 +196,7 @@ def main() -> int:
         )
         print(f"export dot {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
     for tid in SWEEPING_IDS:
-        for budget in LAYER_BUDGETS if tid in LAYER_IDS else (SMALL_BUDGET,):
+        for budget in BUDGET_LADDER if tid in LADDER_IDS else (SMALL_BUDGET,):
             digest, status = run_digest("-c", BUDGET_RUN, tid, str(budget))
             print(f"verify {tid:<9} budget {budget}  {digest}  exit {status}")
     return 0

@@ -16,6 +16,7 @@ import inspect
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .automorphisms import (
@@ -40,6 +41,7 @@ from .cayley import detect_cayley
 from .construct import (
     GCSpec,
     build_gc_graph,
+    capped_connection_orbits,
     connection_orbits,
     enumerate_connection_sets,
     kernel_subgroup,
@@ -63,6 +65,7 @@ from .groups import (
     Dihedral,
     FiniteGroup,
     Product,
+    SubgroupHandle,
     bits,
     make_generalized_dihedral,
     make_group,
@@ -71,6 +74,7 @@ from .groups import (
     product_group,
     product_id,
     subgroup_closure,
+    subgroup_handle,
 )
 from .perms import Perm, pinv
 
@@ -738,72 +742,100 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
 # duplicate neighborhoods
 
 
-def coset_law_and_duplicates(g: FiniteGroup, rows: tuple[int, ...], kernel: tuple[int, ...]) -> tuple[bool, bool]:
-    """(coset law, duplicate rows) for vertex rows over the elements of g.
+@dataclass(frozen=True)
+class _KernelCosets:
+    """A kernel subgroup K with what every set sharing it reuses: the mask
+    of the left coset aK holding each vertex a, and the vertex map onto the
+    lexicographic product that lists the cosets in order, members ascending."""
+    handle: SubgroupHandle
+    coset_of: tuple[int, ...]
+    lex_map: Perm
+
+
+def _kernel_cosets(kernel: SubgroupHandle) -> _KernelCosets:
+    k_size = len(kernel)
+    coset_of = [0] * kernel.group.order
+    lex_map = [0] * kernel.group.order
+    for ci, coset in enumerate(kernel.cosets()):
+        mask = mask_of(coset)
+        for rank, v in enumerate(coset):
+            coset_of[v] = mask
+            lex_map[v] = ci * k_size + rank
+    return _KernelCosets(kernel, tuple(coset_of), tuple(lex_map))
+
+
+def coset_law_and_duplicates(rows: tuple[int, ...], coset_of: tuple[int, ...]) -> tuple[bool, bool]:
+    """(coset law, duplicate rows) for vertex rows over the elements of a
+    group, given the mask `coset_of[a]` of the left coset aK of each a.
 
     The coset law says rows[a] == rows[b] exactly when a^-1 b lies in the
-    subgroup `kernel`, that is, each class of equal rows is the left coset
-    aK of its members.  Grouping the vertices by row and comparing each class
-    with the coset of one member decides it in O(|G| |K|) steps: if a class C
-    holding a equals aK, then bK = aK = C for every b in C.  Duplicate rows
-    exist exactly when there are fewer classes than vertices."""
+    subgroup K, that is, each class of equal rows is the left coset aK of
+    its members.  Grouping the vertices by row and comparing each class with
+    the coset of one member decides it in O(|G|) steps: if a class C holding
+    a equals aK, then bK = aK = C for every b in C.  Duplicate rows exist
+    exactly when there are fewer classes than vertices."""
     classes: dict[int, int] = {}
     for v, row in enumerate(rows):
         classes[row] = classes.get(row, 0) | 1 << v
-    law = True
-    for members in classes.values():
-        a = (members & -members).bit_length() - 1
-        if members != mask_of(g.mul[a][h] for h in kernel):
-            law = False
-            break
+    law = all(members == coset_of[(members & -members).bit_length() - 1] for members in classes.values())
     return law, len(classes) < len(rows)
 
 
-def verify_unworthy_theory(spec: GCSpec, caps: Caps | None = None) -> TheoremReport:
-    """Coset law for equal neighborhoods, the unworthiness criterion, and the
-    lexicographic decomposition, all on one spec."""
-    caps = caps or caps_from_env()
-    g = spec.group
-    x = build_gc_graph(spec)
-    kernel = kernel_subgroup(spec)
-    k_mask = kernel.set.mask
-    k_size = len(kernel)
-    cert: dict = {"kernel": list(kernel.members()), "kernel_size": k_size}
-    coset_law, duplicate = coset_law_and_duplicates(g, x.rows, kernel.members())
+def _unworthy_certificate(
+    g: FiniteGroup, s_mask: int, rows: tuple[int, ...], kernel: _KernelCosets, omega_mask: int | None
+) -> tuple[bool, bool, dict]:
+    """The unworthiness check of one set S: (passed, S is the complement of
+    omega, certificate), for `rows` the rows of X = GC(G, S, alpha), K its
+    kernel and `omega_mask` the omega set of alpha when G is abelian (None
+    otherwise).
+
+    Checked: the coset law for equal rows, duplicate rows exactly when
+    |K| > 1 (Prop 5.1, Cor 5.2), X = X/K[empty |K|] through a witness when
+    |K| > 1 (Prop 5.3), and, when S = G minus omega, K = omega with a
+    complete quotient (Cor 5.4)."""
+    k = kernel.handle
+    k_size = len(k)
+    cert: dict = {"kernel": list(k.members()), "kernel_size": k_size}
+    coset_law, duplicate = coset_law_and_duplicates(rows, kernel.coset_of)
     cert["coset_law"] = coset_law
     unworthy_ok = duplicate == (k_size > 1)
     cert["unworthy"] = duplicate
     decomposition_ok = True
-    quotient = quotient_by_kernel(x, kernel) if k_size > 1 else None
-    if quotient is not None:
+    quotient = None
+    if k_size > 1:
+        x = Graph(g.order, rows)
+        quotient = quotient_by_kernel(x, k)
         lex = lexicographic_product(quotient, empty_graph(k_size))
-        mapping = [0] * g.order
-        for ci, coset in enumerate(kernel.cosets()):
-            for rank, v in enumerate(coset):
-                mapping[v] = ci * k_size + rank
-        witness = IsomorphismWitness(x, lex, tuple(mapping))
-        decomposition_ok = check_witness(witness)
+        decomposition_ok = check_witness(IsomorphismWitness(x, lex, kernel.lex_map))
         cert["quotient_vertices"] = quotient.n
         cert["lex_decomposition"] = decomposition_ok
-    complement_case = False
+    complement_case = omega_mask is not None and s_mask == ((1 << g.order) - 1) ^ omega_mask
     complement_ok = True
-    if g.abelian:
-        om = omega_set(g, spec.alpha)
-        full = (1 << g.order) - 1
-        if spec.connection.mask == full ^ om.set.mask:
-            complement_case = True
-            complement_ok = k_mask == om.set.mask
-            if quotient is not None:
-                m = quotient.n
-                complement_ok = complement_ok and all(
-                    quotient.rows[v] == (((1 << m) - 1) ^ (1 << v)) for v in range(m)
-                )
-            cert["complement_set_case"] = {
-                "m": g.order // k_size,
-                "n": k_size,
-                "quotient_complete": complement_ok,
-            }
+    if complement_case:
+        complement_ok = k.set.mask == omega_mask
+        if quotient is not None:
+            m = quotient.n
+            complement_ok = complement_ok and all(
+                quotient.rows[v] == (((1 << m) - 1) ^ (1 << v)) for v in range(m)
+            )
+        cert["complement_set_case"] = {
+            "m": g.order // k_size,
+            "n": k_size,
+            "quotient_complete": complement_ok,
+        }
     ok = coset_law and unworthy_ok and decomposition_ok and complement_ok
+    return ok, complement_case, cert
+
+
+def verify_unworthy_theory(spec: GCSpec) -> TheoremReport:
+    """Coset law for equal neighborhoods, the unworthiness criterion, and the
+    lexicographic decomposition, all on one spec, from its own graph and
+    `kernel_subgroup`."""
+    g = spec.group
+    omega_mask = omega_set(g, spec.alpha).set.mask if g.abelian else None
+    ok, complement_case, cert = _unworthy_certificate(
+        g, spec.connection.mask, build_gc_graph(spec).rows, _kernel_cosets(kernel_subgroup(spec)), omega_mask
+    )
     return TheoremReport(
         "prop-5.3" if not complement_case else "cor-5.4",
         _spec_key(spec),
@@ -1095,22 +1127,92 @@ def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     return reports
 
 
+def _set_rows(g: FiniteGroup, alpha: AutomorphismMap, caps: Caps) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(S mask, rows of GC(G, S, alpha)) for the sets that
+    `enumerate_connection_sets(g, alpha, caps=caps)` yields, in its order,
+    built from the single-orbit layers X_O instead of set by set.
+
+    Lemma (the rows part is `_sweep_layers`').  For S a union of
+    connection orbits O, row x of GC(G, S, alpha) is the mask of alpha(x)S,
+    the OR of row x of the layers X_O; and S is valid, because alpha(x^-1)x lies in S only if it lies in one O, and
+    alpha(S^-1) is the union of the alpha(O^-1) = O.  So each layer is
+    validated once, by `make_spec` and `build_gc_graph` (loops and
+    symmetry), and an OR of loop-free symmetric rows is loop-free and
+    symmetric.
+
+    Set i is the union of the orbits at the one bits of i.  `level[j]`
+    holds the OR over the bits >= j of the current i, so going from i - 1
+    to i, whose lowest one bit is t, sets level[t] = level[t + 1] | layer t
+    and the levels below t to level[t]; level[0] is set i.  That keeps
+    O(k |G|) ints for k orbits, and each layer is built when first used."""
+    orbits = capped_connection_orbits(g, alpha, caps)
+    empty = (0, (0,) * g.order)
+    level = [empty] * (len(orbits) + 1)
+    layers: list[tuple[int, tuple[int, ...]]] = []
+    yield empty
+    for i in range(1, 1 << len(orbits)):
+        t = (i & -i).bit_length() - 1
+        if t == len(layers):
+            spec = make_spec(g, alpha, orbits[t])
+            layers.append((spec.connection.mask, build_gc_graph(spec).rows))
+        s_mask, rows = level[t + 1]
+        o_mask, o_rows = layers[t]
+        level[t] = (s_mask | o_mask, tuple(map(or_, rows, o_rows)))
+        level[:t] = [level[t]] * t
+        yield level[0]
+
+
+def _unworthy_checks(g: FiniteGroup, caps: Caps) -> Iterator[tuple[str, AutomorphismMap, Iterator, Callable]]:
+    """For each involutory automorphism alpha of g: its instance name, alpha,
+    the (S mask, rows) pairs of `_set_rows`, and `certify`, which runs
+    `_unworthy_certificate` on one pair.
+
+    K(S) = {x : rows[x] == S}, because alpha(x)S is contained in S only
+    when it equals S, both having |S| members.  Every set of g with the
+    same kernel shares one `_KernelCosets`, so each kernel's closure is
+    checked and its cosets listed once per group."""
+    kernels: dict[int, _KernelCosets] = {}
+    for key, _, alpha in _alpha_walk([g]):
+        omega_mask = omega_set(g, alpha).set.mask if g.abelian else None
+
+        def certify(item: tuple[int, tuple[int, ...]], omega_mask=omega_mask) -> tuple[bool, bool, dict]:
+            s_mask, rows = item
+            k_mask = mask_of(x for x, row in enumerate(rows) if row == s_mask)
+            kernel = kernels.get(k_mask)
+            if kernel is None:
+                kernel = kernels[k_mask] = _kernel_cosets(subgroup_handle(g, k_mask))
+            return _unworthy_certificate(g, s_mask, rows, kernel, omega_mask)
+
+        yield key, alpha, _set_rows(g, alpha, caps), certify
+
+
+def _unworthy_refutation(
+    alpha: AutomorphismMap, certify: Callable, item: tuple[int, tuple[int, ...]]
+) -> TheoremReport | None:
+    """A `_sweep` check: None when the set passes `certify`, and otherwise
+    the full report of `verify_unworthy_theory` on the set's own spec."""
+    if certify(item)[0]:
+        return None
+    report = verify_unworthy_theory(make_spec(alpha.group, alpha, item[0]))
+    if report.verdict == "verified":
+        raise AssertionError(f"{report.instance}: the layer-built rows disagree with the set's own graph")
+    return report
+
+
 @cache
 def _unworthy_sweep(max_order: int, caps: Caps) -> tuple[TheoremReport, ...]:
     """The unworthiness sweep that prop-5.1, cor-5.2 and prop-5.3 share,
-    run once per (max_order, caps) and reported under "prop-5.3"."""
+    run once per (max_order, caps) and reported under "prop-5.3".  Each set
+    is one budget unit and checked on its own."""
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
-        count, skipped, bad = _sweep(
-            enumerate_connection_sets(g, alpha, caps=caps),
-            lambda spec: _refutation(verify_unworthy_theory(spec, caps)),
-            budget,
-        )
-        if bad:
-            reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
-        else:
-            reports.append(_sweep_report("prop-5.3", key, count, skipped))
+    for g in builtin_groups(max_order, caps):
+        for key, alpha, items, certify in _unworthy_checks(g, caps):
+            count, skipped, bad = _sweep(items, partial(_unworthy_refutation, alpha, certify), budget)
+            if bad:
+                reports.append(TheoremReport("prop-5.3", bad.instance, "refuted", bad.certificate))
+            else:
+                reports.append(_sweep_report("prop-5.3", key, count, skipped))
     return tuple(reports)
 
 
@@ -1126,7 +1228,7 @@ def run_cor_5_4(caps: Caps, max_order: int = 12) -> list[TheoremReport]:
     for key, g, alpha in _alpha_walk(g for g in builtin_groups(max_order, caps) if g.abelian):
         full = (1 << g.order) - 1
         spec = make_spec(g, alpha, full ^ omega_set(g, alpha).set.mask)
-        rep = verify_unworthy_theory(spec, caps)
+        rep = verify_unworthy_theory(spec)
         reports.append(TheoremReport("cor-5.4", key, rep.verdict, rep.certificate))
     return reports
 

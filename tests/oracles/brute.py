@@ -15,7 +15,9 @@ time; it is the reference for the verifiers that certify a whole family of
 sets one connection-orbit layer at a time.  `all_pairs_coset_law` and
 `all_pairs_duplicate_rows` compare every pair of vertices; they are the
 reference for `theorems.coset_law_and_duplicates`, which compares each class
-of equal rows with one coset.  `_orbit_hits` filters every found
+of equal rows with one precomputed coset mask, and for the unworthiness
+sweep, which builds each set's rows as an OR of connection-orbit layers and
+lists each kernel's cosets once per group.  `_orbit_hits` filters every found
 automorphism and walks a sibling's orbit afresh for every sibling; it is the
 reference for the per-node prune state `canon._SiblingOrbits`.
 `closure_automorphisms` extends each partial map by closing it over every

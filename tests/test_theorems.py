@@ -25,12 +25,14 @@ from gcg.construct import (
 )
 from gcg.errors import ShapeError, SpecError
 from gcg.graphs import IsomorphismWitness, check_witness
-from gcg.groups import ElementSet, bits, make_group, mask_of, subgroup_closure
+from gcg.groups import ElementSet, bits, make_group, mask_of, subgroup_closure, subgroup_handle
 from gcg.theorems import (
     THEOREM_IDS,
+    _kernel_cosets,
     _sweep,
     _SweepBudget,
     _sweep_layers,
+    _unworthy_checks,
     build_counterexample,
     check_inversion_dichotomy,
     coset_law_and_duplicates,
@@ -447,6 +449,22 @@ def test_budget_skipped_reports_match_reference(theorem_id, caps):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, budget
 
 
+def test_unworthy_sweep_to_order_16_matches_reference(caps):
+    # Orders 13-16, where the shared 50,000-set budget runs out part-way:
+    # the report count, the skipped count and the sha256 of the sorted-key
+    # JSON of the report list, captured from the set-by-set sweep.
+    import hashlib
+    import json
+
+    reports = run_theorem("prop-5.1", {"max_order": 16}, caps)
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert len(reports) == 570
+    assert sum(r.verdict == "skipped" for r in reports) == 397
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2e2ec88c98e49fc7399dab3d958ca8fd3c03544e1a3c713897f78b09bb8536c6"
+    )
+
+
 def test_thm_3_1_budget_skipped_reports(caps):
     for budget, rows in THM_3_1_BUDGET_REFERENCE.items():
         reports = run_theorem("thm-3.1", {}, _with_budget(caps, budget))
@@ -716,7 +734,7 @@ def test_coset_partition_matches_the_all_pairs_formula(caps, data):
         spec = make_spec(g, alpha, mask_of(s for o, k in zip(orbits, keep) if k for s in o))
         rows = build_gc_graph(spec).rows
         k_mask = kernel_subgroup(spec).set.mask
-        cert = verify_unworthy_theory(spec, caps).certificate
+        cert = verify_unworthy_theory(spec).certificate
         assert cert["coset_law"] == all_pairs_coset_law(g.mul, g.inv, rows, k_mask)
         assert cert["unworthy"] == all_pairs_duplicate_rows(rows)
     else:
@@ -739,5 +757,42 @@ def test_coset_partition_matches_the_all_pairs_formula(caps, data):
         if data.draw(st.booleans(), label="split"):
             v = data.draw(st.integers(0, g.order - 1))
             rows = rows[:v] + (g.order,) + rows[v + 1:]
-    got = coset_law_and_duplicates(g, rows, tuple(bits(k_mask)))
+    got = coset_law_and_duplicates(rows, _kernel_cosets(subgroup_handle(g, k_mask)).coset_of)
     assert got == (all_pairs_coset_law(g.mul, g.inv, rows, k_mask), all_pairs_duplicate_rows(rows))
+
+
+def test_layer_built_unworthiness_matches_set_by_set(caps):
+    # Every set of every (G, alpha) to order 12, in sweep order with the
+    # sweep's per-group kernel cache: the rows ORed from layers, the kernel
+    # read off them and the cached cosets give what the set's own graph,
+    # kernel_subgroup, verify_unworthy_theory and the all-pairs oracles give,
+    # and the sweep counts every set.
+    swept = {r.instance: r.certificate["sets_swept"] for r in run_theorem("prop-5.3", {"max_order": 12}, caps)}
+    checked = 0
+    for g in builtin_groups(12, caps):
+        for key, alpha, items, certify in _unworthy_checks(g, caps):
+            specs = list(enumerate_connection_sets(g, alpha, caps=caps))
+            items = list(items)
+            assert len(items) == len(specs) == swept[key]
+            for spec, (s_mask, rows) in zip(specs, items):
+                assert (s_mask, rows) == (spec.connection.mask, build_gc_graph(spec).rows)
+                k_mask = kernel_subgroup(spec).set.mask
+                ok, _, cert = certify((s_mask, rows))
+                report = verify_unworthy_theory(spec)
+                assert mask_of(cert["kernel"]) == k_mask
+                assert cert == report.certificate
+                assert cert["coset_law"] == all_pairs_coset_law(g.mul, g.inv, rows, k_mask)
+                assert cert["unworthy"] == all_pairs_duplicate_rows(rows)
+                assert ok == (report.verdict == "verified")
+                checked += 1
+    assert checked == 4643
+
+
+def test_verify_unworthy_theory_reads_no_caps(caps, monkeypatch):
+    # the per-set check takes no caps, so an unknown caps profile in the
+    # environment does not reach it
+    monkeypatch.setenv("GCG_CAPS_PROFILE", "bogus")
+    g = make_group("Z4", caps)
+    report = verify_unworthy_theory(make_spec(g, inversion_map(g), (1, 3)))
+    assert (report.theorem_id, report.verdict) == ("cor-5.4", "verified")
+    assert report.certificate["kernel"] == [0, 2]
