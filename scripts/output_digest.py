@@ -27,7 +27,10 @@ does not read, a --max-order that leaves nothing to check, an empty
 Then the sha256 and exit status of `gcg --format json build` and `analyze`
 on a fixed list of specs, one of them invalid and one given with its ids
 unsorted and repeated, and of an `analyze` under a negative --caps-aut,
-which must be refused.  Then the
+which must be refused.  Then `build` and `analyze` on a D6 spec at an
+automorphism-search budget of 9 nodes, which the double-cover search
+exhausts: `build` must exit 3, and `analyze` exit 0 with its stability
+`unknown`.  Then the
 sha256 of `gcg --format json group list`, of `gcg --format dot export` for a
 D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 checks,
@@ -90,6 +93,9 @@ REFUSED_VERIFY = (
     ("thm-3.1", "--groups", "Z4,Z4"),
 )
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
+# a spec whose double-cover search runs out of an automorphism-search budget of 9 nodes
+TIGHT_SPEC = ("D6", "0", "1,2,3,4")
+TIGHT_SPEC_BUDGET = 9
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 # run at every budget of BUDGET_LADDER, the other sweeping ids at SMALL_BUDGET only
 LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "prop-5.1")
@@ -188,6 +194,13 @@ def main() -> int:
         "--group", group, "--alpha", alpha, "--set", ids,
     )
     print(f"analyze --caps-aut -1 {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
+    group, alpha, ids = TIGHT_SPEC
+    for command in ("build", "analyze"):
+        digest, status = run_digest(
+            "-m", "gcg", "--caps-aut", str(TIGHT_SPEC_BUDGET), "--format", "json", command,
+            "--group", group, "--alpha", alpha, "--set", ids,
+        )
+        print(f"{command} --caps-aut {TIGHT_SPEC_BUDGET} {group} alpha={alpha} S={{{ids}}}  {digest}  exit {status}")
     digest, status = run_digest("-m", "gcg", "--format", "json", "group", "list")
     print(f"group list  {digest}  exit {status}")
     for group, alpha, ids in EXPORTS:

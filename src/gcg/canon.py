@@ -374,15 +374,21 @@ def _aut_cached(n: int, rows: tuple[int, ...], budget: int):
     return StabilizerChain.from_strong_generators(n, base, gens), tuple(gens)
 
 
-def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
+def _description(search, g: Graph, budget: int | None) -> PermGroupDescription:
+    """The group that a cached search (`_aut_cached` or `_cover_cached`)
+    finds for g, read off its (chain, gens)."""
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    chain, gens = _aut_cached(g.n, g.rows, budget)
+    chain, gens = search(g.n, g.rows, budget)
     return PermGroupDescription(
-        degree=g.n,
+        degree=chain.degree,
         generators=gens,
         order=chain.order(),
-        orbits=orbit_partition(g.n, list(gens)),
+        orbits=orbit_partition(chain.degree, list(gens)),
     )
+
+
+def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
+    return _description(_aut_cached, g, budget)
 
 
 def automorphism_chain(g: Graph, budget: int | None = None) -> StabilizerChain:
@@ -410,14 +416,7 @@ def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> Perm
     """Aut(g x K2) on the vertices of `bipartite_double_cover(g)`.
 
     Its generators start with the lifts of Aut(g)'s and the layer swap."""
-    budget = budget if budget is not None else caps_from_env().aut_node_budget
-    chain, gens = _cover_cached(g.n, g.rows, budget)
-    return PermGroupDescription(
-        degree=2 * g.n,
-        generators=gens,
-        order=chain.order(),
-        orbits=orbit_partition(2 * g.n, list(gens)),
-    )
+    return _description(_cover_cached, g, budget)
 
 
 @lru_cache(maxsize=1024)

@@ -83,7 +83,3 @@ def builtin_descriptors(max_order: int | None = None) -> list[str]:
 def builtin_groups(max_order: int | None = None, caps: Caps | None = None) -> list[FiniteGroup]:
     caps = caps or caps_from_env()
     return [make_group(name, caps) for name in builtin_descriptors(max_order)]
-
-
-def abelian_builtin_groups(max_order: int | None = None, caps: Caps | None = None) -> list[FiniteGroup]:
-    return [g for g in builtin_groups(max_order, caps) if g.abelian]

@@ -84,7 +84,7 @@ from .construct import (
 )
 from .errors import BudgetExceeded, DescriptorError, ManifestMismatch
 from .graphs import Graph, triangle_profile
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, SubgroupHandle, make_group
 from .perms import Perm, identity_perm
 
 
@@ -110,13 +110,13 @@ def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
     return record
 
 
-def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict, tuple[int, ...]]:
-    """The graph, the fields computed for every record, and the triangle
-    profile behind `triangle_hash`."""
+def spec_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, SubgroupHandle, dict]:
+    """The graph, its kernel, and the fields that every census record and
+    `gcg build` print."""
     g = spec.group
     x = build_gc_graph(spec)
     kernel = kernel_subgroup(spec)
-    record: dict = {
+    fields: dict = {
         "group": g.name,
         "alpha_index": alpha_index,
         "alpha": list(spec.alpha.perm),
@@ -128,6 +128,13 @@ def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict, tuple
         "unworthy": len(kernel) > 1,
         "kernel_size": len(kernel),
     }
+    return x, kernel, fields
+
+
+def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict, tuple[int, ...]]:
+    """The graph, the fields computed for every record, and the triangle
+    profile behind `triangle_hash`."""
+    x, _, record = spec_fields(spec, alpha_index)
     profile = triangle_profile(x)
     record["triangle_hash"] = _profile_hash(profile)
     return x, record, profile

@@ -15,11 +15,10 @@ from .automorphisms import enumerate_involutory_automorphisms
 from .canon import automorphism_group, canonical_form
 from .caps import Caps, caps_from_env, with_overrides
 from .cayley import detect_cayley, stability_check
-from .census import RunConfig, compute_record, run_census
+from .census import RunConfig, compute_record, run_census, spec_fields
 from .construct import (
     build_gc_graph,
     enumerate_connection_sets,
-    kernel_subgroup,
     make_spec,
     validate_connection_set,
 )
@@ -207,20 +206,8 @@ def cmd_build(args, caps: Caps) -> int:
         payload["valid"] = False
         _emit(payload, args.format)
         return SPEC_EXIT
-    spec = make_spec(g, alpha, ids)
-    x = build_gc_graph(spec)
-    kernel = kernel_subgroup(spec)
-    payload.update({
-        "valid": True,
-        "vertices": x.n,
-        "edges": x.edge_count(),
-        "degree": len(spec.connection),
-        "connected": x.is_connected(),
-        "bipartite": x.is_bipartite(),
-        "kernel": list(kernel.members()),
-        "kernel_size": len(kernel),
-        "unworthy": len(kernel) > 1,
-    })
+    x, kernel, fields = spec_fields(make_spec(g, alpha, mask), args.alpha)
+    payload.update(fields, valid=True, vertices=x.n, edges=x.edge_count(), kernel=list(kernel.members()))
     desc = automorphism_group(x, caps.aut_node_budget)
     payload["aut_order"] = desc.order
     payload["vertex_transitive"] = len(desc.orbits) <= 1

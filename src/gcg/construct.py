@@ -165,19 +165,14 @@ def kernel_subgroup(spec: GCSpec) -> SubgroupHandle:
 
 
 def quotient_by_kernel(graph: Graph, kernel: SubgroupHandle) -> Graph:
-    """Graph on the left cosets of K; cosets adjacent iff any cross pair is."""
-    g = kernel.group
-    if graph.n != g.order:
+    """Graph on the left cosets of K in `kernel.cosets()` order; adjacent iff any cross pair is."""
+    if graph.n != kernel.group.order:
         raise SpecError("graph order does not match the kernel's group")
     cosets = kernel.cosets()
-    masks = [mask_of(c) for c in cosets]
-    m = len(cosets)
-    rows = [0] * m
-    for i in range(m):
-        rep_rows = 0
-        for v in cosets[i]:
-            rep_rows |= graph.rows[v]
-        for j in range(m):
-            if i != j and rep_rows & masks[j]:
-                rows[i] |= 1 << j
-    return Graph(m, tuple(rows))
+    rows = []
+    for i, coset in enumerate(cosets):
+        nbrs = 0
+        for v in bits(coset):
+            nbrs |= graph.rows[v]
+        rows.append(mask_of(j for j, other in enumerate(cosets) if j != i and nbrs & other))
+    return Graph(len(cosets), tuple(rows))

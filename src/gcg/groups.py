@@ -152,9 +152,6 @@ class FiniteGroup:
     abelian: bool
     element_orders: tuple[int, ...]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     @property
     def name(self) -> str:
         return format_descriptor(self.descriptor)
@@ -359,10 +356,11 @@ class ElementSet:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A verified subgroup: closed member set plus left coset representatives."""
+    """A verified subgroup K: its closed member set and its coset table, the
+    mask `coset_of[x]` of the left coset xK of each element x."""
 
     set: ElementSet
-    coset_reps: tuple[int, ...]
+    coset_of: tuple[int, ...]
 
     @property
     def group(self) -> FiniteGroup:
@@ -374,12 +372,9 @@ class SubgroupHandle:
     def __len__(self) -> int:
         return len(self.set)
 
-    def cosets(self) -> tuple[tuple[int, ...], ...]:
-        """Left cosets gH, ordered by representative; members ascending."""
-        g = self.group
-        return tuple(
-            tuple(sorted(g.mul[rep][h] for h in self.members())) for rep in self.coset_reps
-        )
+    def cosets(self) -> tuple[int, ...]:
+        """Masks of the left cosets xK, in order of their least elements."""
+        return tuple(dict.fromkeys(self.coset_of))
 
 
 def subgroup_closure(g: FiniteGroup, seed) -> int:
@@ -403,7 +398,7 @@ def subgroup_closure(g: FiniteGroup, seed) -> int:
 
 
 def subgroup_handle(g: FiniteGroup, mask: int) -> SubgroupHandle:
-    """Verify closure and compute left coset representatives (ascending)."""
+    """Verify closure and record the left coset of each element."""
     if not mask >> 0 & 1:
         raise DescriptorError("subgroup must contain the identity")
     members = list(bits(mask))
@@ -416,12 +411,11 @@ def subgroup_handle(g: FiniteGroup, mask: int) -> SubgroupHandle:
                 raise DescriptorError("subgroup not closed under products")
     if g.order % len(members):
         raise DescriptorError("subgroup order does not divide group order")
-    seen = 0
-    reps = []
+    coset_of = [0] * g.order
     for x in range(g.order):
-        if seen >> x & 1:
-            continue
-        reps.append(x)
-        for h in members:
-            seen |= 1 << g.mul[x][h]
-    return SubgroupHandle(ElementSet(g, mask), tuple(reps))
+        if not coset_of[x]:
+            row = g.mul[x]
+            coset = mask_of(row[h] for h in members)
+            for h in members:
+                coset_of[row[h]] = coset
+    return SubgroupHandle(ElementSet(g, mask), tuple(coset_of))

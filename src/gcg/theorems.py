@@ -742,28 +742,6 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
 # duplicate neighborhoods
 
 
-@dataclass(frozen=True)
-class _KernelCosets:
-    """A kernel subgroup K with what every set sharing it reuses: the mask
-    of the left coset aK holding each vertex a, and the vertex map onto the
-    lexicographic product that lists the cosets in order, members ascending."""
-    handle: SubgroupHandle
-    coset_of: tuple[int, ...]
-    lex_map: Perm
-
-
-def _kernel_cosets(kernel: SubgroupHandle) -> _KernelCosets:
-    k_size = len(kernel)
-    coset_of = [0] * kernel.group.order
-    lex_map = [0] * kernel.group.order
-    for ci, coset in enumerate(kernel.cosets()):
-        mask = mask_of(coset)
-        for rank, v in enumerate(coset):
-            coset_of[v] = mask
-            lex_map[v] = ci * k_size + rank
-    return _KernelCosets(kernel, tuple(coset_of), tuple(lex_map))
-
-
 def coset_law_and_duplicates(rows: tuple[int, ...], coset_of: tuple[int, ...]) -> tuple[bool, bool]:
     """(coset law, duplicate rows) for vertex rows over the elements of a
     group, given the mask `coset_of[a]` of the left coset aK of each a.
@@ -782,7 +760,7 @@ def coset_law_and_duplicates(rows: tuple[int, ...], coset_of: tuple[int, ...]) -
 
 
 def _unworthy_certificate(
-    g: FiniteGroup, s_mask: int, rows: tuple[int, ...], kernel: _KernelCosets, omega_mask: int | None
+    g: FiniteGroup, s_mask: int, rows: tuple[int, ...], k: SubgroupHandle, omega_mask: int | None
 ) -> tuple[bool, bool, dict]:
     """The unworthiness check of one set S: (passed, S is the complement of
     omega, certificate), for `rows` the rows of X = GC(G, S, alpha), K its
@@ -793,10 +771,9 @@ def _unworthy_certificate(
     |K| > 1 (Prop 5.1, Cor 5.2), X = X/K[empty |K|] through a witness when
     |K| > 1 (Prop 5.3), and, when S = G minus omega, K = omega with a
     complete quotient (Cor 5.4)."""
-    k = kernel.handle
     k_size = len(k)
     cert: dict = {"kernel": list(k.members()), "kernel_size": k_size}
-    coset_law, duplicate = coset_law_and_duplicates(rows, kernel.coset_of)
+    coset_law, duplicate = coset_law_and_duplicates(rows, k.coset_of)
     cert["coset_law"] = coset_law
     unworthy_ok = duplicate == (k_size > 1)
     cert["unworthy"] = duplicate
@@ -805,8 +782,13 @@ def _unworthy_certificate(
     if k_size > 1:
         x = Graph(g.order, rows)
         quotient = quotient_by_kernel(x, k)
+        # the r-th member of the i-th coset goes to vertex i|K| + r
+        lex_map = [0] * g.order
+        for i, coset in enumerate(k.cosets()):
+            for rank, v in enumerate(bits(coset)):
+                lex_map[v] = i * k_size + rank
         lex = lexicographic_product(quotient, empty_graph(k_size))
-        decomposition_ok = check_witness(IsomorphismWitness(x, lex, kernel.lex_map))
+        decomposition_ok = check_witness(IsomorphismWitness(x, lex, tuple(lex_map)))
         cert["quotient_vertices"] = quotient.n
         cert["lex_decomposition"] = decomposition_ok
     complement_case = omega_mask is not None and s_mask == ((1 << g.order) - 1) ^ omega_mask
@@ -834,7 +816,7 @@ def verify_unworthy_theory(spec: GCSpec) -> TheoremReport:
     g = spec.group
     omega_mask = omega_set(g, spec.alpha).set.mask if g.abelian else None
     ok, complement_case, cert = _unworthy_certificate(
-        g, spec.connection.mask, build_gc_graph(spec).rows, _kernel_cosets(kernel_subgroup(spec)), omega_mask
+        g, spec.connection.mask, build_gc_graph(spec).rows, kernel_subgroup(spec), omega_mask
     )
     return TheoremReport(
         "prop-5.3" if not complement_case else "cor-5.4",
@@ -1169,19 +1151,18 @@ def _unworthy_checks(g: FiniteGroup, caps: Caps) -> Iterator[tuple[str, Automorp
 
     K(S) = {x : rows[x] == S}, because alpha(x)S is contained in S only
     when it equals S, both having |S| members.  Every set of g with the
-    same kernel shares one `_KernelCosets`, so each kernel's closure is
-    checked and its cosets listed once per group."""
-    kernels: dict[int, _KernelCosets] = {}
+    same kernel shares one `SubgroupHandle`, so each kernel's closure is
+    checked and its coset table built once per group."""
+    kernels: dict[int, SubgroupHandle] = {}
     for key, _, alpha in _alpha_walk([g]):
         omega_mask = omega_set(g, alpha).set.mask if g.abelian else None
 
         def certify(item: tuple[int, tuple[int, ...]], omega_mask=omega_mask) -> tuple[bool, bool, dict]:
             s_mask, rows = item
             k_mask = mask_of(x for x, row in enumerate(rows) if row == s_mask)
-            kernel = kernels.get(k_mask)
-            if kernel is None:
-                kernel = kernels[k_mask] = _kernel_cosets(subgroup_handle(g, k_mask))
-            return _unworthy_certificate(g, s_mask, rows, kernel, omega_mask)
+            if k_mask not in kernels:
+                kernels[k_mask] = subgroup_handle(g, k_mask)
+            return _unworthy_certificate(g, s_mask, rows, kernels[k_mask], omega_mask)
 
         yield key, alpha, _set_rows(g, alpha, caps), certify
 

@@ -17,14 +17,19 @@ sets one connection-orbit layer at a time.  `all_pairs_coset_law` and
 reference for `theorems.coset_law_and_duplicates`, which compares each class
 of equal rows with one precomputed coset mask, and for the unworthiness
 sweep, which builds each set's rows as an OR of connection-orbit layers and
-lists each kernel's cosets once per group.  `_orbit_hits` filters every found
+builds each kernel's coset table once per group.  `_orbit_hits` filters every found
 automorphism and walks a sibling's orbit afresh for every sibling; it is the
 reference for the per-node prune state `canon._SiblingOrbits`.
 `closure_automorphisms` extends each partial map by closing it over every
 pair of assigned elements after each new one; it is the reference for
 `automorphisms.enumerate_automorphisms`, which walks the span of the chosen
 generators once per choice.  Both start from `generating_ids` and wrap their
-maps with `automorphism_from_perm`.
+maps with `automorphism_from_perm`.  `sorted_tuple_cosets` lists the left cosets
+of a kernel afresh from the multiplication table, as sorted tuples, and
+`sorted_tuple_quotient` ORs the rows of their members; they are the
+reference for the subgroup handle's coset table, which
+`construct.quotient_by_kernel` and the X -> X/K[empty] map of the
+unworthiness check read.
 """
 from __future__ import annotations
 
@@ -147,6 +152,38 @@ def all_pairs_coset_law(mul, inv, rows, kernel_mask: int) -> bool:
         for a in range(n)
         for b in range(n)
     )
+
+
+def sorted_tuple_cosets(mul, kernel_mask: int) -> list[tuple[int, ...]]:
+    """The left cosets xK, listed by least element (their representative),
+    members ascending."""
+    members = [h for h in range(len(mul)) if kernel_mask >> h & 1]
+    seen = 0
+    reps = []
+    for x in range(len(mul)):
+        if seen >> x & 1:
+            continue
+        reps.append(x)
+        for h in members:
+            seen |= 1 << mul[x][h]
+    return [tuple(sorted(mul[rep][h] for h in members)) for rep in reps]
+
+
+def sorted_tuple_quotient(mul, rows, kernel_mask: int) -> tuple[int, ...]:
+    """Rows of the graph on the left cosets of `sorted_tuple_cosets`;
+    cosets adjacent iff any cross pair is."""
+    cosets = sorted_tuple_cosets(mul, kernel_mask)
+    masks = [mask_of(c) for c in cosets]
+    m = len(cosets)
+    quotient = [0] * m
+    for i in range(m):
+        rep_rows = 0
+        for v in cosets[i]:
+            rep_rows |= rows[v]
+        for j in range(m):
+            if i != j and rep_rows & masks[j]:
+                quotient[i] |= 1 << j
+    return tuple(quotient)
 
 
 def all_pairs_duplicate_rows(rows) -> bool:

@@ -65,6 +65,19 @@ def test_build_echoes_the_sorted_distinct_set(capsys):
     assert code == 0 and json.loads(out)["set_ids"] == [1, 3]
 
 
+def test_build_exits_3_when_a_search_runs_out(capsys):
+    # On this spec 8 refinement nodes stop the automorphism search and 9 the
+    # double-cover search of the stability check.  build refuses both, where
+    # analyze prints the record with its stability unknown.
+    spec = ("--group", "D6", "--alpha", "0", "--set", "1,2,3,4")
+    for budget, code_want in (("8", 3), ("9", 3), ("14", 0)):
+        code, out, err = run_cli(capsys, "--caps-aut", budget, "--format", "json", "build", *spec)
+        assert code == code_want, (budget, err)
+    assert json.loads(out)["stability"] == "unstable"
+    code, out, _ = run_cli(capsys, "--caps-aut", "9", "--format", "json", "analyze", *spec)
+    assert code == 0 and json.loads(out)["stability"] == "unknown"
+
+
 def test_build_trivial_group(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "build",

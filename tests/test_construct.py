@@ -8,6 +8,7 @@ from gcg.automorphisms import (
     inversion_map,
 )
 from gcg.caps import Caps
+from gcg.catalog import builtin_groups
 from gcg.construct import (
     build_gc_graph,
     connection_orbits,
@@ -20,7 +21,7 @@ from gcg.construct import (
 from gcg.errors import CapExceeded, SpecError
 from gcg.groups import make_group, mask_of
 
-from oracles.brute import valid_connection_sets
+from oracles.brute import sorted_tuple_quotient, valid_connection_sets
 
 
 def test_c4_from_z4_inversion(caps):
@@ -130,6 +131,19 @@ def test_kernel_and_quotient(caps):
     q = quotient_by_kernel(build_gc_graph(spec), k)
     assert q.n == 2
     assert list(q.edges()) == [(0, 1)]
+
+
+def test_quotient_matches_the_sorted_tuple_oracle(caps):
+    # every valid set of every (G, alpha) to order 10, non-abelian groups
+    # and non-normal kernels among them
+    for g in builtin_groups(10, caps):
+        for alpha in enumerate_involutory_automorphisms(g):
+            for spec in enumerate_connection_sets(g, alpha, caps=caps):
+                x = build_gc_graph(spec)
+                k = kernel_subgroup(spec)
+                q = quotient_by_kernel(x, k)
+                want = sorted_tuple_quotient(g.mul, x.rows, k.set.mask)
+                assert (q.n, q.rows) == (len(want), want)
 
 
 def test_kernel_members(caps):

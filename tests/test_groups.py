@@ -146,6 +146,27 @@ def test_subgroup_closure_and_handle(caps):
     assert len(handle.cosets()) == 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coset_table_lists_the_left_cosets(caps, data):
+    # subgroups closed from random elements of every catalog group to order
+    # 24, the non-abelian D6, D8 and A4 among them, so that left and right
+    # cosets differ for some draws
+    name = data.draw(st.sampled_from(builtin_descriptors(24)), label="group")
+    g = make_group(name, caps)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3), label="seed")
+    k = subgroup_handle(g, subgroup_closure(g, seed))
+    for x in range(g.order):
+        assert k.coset_of[x] == mask_of(g.mul[x][h] for h in k.members())
+        assert k.coset_of[x] >> x & 1
+    cosets = k.cosets()
+    assert set(cosets) == set(k.coset_of)
+    assert sum(c.bit_count() for c in cosets) == g.order
+    assert mask_of(x for c in cosets for x in bits(c)) == (1 << g.order) - 1
+    leasts = [(c & -c).bit_length() - 1 for c in cosets]
+    assert leasts == sorted(leasts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from([n for n in BUILTIN_DESCRIPTORS
                              if descriptor_order(parse_descriptor(n)) <= 16]))

@@ -26,9 +26,9 @@ from gcg.construct import (
 from gcg.errors import ShapeError, SpecError
 from gcg.graphs import IsomorphismWitness, check_witness
 from gcg.groups import ElementSet, bits, make_group, mask_of, subgroup_closure, subgroup_handle
+from gcg import theorems
 from gcg.theorems import (
     THEOREM_IDS,
-    _kernel_cosets,
     _sweep,
     _SweepBudget,
     _sweep_layers,
@@ -47,7 +47,7 @@ from gcg.theorems import (
     verify_unworthy_theory,
 )
 
-from oracles.brute import all_pairs_coset_law, all_pairs_duplicate_rows, per_set_sweep
+from oracles.brute import all_pairs_coset_law, all_pairs_duplicate_rows, per_set_sweep, sorted_tuple_cosets
 
 
 def all_verified(reports):
@@ -757,7 +757,7 @@ def test_coset_partition_matches_the_all_pairs_formula(caps, data):
         if data.draw(st.booleans(), label="split"):
             v = data.draw(st.integers(0, g.order - 1))
             rows = rows[:v] + (g.order,) + rows[v + 1:]
-    got = coset_law_and_duplicates(rows, _kernel_cosets(subgroup_handle(g, k_mask)).coset_of)
+    got = coset_law_and_duplicates(rows, subgroup_handle(g, k_mask).coset_of)
     assert got == (all_pairs_coset_law(g.mul, g.inv, rows, k_mask), all_pairs_duplicate_rows(rows))
 
 
@@ -786,6 +786,37 @@ def test_layer_built_unworthiness_matches_set_by_set(caps):
                 assert ok == (report.verdict == "verified")
                 checked += 1
     assert checked == 4643
+
+
+def test_lex_decomposition_map_lists_cosets_by_least_element(caps, monkeypatch):
+    # X -> X/K[empty |K|] sends the r-th member, ascending, of the i-th left
+    # coset by least element to vertex i|K| + r.  Any order inside a coset
+    # would also pass the witness check, so the map itself is compared, for
+    # every set with |K| > 1 of every (G, alpha) to order 10.
+    maps = []
+
+    def recording(witness):
+        maps.append(witness.mapping)
+        return check_witness(witness)
+
+    monkeypatch.setattr(theorems, "check_witness", recording)
+    checked = 0
+    for g in builtin_groups(10, caps):
+        for alpha in enumerate_involutory_automorphisms(g):
+            for spec in enumerate_connection_sets(g, alpha, caps=caps):
+                maps.clear()
+                assert verify_unworthy_theory(spec).verdict == "verified"
+                k_mask = kernel_subgroup(spec).set.mask
+                if k_mask == 1:
+                    assert maps == []
+                    continue
+                want = [0] * g.order
+                for i, coset in enumerate(sorted_tuple_cosets(g.mul, k_mask)):
+                    for rank, v in enumerate(coset):
+                        want[v] = i * len(coset) + rank
+                assert maps == [tuple(want)]
+                checked += 1
+    assert checked == 450
 
 
 def test_verify_unworthy_theory_reads_no_caps(caps, monkeypatch):
