@@ -10,6 +10,10 @@ records are shared shows on the pool path and under a budget).  Then the
 sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
 reason) of every connected non-bipartite census graph to order 10, in
 census order, so a change in the double-cover search shows.  Then the
+sha256 of the `detect_cayley` answers (status, reason, |Aut|, connection
+ids, orbit witness) and of the `canonical_form` answers (fingerprint,
+labelling) of every distinct census graph to order 10, in census order, so
+a change in Cayley detection or in the canonical search shows.  Then the
 sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
@@ -23,7 +27,10 @@ beside an odd part, prop-5.1 to order 16, whose unworthiness sweep runs
 out of its budget part-way through orders 13-16, and cor-5.4 to order 16),
 and the exit status of five runs that must be refused: a flag the verifier
 does not read, a --max-order that leaves nothing to check, an empty
---group and --groups, and a group listed twice.
+--group and --groups, and a group listed twice.  Then the exit status of
+the command lines the front end must refuse: an unknown --format, graph6
+or dot outside export, --canonical with a format other than graph6, and a
+`group list --max-order` below 1.
 Then the sha256 and exit status of `gcg --format json build` and `analyze`
 on a fixed list of specs, one of them invalid and one given with its ids
 unsorted and repeated, and of an `analyze` under a negative --caps-aut,
@@ -63,7 +70,8 @@ from gcg.automorphisms import (  # noqa: E402
 )
 from gcg.caps import caps_from_env  # noqa: E402
 from gcg.catalog import builtin_descriptors  # noqa: E402
-from gcg.cayley import stability_check  # noqa: E402
+from gcg.canon import canonical_form  # noqa: E402
+from gcg.cayley import detect_cayley, stability_check  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.construct import build_gc_graph, enumerate_connection_sets  # noqa: E402
 from gcg.groups import make_group  # noqa: E402
@@ -91,6 +99,15 @@ REFUSED_VERIFY = (
     ("thm-3.5", "--group", ""),
     ("thm-3.1", "--groups", ""),
     ("thm-3.1", "--groups", "Z4,Z4"),
+)
+REFUSED_RUNS = (
+    ("--format", "xml", "analyze", "--group", "Z4", "--alpha", "1", "--set", "1,3"),
+    ("--format", "graph6", "verify", "lemma-4.1", "--p", "3"),
+    ("--format", "dot", "analyze", "--group", "Z4", "--alpha", "1", "--set", "1,3"),
+    ("--format", "json", "export", "--canonical", "--group", "D8", "--alpha", "2", "--set", "1,3"),
+    ("--format", "dot", "export", "--canonical", "--group", "D8", "--alpha", "2", "--set", "1,3"),
+    ("group", "list", "--max-order", "0"),
+    ("group", "list", "--max-order", "-1"),
 )
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 # a spec whose double-cover search runs out of an automorphism-search budget of 9 nodes
@@ -127,19 +144,56 @@ def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = N
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
 
-def stability_digest(max_order: int) -> tuple[str, int]:
+def census_graphs(max_order: int):
+    """Every census graph to max_order, in census order."""
     caps = caps_from_env()
-    digest = hashlib.sha256()
-    count = 0
     for name in builtin_descriptors(max_order):
         g = make_group(name, caps)
         for alpha in enumerate_involutory_automorphisms(g):
             for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                x = build_gc_graph(spec)
-                if x.is_connected() and not x.is_bipartite():
-                    r = stability_check(x, caps.aut_node_budget)
-                    digest.update(repr((r.status, r.aut_order, r.cover_aut_order, r.reason)).encode())
-                    count += 1
+                yield build_gc_graph(spec)
+
+
+def distinct_census_graphs(max_order: int):
+    """The census graphs to max_order, each labelled graph once, in census order."""
+    seen = set()
+    for x in census_graphs(max_order):
+        if (x.n, x.rows) not in seen:
+            seen.add((x.n, x.rows))
+            yield x
+
+
+def stability_digest(max_order: int) -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for x in census_graphs(max_order):
+        if x.is_connected() and not x.is_bipartite():
+            r = stability_check(x, caps.aut_node_budget)
+            digest.update(repr((r.status, r.aut_order, r.cover_aut_order, r.reason)).encode())
+            count += 1
+    return digest.hexdigest(), count
+
+
+def cayley_digest(max_order: int) -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for x in distinct_census_graphs(max_order):
+        v = detect_cayley(x, caps)
+        digest.update(repr((v.status, v.reason, v.aut_order, v.connection_ids, v.orbit_witness)).encode())
+        count += 1
+    return digest.hexdigest(), count
+
+
+def canonical_digest(max_order: int) -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for x in distinct_census_graphs(max_order):
+        c = canonical_form(x, caps.aut_node_budget)
+        digest.update(repr((c.fingerprint, c.labeling)).encode())
+        count += 1
     return digest.hexdigest(), count
 
 
@@ -174,6 +228,10 @@ def main() -> int:
     print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
     digest, count = stability_digest(STABILITY_ORDER)
     print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
+    digest, count = cayley_digest(STABILITY_ORDER)
+    print(f"detect_cayley --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
+    digest, count = canonical_digest(STABILITY_ORDER)
+    print(f"canonical_form --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = automorphism_digest()
     print(f"automorphisms  {digest}  {count} groups")
     for tid in THEOREM_IDS:
@@ -182,6 +240,9 @@ def main() -> int:
     for argv in (*FLAGGED_VERIFY, *REFUSED_VERIFY):
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", *argv)
         print(f"verify {' '.join(arg or repr(arg) for arg in argv)}  {digest}  exit {status}")
+    for argv in REFUSED_RUNS:
+        digest, status = run_digest("-m", "gcg", *argv)
+        print(f"refused {' '.join(argv)}  {digest}  exit {status}")
     for command in ("build", "analyze"):
         for group, alpha, ids in SPECS:
             digest, status = run_digest(

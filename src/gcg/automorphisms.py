@@ -245,11 +245,6 @@ def decompose_cyclic_sylow(g: FiniteGroup, alpha: AutomorphismMap) -> CyclicSylo
     z = next((x for x in range(g.order) if g.element_orders[x] == two_n), None)
     if z is None:
         raise ShapeError("Sylow 2-subgroup is not cyclic")
-    span = subgroup_closure(g, [z])
-    for x in range(g.order):
-        o = g.element_orders[x]
-        if o & (o - 1) == 0 and not span >> x & 1:
-            raise ShapeError("Sylow 2-subgroup is not cyclic")
     # discrete log of alpha(z) in <z>
     a, cur = None, 0
     for k in range(1, two_n + 1):

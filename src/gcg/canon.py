@@ -9,8 +9,8 @@ The automorphism pass records the leftmost path during the first walk; for
 every sibling branch it probes for a single automorphism mapping the
 leftmost prefix onto that branch and then abandons the branch (the coset
 argument makes the generated group complete).  The canonical pass keeps the minimal
-(trace sequence, labeled adjacency) leaf; isomorphic graphs therefore get
-identical fingerprints.
+(trace sequence, graph6) leaf, and that graph6 is the fingerprint;
+isomorphic graphs therefore get identical fingerprints.
 
 The automorphisms found are a strong generating set relative to the
 leftmost path's base b_0, ..., b_k (McKay and Piperno, Practical graph
@@ -49,7 +49,8 @@ from functools import lru_cache
 
 from .caps import caps_from_env
 from .errors import BudgetExceeded
-from .graphs import Graph, IsomorphismWitness, bipartite_double_cover, check_witness, relabel
+from .formats import graph6_in_order
+from .graphs import Graph, IsomorphismWitness, bipartite_double_cover, check_witness
 from .groups import bits, mask_of
 from .perms import Perm, StabilizerChain, orbit_partition, pinv
 
@@ -65,7 +66,7 @@ class PermGroupDescription:
 @dataclass(frozen=True)
 class CanonicalForm:
     labeling: Perm        # vertex -> canonical label
-    fingerprint: bytes    # graph6 of the relabeled graph
+    fingerprint: bytes    # graph6 of the graph under the labeling
 
 
 class _Budget:
@@ -188,31 +189,6 @@ def _labeling(cells: list[list[int]], n: int) -> Perm:
     return tuple(lab)
 
 
-def _leaf_key(rows: tuple[int, ...], lab: Perm) -> bytes:
-    """Upper-triangle bits of the relabeled adjacency, packed big-endian."""
-    n = len(lab)
-    inv = [0] * n
-    for v, l in enumerate(lab):
-        inv[l] = v
-    acc = 0
-    count = 0
-    for j in range(1, n):
-        vj = inv[j]
-        for i in range(j):
-            acc = (acc << 1) | (rows[inv[i]] >> vj & 1)
-            count += 1
-    return acc.to_bytes((count + 7) // 8 or 1, "big")
-
-
-def _gamma_from_labelings(lab_a: Perm, lab_b: Perm) -> Perm:
-    """Permutation sending the vertex labeled j by lab_a to the one labeled j by lab_b."""
-    n = len(lab_a)
-    inv_b = [0] * n
-    for v, l in enumerate(lab_b):
-        inv_b[l] = v
-    return tuple(inv_b[lab_a[v]] for v in range(n))
-
-
 def _is_automorphism(rows: tuple[int, ...], p: Perm) -> bool:
     for u in range(len(p)):
         img = 0
@@ -277,9 +253,10 @@ class _SiblingOrbits:
 
 
 def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
-    """Returns (base, gens, first_leaf_labeling): gens, which starts with the
+    """Returns (base, gens, first_leaf_order): gens, which starts with the
     seeds, is a strong generating set of Aut relative to base, the leftmost
-    path's individualized vertices.  Every seed must be an automorphism."""
+    path's individualized vertices, and the first leaf lists the vertices in
+    label order.  Every seed must be an automorphism."""
     gens: list[Perm] = list(seeds)
     for seed in gens:
         if len(seed) != n or not _is_automorphism(rows, seed):
@@ -290,17 +267,18 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
     # the leftmost path, recorded as the first walk takes it
     base: list[int] = []
     first_traces: list[tuple[int, ...]] = []
-    zeta: list = [(), b""]  # the first leaf's labelling and key
+    zeta: list = [(), ""]  # the first leaf's vertex order and key
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
         t = _target_cell(cells)
         if t is None:
-            lab = _labeling(cells, n)
+            order = [c[0] for c in cells]
             if on_first:
-                zeta[:] = lab, _leaf_key(rows, lab)
+                zeta[:] = order, graph6_in_order(rows, order)
                 return False
-            if _leaf_key(rows, lab) == zeta[1]:
-                gamma = _gamma_from_labelings(zeta[0], lab)
+            if graph6_in_order(rows, order) == zeta[1]:
+                # sends the vertex labeled j at the first leaf to the one labeled j here
+                gamma = tuple(w for _, w in sorted(zip(zeta[0], order)))
                 if not _is_automorphism(rows, gamma):
                     raise AssertionError("leaf key collision without automorphism")
                 gens.append(gamma)
@@ -334,19 +312,18 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
 
 
 def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
-    """Minimal (trace sequence, labeled adjacency) leaf over the search tree."""
+    """Labeling of the minimal (trace sequence, graph6) leaf over the search tree."""
     budget = _Budget("canonical search", n, limit)
     cells0: list[list[int]] = [list(range(n))]
     _refine(rows, cells0, [mask_of(range(n))] if n else [])
-    best: list = [None, None, None]  # traces, leaf bytes, labeling
+    best: list = [None, None, ()]  # traces, leaf graph6, labeling
 
     def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
         t = _target_cell(cells)
         if t is None:
-            lab = _labeling(cells, n)
-            key = _leaf_key(rows, lab)
+            key = graph6_in_order(rows, [c[0] for c in cells])
             if best[0] is None or (traces, key) < (best[0], best[1]):
-                best[0], best[1], best[2] = traces, key, lab
+                best[0], best[1], best[2] = traces, key, _labeling(cells, n)
             return
         orbits = _SiblingOrbits(prefix, gens)
         for v in cells[t]:
@@ -363,8 +340,6 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
 
     if n:
         explore(cells0, 0, (), ())
-    else:
-        best[2] = ()
     return best[2]
 
 
@@ -420,17 +395,15 @@ def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> Perm
 
 
 @lru_cache(maxsize=1024)
-def _canon_cached(n: int, rows: tuple[int, ...], budget: int) -> Perm:
+def _canon_cached(n: int, rows: tuple[int, ...], budget: int) -> CanonicalForm:
     _, gens = _aut_cached(n, rows, budget)
-    return _canon_search(rows, n, list(gens), budget)
+    lab = _canon_search(rows, n, list(gens), budget)
+    return CanonicalForm(labeling=lab, fingerprint=graph6_in_order(rows, pinv(lab)).encode("ascii"))
 
 
 def canonical_form(g: Graph, budget: int | None = None) -> CanonicalForm:
-    from .formats import to_graph6
-
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    lab = _canon_cached(g.n, g.rows, budget)
-    return CanonicalForm(labeling=lab, fingerprint=to_graph6(relabel(g, lab)).encode("ascii"))
+    return _canon_cached(g.n, g.rows, budget)
 
 
 def is_isomorphic(a: Graph, b: Graph, budget: int | None = None) -> IsomorphismWitness | None:

@@ -6,7 +6,8 @@ points).  The detector never lists Aut(X).  Complete and edgeless graphs
 are circulants.  A graph whose complement or itself is disconnected is
 reduced to one component Y: Aut(X) equals Aut of the complement, a
 vertex-transitive mY has isomorphic components, and mY is Cayley iff Y is
-(a regular R of Aut(Y) lifts to R x Z_m).  A connected, co-connected graph
+(a regular R of Aut(Y) lifts to R x Z_m, along isomorphisms between the
+components read off Aut(X)'s first transversal).  A connected, co-connected graph
 goes to a search over the stabilizer chain of Aut(X) that grows a
 semiregular subgroup one coset of the base-point stabilizer at a time
 (Seress, Permutation Group Algorithms, 2003); its node budget bounds the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import automorphism_chain, automorphism_group, double_cover_automorphism_group, is_isomorphic
+from .canon import automorphism_chain, automorphism_group, double_cover_automorphism_group
 from .caps import Caps, caps_from_env
 from .errors import BudgetExceeded
 from .graphs import Graph, IsomorphismWitness, check_witness
@@ -52,24 +53,23 @@ def _component_graph(g: Graph, comp: list[int]) -> Graph:
     return Graph(len(comp), tuple(mask_of(index[w] for w in bits(g.rows[v])) for v in comp))
 
 
-def _lift_components(x: Graph, caps: Caps) -> list[Perm] | None:
-    """Regular subgroup of Aut(x) for a disconnected vertex-transitive x = mY.
+def _lift_components(x: Graph, chain: StabilizerChain, caps: Caps) -> list[Perm] | None:
+    """Regular subgroup of Aut(x) for a disconnected vertex-transitive x = mY,
+    given a stabilizer chain of a transitive group of automorphisms of x.
 
-    A regular R of Aut(Y) lifts to R x Z_m: (r, j) sends phi_i(y) to
-    phi_{i+j}(r(y)), where phi_i: Y -> component i are isomorphisms.  If Y is
-    not Cayley neither is x, because the component of Cay(G, S) through the
-    identity is Cay(<S>, S)."""
+    Y is the component through the base point b0.  A regular R of Aut(Y)
+    lifts to R x Z_m: (r, j) sends phi_i(y) to phi_{i+j}(r(y)), where phi_i:
+    Y -> component i is the first-transversal element sending b0 into
+    component i, restricted to Y.  If Y is not Cayley neither is x, because
+    the component of Cay(G, S) through the identity is Cay(<S>, S)."""
     comps = x.components()
-    y = _component_graph(x, comps[0])
-    ry = _regular_subgroup(y, caps)
+    home = next(comp for comp in comps if chain.base[0] in comp)
+    y = _component_graph(x, home)
+    ry = _regular_subgroup(y, automorphism_chain(y, caps.aut_node_budget), caps)
     if ry is None:
         return None
-    phis = []
-    for comp in comps:
-        w = is_isomorphic(y, _component_graph(x, comp), caps.aut_node_budget)
-        if w is None:
-            raise AssertionError("components of a vertex-transitive graph are not isomorphic")
-        phis.append([comp[i] for i in w.mapping])
+    u0 = chain.transversal[0]
+    phis = [[u0[comp[0]][v] for v in home] for comp in comps]
     m = len(phis)
     lifted = []
     for j in range(m):
@@ -162,9 +162,10 @@ def _chain_search(chain: StabilizerChain, budget: int) -> list[Perm] | None:
     return None if found is None else list(found.values())
 
 
-def _regular_subgroup(g: Graph, caps: Caps) -> list[Perm] | None:
-    """A regular subgroup of Aut(g) for a vertex-transitive g, or None when
-    there is none; raises BudgetExceeded when a search runs out of budget.
+def _regular_subgroup(g: Graph, chain: StabilizerChain, caps: Caps) -> list[Perm] | None:
+    """A regular subgroup of Aut(g) for a vertex-transitive g with Aut(g)'s
+    stabilizer chain, or None when there is none; raises BudgetExceeded when
+    a search runs out of budget.
 
     Aut(g) is never listed: complete and edgeless graphs take the cyclic
     shifts, a disconnected g or complement reduces to one component (the
@@ -174,11 +175,11 @@ def _regular_subgroup(g: Graph, caps: Caps) -> list[Perm] | None:
     if g.edge_count() in (0, n * (n - 1) // 2):
         return _cyclic_shifts(n)
     if not g.is_connected():
-        return _lift_components(g, caps)
+        return _lift_components(g, chain, caps)
     co = g.complement()
     if not co.is_connected():
-        return _lift_components(co, caps)
-    return _chain_search(automorphism_chain(g, caps.aut_node_budget), caps.regular_search_budget)
+        return _lift_components(co, chain, caps)
+    return _chain_search(chain, caps.regular_search_budget)
 
 
 def _regular_to_cayley(g: Graph, regular: list[Perm]) -> tuple[FiniteGroup, tuple[int, ...], IsomorphismWitness]:
@@ -191,17 +192,9 @@ def _regular_to_cayley(g: Graph, regular: list[Perm]) -> tuple[FiniteGroup, tupl
     mul = [[by_image[v][w] for w in range(n)] for v in range(n)]
     group = group_from_table(mul, [str(v) for v in range(n)], Opaque(f"Reg{n}", n))
     connection = tuple(bits(g.rows[0]))
-    # Cay(group, connection) has x ~ y iff mul(inv x, y) in S; regularity makes
-    # that coincide with adjacency of g vertex-for-vertex.
-    from .graphs import from_edges
-
-    edges = []
-    sset = set(connection)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if mul[group.inv[x]][y] in sset:
-                edges.append((x, y))
-    cay = from_edges(n, edges)
+    # Cay(group, connection) joins x to xs for s in S; regularity makes that
+    # coincide with adjacency of g vertex-for-vertex.
+    cay = Graph(n, tuple(mask_of(row[s] for s in connection) for row in mul))
     witness = IsomorphismWitness(cay, g, tuple(range(n)))
     if not check_witness(witness):
         raise AssertionError("regular subgroup did not reproduce the adjacency")
@@ -213,13 +206,9 @@ def detect_cayley(g: Graph, caps: Caps | None = None) -> CayleyVerdict:
     n = g.n
     if n == 0:
         return CayleyVerdict(status="unknown", reason="empty vertex set")
-    ident = tuple(range(n))
     if g.edge_count() == 0 or g.edge_count() == n * (n - 1) // 2:
         kind = "edgeless" if g.edge_count() == 0 else "complete"
-        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-        group = group_from_table(mul, [str(v) for v in range(n)], Opaque(f"Z{n}", n))
-        connection = tuple(bits(g.rows[0]))
-        witness = IsomorphismWitness(g, g, ident)
+        group, connection, witness = _regular_to_cayley(g, _cyclic_shifts(n))
         return CayleyVerdict(
             status="cayley",
             reason=f"{kind} graph is a circulant",
@@ -239,7 +228,7 @@ def detect_cayley(g: Graph, caps: Caps | None = None) -> CayleyVerdict:
             aut_order=desc.order,
         )
     try:
-        regular = _regular_subgroup(g, caps)
+        regular = _regular_subgroup(g, automorphism_chain(g, caps.aut_node_budget), caps)
     except BudgetExceeded as exc:
         return CayleyVerdict(status="unknown", reason=str(exc), aut_order=desc.order)
     if regular is None:

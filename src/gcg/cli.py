@@ -76,14 +76,14 @@ def _build_parser() -> UsageParser:
     parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker count for the census (at most the CPU count "
                              "and the number of pending work items)")
-    parser.add_argument("--format", default=None,
+    parser.add_argument("--format", choices=("text", "json", "graph6", "dot"), default=None,
                         help="output format (text or json; export: graph6, dot, json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     group = sub.add_parser("group", help="catalog inspection")
     group_sub = group.add_subparsers(dest="group_command", required=True)
     group_list = group_sub.add_parser("list", help="list builtin group descriptors")
-    group_list.add_argument("--max-order", type=int, default=None)
+    group_list.add_argument("--max-order", type=positive_int, default=None)
 
     build = sub.add_parser("build", help="build and validate one spec")
     _spec_flags(build)
@@ -311,6 +311,10 @@ def cmd_export(args, caps: Caps) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format in ("graph6", "dot") and args.command != "export":
+        parser.error(f"--format {args.format} applies to export only")
+    if args.command == "export" and args.canonical and args.format not in (None, "graph6"):
+        parser.error("--canonical applies to --format graph6 only")
     try:
         caps = _caps(args)
         if args.command == "group":

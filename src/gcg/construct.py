@@ -34,7 +34,6 @@ class GCSpec:
     group: FiniteGroup
     alpha: AutomorphismMap
     connection: ElementSet
-    validation: ValidationReport
 
     def set_ids(self) -> tuple[int, ...]:
         return self.connection.members()
@@ -64,7 +63,7 @@ def make_spec(g: FiniteGroup, alpha: AutomorphismMap, s_ids) -> GCSpec:
     report = validate_connection_set(g, alpha, mask)
     if not report.ok:
         raise SpecError(f"invalid connection set: {report}")
-    return GCSpec(g, alpha, ElementSet(g, mask), report)
+    return GCSpec(g, alpha, ElementSet(g, mask))
 
 
 def build_gc_graph(spec: GCSpec) -> Graph:

@@ -24,21 +24,25 @@ def _g6_header(n: int) -> str:
     raise ShapeError(f"graph6 header for n={n} not supported")
 
 
-def to_graph6(g: Graph) -> str:
-    out = [_g6_header(g.n)]
+def graph6_in_order(rows, order) -> str:
+    """graph6 of the graph with these adjacency rows, vertex order[j] written
+    as vertex j.  For a fixed vertex count the strings sort like the upper
+    triangles read as big-endian integers, which is the order in which the
+    canonical search compares its leaves."""
+    n = len(order)
     acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.rows[j]
+    for j in range(1, n):
+        vj = order[j]
         for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+            acc = acc << 1 | rows[order[i]] >> vj & 1
+    width = n * (n - 1) // 2
+    pad = -width % 6
+    acc <<= pad
+    return _g6_header(n) + "".join(chr((acc >> s & 63) + 63) for s in range(width + pad - 6, -1, -6))
+
+
+def to_graph6(g: Graph) -> str:
+    return graph6_in_order(g.rows, range(g.n))
 
 
 def from_graph6(text: str) -> Graph:

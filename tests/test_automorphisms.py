@@ -16,10 +16,8 @@ from gcg.automorphisms import (
     omega_set,
 )
 from gcg.catalog import builtin_descriptors
-from gcg.cayley import detect_cayley
 from gcg.errors import DescriptorError
-from gcg.graphs import complete_graph
-from gcg.groups import make_group
+from gcg.groups import Opaque, group_from_table, make_group
 
 from oracles.brute import closure_automorphisms, group_automorphisms_brute
 
@@ -169,10 +167,10 @@ def test_classify_dihedral_involutions(caps):
 
 
 def test_opaque_group_does_not_share_involutory_maps(caps):
-    # detect_cayley names the circulant it finds for K6 "Z6", like the
-    # catalog group; the maps are cached per group object, not per name
+    # an explicit Z6 table named like the catalog group; the maps are cached
+    # per group object, not per name
     catalog = make_group("Z6", caps)
-    opaque = detect_cayley(complete_graph(6), caps).group
+    opaque = group_from_table([[(a + b) % 6 for b in range(6)] for a in range(6)], None, Opaque("Z6", 6))
     assert opaque.name == catalog.name and opaque is not catalog
     ours = enumerate_involutory_automorphisms(opaque)
     theirs = enumerate_involutory_automorphisms(catalog)

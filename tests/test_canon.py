@@ -25,6 +25,7 @@ from gcg.catalog import builtin_descriptors
 from gcg.cayley import stability_check
 from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
 from gcg.errors import BudgetExceeded
+from gcg.formats import to_graph6
 from gcg.graphs import (
     bipartite_double_cover,
     check_witness,
@@ -231,6 +232,32 @@ def test_chain_orders_on_census_graphs_to_order_8(caps):
     for x in graphs:
         _chain_agrees_with_oracles(x)
     assert len(graphs) > 400
+
+
+def _fingerprint_is_graph6_of_the_relabelled_graph(g):
+    form = canonical_form(g)
+    assert form.fingerprint == to_graph6(relabel(g, form.labeling)).encode("ascii")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] < e[1]
+        )).map(lambda edges: from_edges(n, sorted(edges)))
+    )
+)
+def test_fingerprint_is_graph6_of_the_relabelled_graph(g):
+    # the fingerprint is the best leaf's graph6; the oracle relabels and encodes
+    _fingerprint_is_graph6_of_the_relabelled_graph(g)
+
+
+def test_census_fingerprints_are_graph6_of_the_relabelled_graphs(caps):
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        _fingerprint_is_graph6_of_the_relabelled_graph(x)
+        count += 1
+    assert count == 430
 
 
 def test_unseeded_search_trees_are_pinned(caps, monkeypatch):

@@ -3,7 +3,8 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gcg.automorphisms import enumerate_involutory_automorphisms, inversion_map
+from gcg import canon
+from gcg.automorphisms import automorphism_from_perm, enumerate_involutory_automorphisms, inversion_map
 from gcg.canon import automorphism_group, is_isomorphic
 from gcg.caps import Caps
 from gcg.catalog import builtin_descriptors
@@ -47,11 +48,36 @@ def test_detect_cayley_on_circulant(caps):
     assert ids is not None and len(ids) == 2
 
 
+def _cayley_graph(group, ids):
+    # Cay(G, S) is the GC graph of the identity automorphism: x ~ xs
+    ident = automorphism_from_perm(group, range(group.order))
+    return build_gc_graph(make_spec(group, ident, ids))
+
+
 def test_detect_cayley_trivial_families(caps):
     for g in (empty_graph(5), complete_graph(6)):
         verdict = detect_cayley(g, caps)
         assert verdict.status == "cayley"
-        assert verdict.group.order == g.n
+        assert verdict.reason.endswith("graph is a circulant")
+        assert verdict.group.order == g.n and verdict.group.name == f"Reg{g.n}"
+        assert check_witness(verdict.witness) and verdict.witness.target == g
+        assert verdict.witness.source == _cayley_graph(verdict.group, verdict.connection_ids)
+
+
+def test_component_isomorphisms_need_no_canonical_search(caps, monkeypatch):
+    # the isomorphisms between components come from Aut(X)'s first transversal
+    def refuse(*args):
+        raise AssertionError("canonical search run")
+
+    canon._canon_cached.cache_clear()
+    monkeypatch.setattr(canon, "_canon_search", refuse)
+    c5, c4 = cycle_graph(5), cycle_graph(4)
+    two_c5 = relabel(_union(c5, c5), (3, 7, 0, 9, 5, 1, 8, 2, 6, 4))
+    for g in (two_c5, _union(c4, c4, c4).complement()):
+        verdict = detect_cayley(g, caps)
+        assert verdict.status == "cayley"
+        assert check_witness(verdict.witness) and verdict.witness.target == g
+        assert verdict.witness.source == _cayley_graph(verdict.group, verdict.connection_ids)
 
 
 def test_detect_cayley_petersen(caps):

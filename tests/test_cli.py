@@ -338,3 +338,23 @@ def test_export_formats(tmp_path, capsys):
     target = tmp_path / "c4.g6"
     code, out, _ = run_cli(capsys, *base, "--out", str(target))
     assert code == 0 and target.read_text() == "Cl\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--format", "xml", "analyze", "--group", "Z4", "--alpha", "1", "--set", "1,3"), "argument --format:"),
+    (("--format", "graph6", "verify", "lemma-4.1", "--p", "3"), "--format graph6 applies to export only"),
+    (("--format", "dot", "analyze", "--group", "Z4", "--alpha", "1", "--set", "1,3"),
+     "--format dot applies to export only"),
+    (("--format", "json", "export", "--canonical", "--group", "D8", "--alpha", "2", "--set", "1,3"),
+     "--canonical applies to --format graph6 only"),
+    (("--format", "dot", "export", "--canonical", "--group", "D8", "--alpha", "2", "--set", "1,3"),
+     "--canonical applies to --format graph6 only"),
+    (("group", "list", "--max-order", "0"), "argument --max-order: must be at least 1, got 0"),
+    (("group", "list", "--max-order", "-1"), "argument --max-order: must be at least 1, got -1"),
+])
+def test_flags_a_command_would_ignore_are_refused(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
