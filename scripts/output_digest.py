@@ -9,7 +9,10 @@ budget of 8 nodes, where some answers stay unknown (so a change in how
 records are shared shows on the pool path and under a budget).  Then the
 sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
 reason) of every connected non-bipartite census graph to order 10, in
-census order, so a change in the double-cover search shows.  Then the
+census order, so a change in the double-cover search shows, and of the
+answers (status, reason) that the twisted-translation two-fold
+automorphism certifies, with no search, on those whose alpha is not the
+identity, so a change in that route shows.  Then the
 sha256 of the `detect_cayley` answers (status, reason, |Aut|, connection
 ids, orbit witness) and of the `canonical_form` answers (fingerprint,
 labelling) of every distinct census graph to order 10, in census order, so
@@ -71,7 +74,7 @@ from gcg.automorphisms import (  # noqa: E402
 from gcg.caps import caps_from_env  # noqa: E402
 from gcg.catalog import builtin_descriptors  # noqa: E402
 from gcg.canon import canonical_form  # noqa: E402
-from gcg.cayley import detect_cayley, stability_check  # noqa: E402
+from gcg.cayley import detect_cayley, stability_check, twisted_translation  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.construct import build_gc_graph, enumerate_connection_sets  # noqa: E402
 from gcg.groups import make_group  # noqa: E402
@@ -144,14 +147,18 @@ def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = N
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
 
-def census_graphs(max_order: int):
-    """Every census graph to max_order, in census order."""
+def census_specs(max_order: int):
+    """Every census spec to max_order, in census order."""
     caps = caps_from_env()
     for name in builtin_descriptors(max_order):
         g = make_group(name, caps)
         for alpha in enumerate_involutory_automorphisms(g):
-            for spec in enumerate_connection_sets(g, alpha, caps=caps):
-                yield build_gc_graph(spec)
+            yield from enumerate_connection_sets(g, alpha, caps=caps)
+
+
+def census_graphs(max_order: int):
+    """Every census graph to max_order, in census order."""
+    return map(build_gc_graph, census_specs(max_order))
 
 
 def distinct_census_graphs(max_order: int):
@@ -171,6 +178,20 @@ def stability_digest(max_order: int) -> tuple[str, int]:
         if x.is_connected() and not x.is_bipartite():
             r = stability_check(x, caps.aut_node_budget)
             digest.update(repr((r.status, r.aut_order, r.cover_aut_order, r.reason)).encode())
+            count += 1
+    return digest.hexdigest(), count
+
+
+def two_fold_digest(max_order: int) -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for spec in census_specs(max_order):
+        pair = twisted_translation(spec.group, spec.alpha.perm)
+        x = build_gc_graph(spec)
+        if pair is not None and x.is_connected() and not x.is_bipartite():
+            r = stability_check(x, caps.aut_node_budget, pair)
+            digest.update(repr((r.status, r.reason)).encode())
             count += 1
     return digest.hexdigest(), count
 
@@ -228,6 +249,8 @@ def main() -> int:
     print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
     digest, count = stability_digest(STABILITY_ORDER)
     print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
+    digest, count = two_fold_digest(STABILITY_ORDER)
+    print(f"two-fold stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = cayley_digest(STABILITY_ORDER)
     print(f"detect_cayley --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = canonical_digest(STABILITY_ORDER)

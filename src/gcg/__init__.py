@@ -25,7 +25,7 @@ from .automorphisms import (
 from .canon import CanonicalForm, automorphism_group, canonical_form, is_isomorphic
 from .caps import Caps, PROFILES, caps_from_env, with_overrides
 from .catalog import BUILTIN_DESCRIPTORS, builtin_descriptors, builtin_groups
-from .cayley import detect_cayley, is_vertex_transitive, stability_check
+from .cayley import detect_cayley, is_vertex_transitive, stability_check, twisted_translation
 from .census import RunConfig, compute_record, refuting_records, run_census
 from .construct import (
     GCSpec,

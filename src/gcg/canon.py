@@ -262,8 +262,8 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
         if len(seed) != n or not _is_automorphism(rows, seed):
             raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
     budget = _Budget(stage, n, limit)
-    cells0: list[list[int]] = [list(range(n))]
-    _refine(rows, cells0, [mask_of(range(n))] if n else [])
+    cells0: list[list[int]] = [list(range(n))] if n else []
+    _refine(rows, cells0, [mask_of(range(n))])
     # the leftmost path, recorded as the first walk takes it
     base: list[int] = []
     first_traces: list[tuple[int, ...]] = []
@@ -306,16 +306,15 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
                 return True
         return found_any
 
-    if n:
-        explore(cells0, 0, (), True)
+    explore(cells0, 0, (), True)
     return base, gens, zeta[0]
 
 
 def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
     """Labeling of the minimal (trace sequence, graph6) leaf over the search tree."""
     budget = _Budget("canonical search", n, limit)
-    cells0: list[list[int]] = [list(range(n))]
-    _refine(rows, cells0, [mask_of(range(n))] if n else [])
+    cells0: list[list[int]] = [list(range(n))] if n else []
+    _refine(rows, cells0, [mask_of(range(n))])
     best: list = [None, None, ()]  # traces, leaf graph6, labeling
 
     def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
@@ -338,8 +337,7 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
                     continue
             explore(child, depth + 1, prefix + (v,), newtraces)
 
-    if n:
-        explore(cells0, 0, (), ())
+    explore(cells0, 0, (), ())
     return best[2]
 
 

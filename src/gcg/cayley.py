@@ -254,9 +254,36 @@ class StabilityResult:
     reason: str
     aut_order: int | None = None
     cover_aut_order: int | None = None
+    two_fold: tuple[Perm, Perm] | None = None   # the checked (sigma, tau) behind an unstable answer
 
 
-def stability_check(g: Graph, budget: int | None = None) -> StabilityResult:
+def twisted_translation(g: FiniteGroup, alpha: Perm) -> tuple[Perm, Perm] | None:
+    """The two-fold automorphism (x -> alpha(t)x, x -> tx) of every
+    GC(G, S, alpha), for the first t with alpha(t) != t; None when alpha is
+    the identity.  `stability_check` states and checks it."""
+    t = next((t for t in range(g.order) if alpha[t] != t), None)
+    return None if t is None else (g.mul[alpha[t]], g.mul[t])
+
+
+def _check_two_fold(g: Graph, sigma: Perm, tau: Perm) -> None:
+    """Raise ValueError unless sigma and tau are distinct permutations of
+    the vertices with N(sigma x) = tau(N(x)) for every x."""
+    n = g.n
+    for p in (sigma, tau):
+        if len(p) != n or set(p) != set(range(n)):
+            raise ValueError(f"two-fold automorphism: a map is not a permutation of {n} vertices")
+    for x in range(n):
+        image = 0
+        for y in bits(g.rows[x]):
+            image |= 1 << tau[y]
+        if image != g.rows[sigma[x]]:
+            raise ValueError(f"two-fold automorphism: N(sigma({x})) != tau(N({x}))")
+    if tuple(sigma) == tuple(tau):
+        raise ValueError("two-fold automorphism: sigma = tau is the lift of an automorphism")
+
+
+def stability_check(g: Graph, budget: int | None = None,
+                    two_fold: tuple[Perm, Perm] | None = None) -> StabilityResult:
     """Compare |Aut(X x K2)| against 2|Aut(X)|.
 
     The comparison only characterizes stability for connected non-bipartite
@@ -264,11 +291,39 @@ def stability_check(g: Graph, budget: int | None = None) -> StabilityResult:
     comes from a search seeded with the lifts of Aut(X) and the layer swap,
     which always lie in it; the order is exact, and a budget error names the
     double-cover search.
+
+    A two-fold automorphism (sigma, tau) of X is a pair of permutations with
+    N(sigma x) = tau(N(x)) for every x (Lauri, Mizzi and Scapellato,
+    Two-fold automorphisms of graphs, Australas. J. Combin. 2011).  Then
+    (x, 0) -> (sigma x, 0), (x, 1) -> (tau x, 1) is an automorphism of
+    X x K2: x ~ y iff tau y lies in tau(N(x)) = N(sigma x).  It keeps the
+    layers, so it lies in Aut(X) x Z2 only as the lift of sigma = tau; when
+    sigma != tau, |Aut(X x K2)| > 2|Aut(X)| and X is unstable.  On a
+    connected non-bipartite graph an offered pair is checked (both maps
+    permutations, N(sigma x) = tau(N(x)) for all x, in O(n d), and sigma !=
+    tau), a bad one raises ValueError, and a good one answers unstable with
+    no search at all, so aut_order and cover_aut_order stay None.
+
+    Lemma (any group).  Let X = GC(G, S, alpha), so N(x) = alpha(x)S, and
+    take t with alpha(t) != t.  With sigma x = alpha(t)x and tau x = tx,
+    N(sigma x) = alpha(alpha(t)x)S = t alpha(x)S = tau(N(x)), since alpha is
+    an involutory automorphism; and at the identity, vertex 0, sigma(0) =
+    alpha(t) != t = tau(0).  So every connected non-bipartite GC graph with
+    alpha != id is unstable; `twisted_translation` builds the pair, and the
+    reason names its t = tau(0).
     """
     if not g.is_connected():
         return StabilityResult(status="not_applicable", reason="graph is disconnected")
     if g.is_bipartite():
         return StabilityResult(status="not_applicable", reason="graph is bipartite")
+    if two_fold is not None:
+        sigma, tau = two_fold
+        _check_two_fold(g, sigma, tau)
+        return StabilityResult(
+            status="unstable",
+            reason=f"two-fold automorphism with sigma != tau, t = tau(0) = {tau[0]}",
+            two_fold=(tuple(sigma), tuple(tau)),
+        )
     a = automorphism_group(g, budget).order
     b = double_cover_automorphism_group(g, budget).order
     if b < 2 * a:

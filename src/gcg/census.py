@@ -40,6 +40,12 @@ member alpha_j receives each representative record through one fixed psi_j
 with psi_j alpha_rep psi_j^-1 = alpha_j.  `compute_record` is the direct,
 untransported computation.
 
+A record whose alpha is not the identity passes `twisted_translation(G,
+alpha)` to `stability_check`: that two-fold automorphism certifies every
+connected non-bipartite GC(G, S, alpha) unstable with no search and no
+budget (the lemma is in `stability_check`), so only alpha = id graphs run
+the double-cover search.
+
 Only fully known invariant answers are shared.  All records transported
 from one C(alpha)-orbit, across the whole class, are isomorphic graphs; they
 copy the orbit's invariant fields once some member has them all known, and
@@ -73,7 +79,7 @@ from .automorphisms import (
 from .canon import automorphism_group, canonical_form
 from .caps import Caps, caps_from_env
 from .catalog import builtin_descriptors
-from .cayley import detect_cayley, stability_check
+from .cayley import detect_cayley, stability_check, twisted_translation
 from .construct import (
     GCSpec,
     build_gc_graph,
@@ -106,7 +112,7 @@ class RunConfig:
 def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
     x, record, _ = _labelled_fields(spec, alpha_index)
     record["fingerprint"] = _fingerprint(x, caps)
-    record.update(_verdicts(x, caps))
+    record.update(_verdicts(x, caps, twisted_translation(spec.group, spec.alpha.perm)))
     return record
 
 
@@ -151,8 +157,9 @@ def _fingerprint(x: Graph, caps: Caps) -> str | None:
         return None
 
 
-def _verdicts(x: Graph, caps: Caps) -> dict:
-    """vertex_transitive, cayley and stability of x."""
+def _verdicts(x: Graph, caps: Caps, two_fold: tuple[Perm, Perm] | None) -> dict:
+    """vertex_transitive, cayley and stability of x; two_fold is passed to
+    `stability_check`."""
     out: dict = {}
     try:
         desc = automorphism_group(x, caps.aut_node_budget)
@@ -161,7 +168,7 @@ def _verdicts(x: Graph, caps: Caps) -> dict:
         out["vertex_transitive"] = "unknown"
     out["cayley"] = detect_cayley(x, caps).status
     try:
-        out["stability"] = stability_check(x, caps.aut_node_budget).status
+        out["stability"] = stability_check(x, caps.aut_node_budget, two_fold).status
     except BudgetExceeded:
         out["stability"] = "unknown"
     return out
@@ -237,25 +244,27 @@ class _OrbitFields:
         self.fields: dict | None = None
 
 
-def _invariant_fields(x: Graph, caps: Caps) -> tuple[dict, bool]:
+def _invariant_fields(x: Graph, caps: Caps, two_fold: tuple[Perm, Perm] | None) -> tuple[dict, bool]:
     """fingerprint and verdicts of x, through the verdict memo, and whether
     every one is known."""
     fingerprint = _fingerprint(x, caps)
     key = (fingerprint, caps)
     verdicts = _VERDICTS.get(key) if fingerprint is not None else None
     if verdicts is None:
-        verdicts = _verdicts(x, caps)
+        verdicts = _verdicts(x, caps, two_fold)
     known = fingerprint is not None and "unknown" not in verdicts.values()
     if known:
         _VERDICTS.setdefault(key, verdicts)
     return {"fingerprint": fingerprint, **verdicts}, known
 
 
-def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps) -> None:
+def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps,
+           two_fold: tuple[Perm, Perm] | None) -> None:
     """Give record its orbit's invariant fields, computing them on its own
-    graph, graph_of(), while the orbit has none known."""
+    graph, graph_of(), with the two-fold automorphism two_fold, while the
+    orbit has none known."""
     if shared.fields is None:
-        fields, known = _invariant_fields(graph_of(), caps)
+        fields, known = _invariant_fields(graph_of(), caps, two_fold)
         if known:
             shared.fields = fields
         record.update(fields)
@@ -277,7 +286,8 @@ def _transport(g: FiniteGroup, source: Transported, phi: Perm, alpha: Automorphi
     out = dict(record, alpha_index=alpha_index, alpha=list(alpha.perm),
                set_ids=sorted(phi[s] for s in record["set_ids"]),
                triangle_hash=_profile_hash(renamed))
-    _share(shared, out, lambda: build_gc_graph(make_spec(g, alpha, out["set_ids"])), caps)
+    _share(shared, out, lambda: build_gc_graph(make_spec(g, alpha, out["set_ids"])), caps,
+           twisted_translation(g, alpha.perm))
     return out, tuple(renamed), shared
 
 
@@ -287,6 +297,7 @@ def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index:
     set of each C(alpha)-orbit computed in full, the later ones transported
     from it."""
     out: list[Transported] = []
+    two_fold = twisted_translation(g, alpha.perm)
     pending: dict[int, tuple[Transported, Perm]] = {}   # later set of an orbit -> (first set, phi)
     for mask in connection_masks(capped_connection_orbits(g, alpha, caps)):
         if mask in pending:
@@ -296,7 +307,7 @@ def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index:
         spec = make_spec(g, alpha, mask)
         x, record, profile = _labelled_fields(spec, alpha_index)
         shared = _OrbitFields()
-        _share(shared, record, lambda: x, caps)
+        _share(shared, record, lambda: x, caps, two_fold)
         first = (record, profile, shared)
         out.append(first)
         s_ids = spec.set_ids()

@@ -14,7 +14,7 @@ import sys
 from .automorphisms import enumerate_involutory_automorphisms
 from .canon import automorphism_group, canonical_form
 from .caps import Caps, caps_from_env, with_overrides
-from .cayley import detect_cayley, stability_check
+from .cayley import detect_cayley, stability_check, twisted_translation
 from .census import RunConfig, compute_record, run_census, spec_fields
 from .construct import (
     build_gc_graph,
@@ -212,7 +212,7 @@ def cmd_build(args, caps: Caps) -> int:
     payload["aut_order"] = desc.order
     payload["vertex_transitive"] = len(desc.orbits) <= 1
     payload["cayley"] = detect_cayley(x, caps).status
-    payload["stability"] = stability_check(x, caps.aut_node_budget).status
+    payload["stability"] = stability_check(x, caps.aut_node_budget, twisted_translation(g, alpha.perm)).status
     _emit(payload, args.format)
     return 0
 

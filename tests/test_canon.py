@@ -25,8 +25,9 @@ from gcg.catalog import builtin_descriptors
 from gcg.cayley import stability_check
 from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
 from gcg.errors import BudgetExceeded
-from gcg.formats import to_graph6
+from gcg.formats import from_graph6, to_graph6
 from gcg.graphs import (
+    Graph,
     bipartite_double_cover,
     check_witness,
     complete_graph,
@@ -142,6 +143,11 @@ def test_budget_errors_name_the_search():
     assert str(exc.value) == "automorphism search: budget exhausted after 1 refinement nodes on 6 vertices"
     with pytest.raises(BudgetExceeded, match="^canonical search: budget exhausted after 2 refinement nodes on 6 vertices$"):
         _canon_search(g.rows, g.n, [], 2)
+
+
+def test_empty_graph_has_a_canonical_form_and_a_trivial_group():
+    assert canonical_form(from_graph6("?")).fingerprint == b"?"
+    assert automorphism_group(Graph(0, ())).order == 1
 
 
 def test_cover_budget_error_names_the_search(caps):

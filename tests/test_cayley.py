@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +9,8 @@ from gcg.automorphisms import automorphism_from_perm, enumerate_involutory_autom
 from gcg.canon import automorphism_group, is_isomorphic
 from gcg.caps import Caps
 from gcg.catalog import builtin_descriptors
-from gcg.cayley import detect_cayley, is_vertex_transitive, stability_check
-from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
+from gcg.cayley import detect_cayley, is_vertex_transitive, stability_check, twisted_translation
+from gcg.construct import build_gc_graph, connection_orbits, enumerate_connection_sets, make_spec
 from gcg.graphs import (
     Graph,
     check_witness,
@@ -153,6 +154,82 @@ def test_unstable_gc_graphs(caps):
     r2 = stability_check(build_gc_graph(spec2))
     assert r2.status == "unstable"
     assert r2.cover_aut_order > 2 * r2.aut_order
+
+
+def _certified_and_searched(x, pair):
+    """The certificate route's and the pair-free cover search's answers on x."""
+    return stability_check(x, two_fold=pair), stability_check(x)
+
+
+def test_twisted_translation_agrees_with_the_cover_search(caps):
+    # the pair-free double-cover search is the independent answer: every
+    # connected non-bipartite census graph to order 10 with alpha != id
+    checked = 0
+    for name in builtin_descriptors(10):
+        g = make_group(name, caps)
+        for alpha in enumerate_involutory_automorphisms(g):
+            pair = twisted_translation(g, alpha.perm)
+            assert (pair is None) == (alpha.perm == tuple(range(g.order)))
+            if pair is None:
+                continue
+            for spec in enumerate_connection_sets(g, alpha, caps=caps):
+                x = build_gc_graph(spec)
+                if not x.is_connected() or x.is_bipartite():
+                    continue
+                certified, searched = _certified_and_searched(x, pair)
+                assert certified.status == searched.status == "unstable"
+                assert certified.two_fold == pair
+                assert certified.aut_order is None and certified.cover_aut_order is None
+                assert certified.reason.endswith(f"t = tau(0) = {pair[1][0]}")
+                assert searched.cover_aut_order > 2 * searched.aut_order
+                checked += 1
+    assert checked == 184
+
+
+@st.composite
+def alpha_non_identity_specs(draw):
+    caps = Caps()
+    g = make_group(draw(st.sampled_from(builtin_descriptors(12))), caps)
+    involutions = enumerate_involutory_automorphisms(g)[1:]   # index 0 is the identity
+    assume(involutions)
+    alpha = draw(st.sampled_from(involutions))
+    orbits = connection_orbits(g, alpha)
+    chosen = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    return make_spec(g, alpha, [s for orbit, keep in zip(orbits, chosen) if keep for s in orbit])
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha_non_identity_specs())
+def test_twisted_translation_agrees_with_the_cover_search_to_order_12(spec):
+    # the dihedral groups D6, D8, D10 and D12 included
+    x = build_gc_graph(spec)
+    pair = twisted_translation(spec.group, spec.alpha.perm)
+    certified, searched = _certified_and_searched(x, pair)
+    assert certified.status == searched.status
+    if searched.status != "not_applicable":
+        assert certified.status == "unstable" and certified.two_fold == pair
+        assert searched.cover_aut_order > 2 * searched.aut_order
+
+
+def test_stability_check_refuses_a_bad_two_fold_pair(caps):
+    g = make_group("D8", caps)
+    involutions = enumerate_involutory_automorphisms(g)
+    x = build_gc_graph(make_spec(g, involutions[2], (1, 4, 5, 7)))
+    assert x.is_connected() and not x.is_bipartite()
+    sigma, tau = twisted_translation(g, involutions[2].perm)
+    assert stability_check(x, 0, (sigma, tau)).status == "unstable"   # no search, so no budget
+    identity = tuple(range(g.order))
+    right = tuple(g.mul[v][tau[0]] for v in range(g.order))   # x -> xt, not tx
+    for pair, match in (
+        ((identity, identity), "sigma = tau"),
+        ((sigma, sigma), "N\\(sigma"),
+        ((sigma, right), "N\\(sigma"),
+        (twisted_translation(g, involutions[1].perm), "N\\(sigma"),
+        ((sigma, tau[:-1]), "not a permutation"),
+        ((sigma, (0,) * g.order), "not a permutation"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            stability_check(x, two_fold=pair)
 
 
 def _union(*parts):

@@ -414,15 +414,24 @@ def test_transported_records_equal_direct_records(data):
 
 
 def test_verdicts_are_computed_once_per_class(tmp_path, monkeypatch, caps):
+    import gcg.cayley as cayley
     import gcg.census as census
+    from gcg.canon import canonical_form
 
-    calls = []
+    calls, covers = [], []
     real = census.stability_check
-    monkeypatch.setattr(census, "stability_check", lambda x, budget: calls.append(x) or real(x, budget))
+    monkeypatch.setattr(census, "stability_check",
+                        lambda x, budget, two_fold: calls.append(x) or real(x, budget, two_fold))
+    real_cover = cayley.double_cover_automorphism_group
+    monkeypatch.setattr(cayley, "double_cover_automorphism_group",
+                        lambda x, budget: covers.append(x) or real_cover(x, budget))
     records = run_census(RunConfig(max_order=8, out_path=str(tmp_path / "c8.jsonl"), caps=caps))
     assert len(records) == 928
-    # one double-cover search per isomorphism class, not per record
+    # one stability check per isomorphism class, not per record
     assert len(calls) == len({r["fingerprint"] for r in records}) == 39
+    # and a class met first with alpha != id needs no double-cover search
+    assert len(covers) < 39
+    assert len({canonical_form(x).fingerprint for x in covers}) == len(covers)
 
 
 @settings(max_examples=60, deadline=None)

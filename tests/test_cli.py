@@ -78,6 +78,18 @@ def test_build_exits_3_when_a_search_runs_out(capsys):
     assert code == 0 and json.loads(out)["stability"] == "unknown"
 
 
+def test_analyze_certifies_instability_without_a_search(capsys):
+    # alpha #2 of D8 is not the identity, and the graph is connected and not
+    # bipartite: a twisted translation certifies instability where a budget
+    # of 0 nodes stops every search
+    code, out, _ = run_cli(capsys, "--caps-aut", "0", "--format", "json", "analyze",
+                           "--group", "D8", "--alpha", "2", "--set", "1,4,5,7")
+    record = json.loads(out)
+    assert code == 0 and record["connected"] and not record["bipartite"]
+    assert record["stability"] == "unstable"
+    assert record["vertex_transitive"] == "unknown" and record["fingerprint"] is None
+
+
 def test_build_trivial_group(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "build",
