@@ -4,9 +4,11 @@
 
 Prints the sha256 and record count of a one-job census to --max-order
 (default 11, written to a temporary directory), of the same census at two
-pool workers, and of a one-job census to order 7 at an automorphism-search
-budget of 8 nodes, where some answers stay unknown (so a change in how
-records are shared shows on the pool path and under a budget).  Then the
+pool workers, and of one-job censuses to order 7 at an automorphism-search
+budget of 8 nodes and to order 9 at a budget of 10 nodes, where some answers
+stay unknown (so a change in how records are shared shows on the pool path
+and under a budget; the order-9 line has moved under a change to orbit
+sharing that left the order-7 line as it was).  Then the
 sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
 reason) of every connected non-bipartite census graph to order 10, in
 census order, so a change in the double-cover search shows, and of the
@@ -120,7 +122,7 @@ SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-
 # run at every budget of BUDGET_LADDER, the other sweeping ids at SMALL_BUDGET only
 LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "prop-5.1")
 SMALL_BUDGET = 5
-TIGHT_CENSUS = (7, 8)   # max order, aut_node_budget
+TIGHT_CENSUSES = ((7, 8), (9, 10))   # (max order, aut_node_budget)
 STABILITY_ORDER = 10
 BUDGET_LADDER = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
@@ -244,9 +246,9 @@ def main() -> int:
     print(f"census --max-order {args.max_order}  {digest}  {count} records")
     digest, count = census_digest(args.max_order, jobs=2)
     print(f"census --max-order {args.max_order} --jobs 2  {digest}  {count} records")
-    order, budget = TIGHT_CENSUS
-    digest, count = census_digest(order, aut_node_budget=budget)
-    print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
+    for order, budget in TIGHT_CENSUSES:
+        digest, count = census_digest(order, aut_node_budget=budget)
+        print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
     digest, count = stability_digest(STABILITY_ORDER)
     print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = two_fold_digest(STABILITY_ORDER)

@@ -61,6 +61,7 @@ class PermGroupDescription:
     generators: tuple[Perm, ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
+    chain: StabilizerChain   # built by the search; cached and shared, so read-only
 
 
 @dataclass(frozen=True)
@@ -253,10 +254,9 @@ class _SiblingOrbits:
 
 
 def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
-    """Returns (base, gens, first_leaf_order): gens, which starts with the
-    seeds, is a strong generating set of Aut relative to base, the leftmost
-    path's individualized vertices, and the first leaf lists the vertices in
-    label order.  Every seed must be an automorphism."""
+    """Returns (base, gens): gens, which starts with the seeds, is a strong
+    generating set of Aut relative to base, the leftmost path's
+    individualized vertices.  Every seed must be an automorphism."""
     gens: list[Perm] = list(seeds)
     for seed in gens:
         if len(seed) != n or not _is_automorphism(rows, seed):
@@ -307,7 +307,7 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
         return found_any
 
     explore(cells0, 0, (), True)
-    return base, gens, zeta[0]
+    return base, gens
 
 
 def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
@@ -341,61 +341,50 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
     return best[2]
 
 
-@lru_cache(maxsize=1024)
-def _aut_cached(n: int, rows: tuple[int, ...], budget: int):
-    base, gens, _ = _aut_search(rows, n, budget)
-    return StabilizerChain.from_strong_generators(n, base, gens), tuple(gens)
-
-
-def _description(search, g: Graph, budget: int | None) -> PermGroupDescription:
-    """The group that a cached search (`_aut_cached` or `_cover_cached`)
-    finds for g, read off its (chain, gens)."""
-    budget = budget if budget is not None else caps_from_env().aut_node_budget
-    chain, gens = search(g.n, g.rows, budget)
+def _describe(n: int, base: list[int], gens: list[Perm]) -> PermGroupDescription:
+    chain = StabilizerChain.from_strong_generators(n, base, gens)
     return PermGroupDescription(
-        degree=chain.degree,
-        generators=gens,
+        degree=n,
+        generators=tuple(gens),
         order=chain.order(),
-        orbits=orbit_partition(chain.degree, list(gens)),
+        orbits=orbit_partition(n, gens),
+        chain=chain,
     )
 
 
+@lru_cache(maxsize=1024)
+def _aut_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
+    return _describe(n, *_aut_search(rows, n, budget))
+
+
 def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
-    return _description(_aut_cached, g, budget)
-
-
-def automorphism_chain(g: Graph, budget: int | None = None) -> StabilizerChain:
-    """The stabilizer chain of Aut(g) built by the automorphism search.
-
-    The chain is cached and shared between callers; it is read-only."""
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    return _aut_cached(g.n, g.rows, budget)[0]
+    return _aut_cached(g.n, g.rows, budget)
 
 
 @lru_cache(maxsize=1024)
-def _cover_cached(n: int, rows: tuple[int, ...], budget: int):
+def _cover_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
     """Aut(X x K2) of the graph X with these rows, from a search seeded with
     the lifts (x, i) -> (sigma x, i) of Aut(X)'s strong generators and the
     layer swap (x, i) -> (x, 1 - i); the cover's vertex (x, i) is 2x + i."""
-    _, gens = _aut_cached(n, rows, budget)
+    gens = _aut_cached(n, rows, budget).generators
     seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * n)) for g in gens]
     seeds.append(tuple(v ^ 1 for v in range(2 * n)))
     cover = bipartite_double_cover(Graph(n, rows))
-    base, found, _ = _aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search")
-    return StabilizerChain.from_strong_generators(cover.n, base, found), tuple(found)
+    return _describe(cover.n, *_aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search"))
 
 
 def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
     """Aut(g x K2) on the vertices of `bipartite_double_cover(g)`.
 
     Its generators start with the lifts of Aut(g)'s and the layer swap."""
-    return _description(_cover_cached, g, budget)
+    budget = budget if budget is not None else caps_from_env().aut_node_budget
+    return _cover_cached(g.n, g.rows, budget)
 
 
 @lru_cache(maxsize=1024)
 def _canon_cached(n: int, rows: tuple[int, ...], budget: int) -> CanonicalForm:
-    _, gens = _aut_cached(n, rows, budget)
-    lab = _canon_search(rows, n, list(gens), budget)
+    lab = _canon_search(rows, n, list(_aut_cached(n, rows, budget).generators), budget)
     return CanonicalForm(labeling=lab, fingerprint=graph6_in_order(rows, pinv(lab)).encode("ascii"))
 
 

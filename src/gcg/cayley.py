@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import automorphism_chain, automorphism_group, double_cover_automorphism_group
+from .canon import automorphism_group, double_cover_automorphism_group
 from .caps import Caps, caps_from_env
 from .errors import BudgetExceeded
 from .graphs import Graph, IsomorphismWitness, check_witness
@@ -65,7 +65,7 @@ def _lift_components(x: Graph, chain: StabilizerChain, caps: Caps) -> list[Perm]
     comps = x.components()
     home = next(comp for comp in comps if chain.base[0] in comp)
     y = _component_graph(x, home)
-    ry = _regular_subgroup(y, automorphism_chain(y, caps.aut_node_budget), caps)
+    ry = _regular_subgroup(y, automorphism_group(y, caps.aut_node_budget).chain, caps)
     if ry is None:
         return None
     u0 = chain.transversal[0]
@@ -228,7 +228,7 @@ def detect_cayley(g: Graph, caps: Caps | None = None) -> CayleyVerdict:
             aut_order=desc.order,
         )
     try:
-        regular = _regular_subgroup(g, automorphism_chain(g, caps.aut_node_budget), caps)
+        regular = _regular_subgroup(g, desc.chain, caps)
     except BudgetExceeded as exc:
         return CayleyVerdict(status="unknown", reason=str(exc), aut_order=desc.order)
     if regular is None:

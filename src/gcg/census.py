@@ -1,14 +1,15 @@
 """Exhaustive census of generalized Cayley graphs over the builtin catalog.
 
-One JSON line per (group, alpha, connection set).  A work item is one group
-and one Aut(G)-conjugacy class of its involutory automorphisms, keyed
-`name|rep_index` by the lowest alpha index in the class; it expands to one
-record per valid set of every alpha in the class.  The run journals
-completed work items so an interrupted census resumes (a part-file line cut
-short by the interruption belongs to an unjournaled item and is dropped),
-and the final file is the part file's lines sorted by (group, alpha_index,
-set_ids), each record serialized once, so worker count and scheduling
-cannot leak into the output bytes.  A manifest sidecar
+One JSON line per (group, alpha, connection set).  A work item is one group,
+keyed by its name; it expands to one record per valid set of every
+involutory alpha of the group, computed one Aut(G)-conjugacy class of alpha
+at a time.  Each finished item is sorted by (group, alpha_index, set_ids)
+and appended to the part file as one block, and the item is then journaled,
+so an interrupted census resumes: the blocks of journaled groups are kept,
+and the part file is cut after the last of them (dropping an unjournaled
+item's lines, and a line cut short).  The final file is the blocks copied
+in group-name order, each record serialized once, so worker count and
+scheduling cannot leak into the output bytes.  A manifest sidecar
 `<out>.manifest.json` records what the bytes depend on (schema version,
 resolved group names, max order, caps; not the worker count); a finished
 output or a journal is reused only when its manifest matches the run.
@@ -64,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from array import array
 from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
@@ -181,17 +181,8 @@ def _degree(x: Graph) -> int | list[int]:
     return degrees[0] if len(degrees) == 1 else degrees
 
 
-def _item_key(name: str, alpha_index: int) -> str:
-    return f"{name}|{alpha_index}"
-
-
 # (fingerprint, caps) -> fully known verdicts, shared across work items
 _VERDICTS: dict[tuple[str, Caps], dict] = {}
-
-
-@cache
-def _automorphism_perms(g: FiniteGroup) -> tuple[Perm, ...]:
-    return tuple(phi.perm for phi in enumerate_automorphisms(g))
 
 
 class AlphaClass(NamedTuple):
@@ -213,6 +204,7 @@ def _alpha_classes(g: FiniteGroup) -> tuple[AlphaClass, ...]:
     classes, in order of their representatives."""
     involutions = enumerate_involutory_automorphisms(g)
     index = {a.perm: j for j, a in enumerate(involutions)}
+    automorphisms = [phi.perm for phi in enumerate_automorphisms(g)]
     classes: list[AlphaClass] = []
     assigned: set[int] = set()
     for rep, alpha in enumerate(involutions):
@@ -221,7 +213,7 @@ def _alpha_classes(g: FiniteGroup) -> tuple[AlphaClass, ...]:
         a = alpha.perm
         members: dict[int, Perm] = {rep: identity_perm(g.order)}
         centralizer = []
-        for psi in _automorphism_perms(g):
+        for psi in automorphisms:
             conj = [0] * g.order   # psi alpha psi^-1
             for x, y in enumerate(psi):
                 conj[y] = psi[a[x]]
@@ -318,21 +310,22 @@ def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index:
     return out
 
 
-def _work(args: tuple[str, int, Caps]) -> tuple[str, list[dict]]:
-    name, rep_index, caps = args
+def _work(args: tuple[str, Caps]) -> tuple[str, list[dict]]:
+    """The group's name and the records of every alpha of the group, one
+    Aut(G)-class of alpha at a time in order of the representatives."""
+    name, caps = args
     g = make_group(name, caps)
     involutions = enumerate_involutory_automorphisms(g)
-    cls = next((c for c in _alpha_classes(g) if c.rep == rep_index), None)
-    if cls is None:
-        raise ValueError(f"alpha #{rep_index} of {g.name} does not represent its Aut(G)-class")
-    sources = _representative_records(g, involutions[rep_index], rep_index, cls.centralizer, caps)
-    records = [record for record, _, _ in sources]
-    for j, psi in cls.members[1:]:
-        records += [_transport(g, source, psi, involutions[j], j, caps)[0] for source in sources]
-    return _item_key(name, rep_index), records
+    records: list[dict] = []
+    for cls in _alpha_classes(g):
+        sources = _representative_records(g, involutions[cls.rep], cls.rep, cls.centralizer, caps)
+        records += [record for record, _, _ in sources]
+        for j, psi in cls.members[1:]:
+            records += [_transport(g, source, psi, involutions[j], j, caps)[0] for source in sources]
+    return g.name, records
 
 
-MANIFEST_SCHEMA = 2
+MANIFEST_SCHEMA = 3
 
 
 def _manifest(groups: list[str], max_order: int, caps: Caps) -> dict:
@@ -364,6 +357,9 @@ def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+_COPY_CHUNK = 1 << 20   # bytes per read when the blocks are copied to the output
+
+
 def _sort_key(record: dict):
     return (record["group"], record["alpha_index"], tuple(record["set_ids"]))
 
@@ -372,27 +368,19 @@ def run_census(config: RunConfig) -> list[dict]:
     caps = config.caps or caps_from_env()
     _VERDICTS.clear()   # a run never depends on what ran before it
     names = config.groups or tuple(builtin_descriptors(config.max_order))
-    items: list[tuple[str, int, Caps]] = []
     resolved: list[str] = []
-    item_of: dict[tuple[str, int], str] = {}   # (group, alpha_index) -> key of the item writing it
     for name in names:
         g = make_group(name, caps)
         if g.name in resolved:
             raise DescriptorError(f"census group {g.name} is listed twice")
         resolved.append(g.name)
-        for cls in _alpha_classes(g):
-            items.append((name, cls.rep, caps))
-            for j, _ in cls.members:
-                item_of[g.name, j] = _item_key(name, cls.rep)
 
     journal_path = config.out_path + ".journal"
     part_path = config.out_path + ".part"
     manifest_path = config.out_path + ".manifest.json"
     manifest = _manifest(resolved, config.max_order, caps)
-    done: set[str] = set()
-    records: list[dict] = []
-    # where each record's line lies in the part file, which the output copies
-    starts, ends = array("q"), array("q")
+    # group -> (start, end, records): its sorted block of lines in the part file
+    blocks: dict[str, tuple[int, int, list[dict]]] = {}
     resuming = os.path.exists(journal_path)
     if resuming or os.path.exists(config.out_path):
         _check_manifest(manifest_path, manifest, config.out_path)
@@ -402,61 +390,66 @@ def run_census(config: RunConfig) -> list[dict]:
     if not resuming and os.path.exists(config.out_path):
         with open(config.out_path, "r", encoding="ascii") as fh:
             return [json.loads(line) for line in fh if line.strip()]
-    if resuming:
+    if resuming and os.path.exists(part_path):
         with open(journal_path, "r", encoding="ascii") as fh:
-            done = {line.strip() for line in fh if line.strip()}
-        if os.path.exists(part_path):
-            pos = 0
-            with open(part_path, "rb") as fh:
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break   # cut mid-line, so its item is not journaled
-                    start, pos = pos, pos + len(line)
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    if item_of.get((rec["group"], rec["alpha_index"])) in done:
-                        records.append(rec)
-                        starts.append(start)
-                        ends.append(pos)
-            os.truncate(part_path, pos)
+            journaled = {line.strip() for line in fh if line.strip()}
+        keep = pos = 0   # keep: the end of the last line of a journaled group
+        with open(part_path, "rb") as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break   # cut mid-line, so its group is not journaled
+                start, pos = pos, pos + len(line)
+                rec = json.loads(line)
+                name = rec["group"]
+                if name in journaled:
+                    begin, _, recs = blocks.get(name, (start, start, []))
+                    recs.append(rec)
+                    blocks[name] = (begin, pos, recs)
+                    keep = pos
+        os.truncate(part_path, keep)
 
-    pending = [it for it in items if _item_key(it[0], it[1]) not in done]
+    # every group writes at least the record of S = {}, so a journaled group
+    # without a block lost its lines and runs again
+    pending = [(name, caps) for name, key in zip(names, resolved) if key not in blocks]
     with open(part_path, "ab") as part, \
             open(journal_path, "a", encoding="ascii") as journal:
         pos = part.tell()
 
         def consume(key: str, recs: list[dict]) -> None:
             nonlocal pos
+            recs.sort(key=_sort_key)
+            start = pos
             for rec in recs:
                 line = (_record_line(rec) + "\n").encode("ascii")
                 part.write(line)
-                starts.append(pos)
                 pos += len(line)
-                ends.append(pos)
             part.flush()
             journal.write(key + "\n")
             journal.flush()
-            records.extend(recs)
+            blocks[key] = (start, pos, recs)
 
         workers = min(config.jobs, os.cpu_count() or 1, len(pending))
         if workers <= 1:
             for it in pending:
-                key, recs = _work(it)
-                consume(key, recs)
+                consume(*_work(it))
         else:
             with Pool(workers) as pool:
                 for key, recs in pool.imap(_work, pending, chunksize=1):
                     consume(key, recs)
 
-    order = sorted(range(len(records)), key=lambda i: _sort_key(records[i]))
+    # _sort_key leads with the group name, so the blocks in name order are
+    # the sorted output
+    records: list[dict] = []
     with open(part_path, "rb") as part, open(config.out_path, "wb") as out:
-        for i in order:
-            part.seek(starts[i])
-            out.write(part.read(ends[i] - starts[i]))
+        for key in sorted(blocks):
+            start, end, recs = blocks[key]
+            part.seek(start)
+            for offset in range(start, end, _COPY_CHUNK):
+                out.write(part.read(min(_COPY_CHUNK, end - offset)))
+            records += recs
     os.remove(part_path)
     os.remove(journal_path)
-    return [records[i] for i in order]
+    return records
 
 
 def refuting_records(records: list[dict]) -> list[tuple[dict, str]]:

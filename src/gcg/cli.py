@@ -211,7 +211,10 @@ def cmd_build(args, caps: Caps) -> int:
     desc = automorphism_group(x, caps.aut_node_budget)
     payload["aut_order"] = desc.order
     payload["vertex_transitive"] = len(desc.orbits) <= 1
-    payload["cayley"] = detect_cayley(x, caps).status
+    cayley = detect_cayley(x, caps)
+    if cayley.status == "unknown":   # only a budget leaves a built graph's verdict unknown
+        raise BudgetExceeded(cayley.reason)
+    payload["cayley"] = cayley.status
     payload["stability"] = stability_check(x, caps.aut_node_budget, twisted_translation(g, alpha.perm)).status
     _emit(payload, args.format)
     return 0

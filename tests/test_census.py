@@ -94,18 +94,16 @@ def test_census_resumes_from_journal(tmp_path, caps):
     cfg = dict(groups=("Z4", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(ref), **cfg))
 
-    # fabricate an interrupted run: Z4|0 journaled with its records in the
-    # part file, plus an orphan record from an unjournaled item
+    # fabricate an interrupted run: Z4 journaled with its records in the
+    # part file, plus an orphan record of Z5, which is not journaled
     out = tmp_path / "resume.jsonl"
-    z4_first = [r for r in expected if r["group"] == "Z4" and r["alpha_index"] == 0]
-    orphan = dict(z4_first[0])
-    orphan["alpha_index"] = 1
-    orphan["triangle_hash"] = "feedfacefeedface"
+    z4 = [r for r in expected if r["group"] == "Z4"]
+    orphan = dict(next(r for r in expected if r["group"] == "Z5"), triangle_hash="feedfacefeedface")
     with open(str(out) + ".part", "w", encoding="ascii") as fh:
-        for rec in z4_first + [orphan]:
+        for rec in z4 + [orphan]:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z4|0\n")
+        fh.write("Z4\n")
     shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
 
     resumed = run_census(RunConfig(out_path=str(out), **cfg))
@@ -117,19 +115,19 @@ def test_census_resumes_from_journal(tmp_path, caps):
 
 def test_census_resumes_after_a_line_cut_short(tmp_path, caps):
     # a run killed while writing a record leaves a part line without its
-    # newline; its item is not journaled, so the resumed run drops the cut
-    # line and recomputes the item
+    # newline; its group is not journaled, so the resumed run drops the cut
+    # line and recomputes the group
     ref = tmp_path / "ref.jsonl"
     cfg = dict(groups=("Z4", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(ref), **cfg))
     out = tmp_path / "cut.jsonl"
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in expected]
-    z4_first = [line for r, line in zip(expected, lines) if r["group"] == "Z4" and r["alpha_index"] == 0]
+    z4 = [line for r, line in zip(expected, lines) if r["group"] == "Z4"]
     z5_line = next(line for r, line in zip(expected, lines) if r["group"] == "Z5")
     with open(str(out) + ".part", "w", encoding="ascii") as fh:
-        fh.write("".join(line + "\n" for line in z4_first) + z5_line[: len(z5_line) // 2])
+        fh.write("".join(line + "\n" for line in z4) + z5_line[: len(z5_line) // 2])
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z4|0\n")
+        fh.write("Z4\n")
     shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
 
     assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
@@ -174,45 +172,126 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
 
 
 def test_schema_1_journal_is_refused(tmp_path, caps):
-    # A schema-1 journal names single alphas done (say Z2xZ2xZ2|1); read as
-    # a class key it would silently drop the other members' records.
+    # A schema-1 journal names single alphas done (say Z2xZ2xZ2|1), and a
+    # schema-2 journal Aut(G)-classes of alpha under the same keys; schema 3
+    # names whole groups, so an older journal is refused, not reinterpreted.
+    from gcg.census import MANIFEST_SCHEMA
+
     out = tmp_path / "old.jsonl"
     cfg = RunConfig(groups=("Z2xZ2xZ2",), out_path=str(out), caps=caps)
     run_census(cfg)
     manifest_path = str(out) + ".manifest.json"
     with open(manifest_path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    assert manifest["schema"] == 2
-    with open(manifest_path, "w", encoding="ascii") as fh:
-        json.dump(dict(manifest, schema=1), fh)
+    assert manifest["schema"] == MANIFEST_SCHEMA == 3
     os.remove(out)
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
         fh.write("Z2xZ2xZ2|1\n")
-    with pytest.raises(ManifestMismatch, match="schema = 1") as exc:
-        run_census(cfg)
-    assert "this run has 2" in str(exc.value)
+    for schema in (1, 2):
+        with open(manifest_path, "w", encoding="ascii") as fh:
+            json.dump(dict(manifest, schema=schema), fh)
+        with pytest.raises(ManifestMismatch, match=f"schema = {schema}") as exc:
+            run_census(cfg)
+        assert "this run has 3" in str(exc.value)
 
 
-def test_resume_keeps_whole_classes(tmp_path, monkeypatch, caps):
+def test_resume_keeps_whole_groups(tmp_path, monkeypatch, caps):
     import gcg.census as census
 
-    # Z2xZ2 has involutions 0 (identity) and 1, 2, 3, which Aut = S3 conjugates
+    # Z2xZ2 has involutions 0 (identity) and 1, 2, 3, which Aut = S3
+    # conjugates; the journaled group keeps the records of all of them
     cfg = dict(groups=("Z2xZ2", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(tmp_path / "ref.jsonl"), **cfg))
     out = tmp_path / "resume.jsonl"
-    journaled = [r for r in expected if r["group"] == "Z2xZ2" and r["alpha_index"] > 0]
-    assert {r["alpha_index"] for r in journaled} == {1, 2, 3}
+    journaled = [r for r in expected if r["group"] == "Z2xZ2"]
+    assert {r["alpha_index"] for r in journaled} == {0, 1, 2, 3}
     with open(str(out) + ".part", "w", encoding="ascii") as fh:
         for rec in journaled:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z2xZ2|1\n")
+        fh.write("Z2xZ2\n")
     shutil.copy(str(tmp_path / "ref.jsonl.manifest.json"), str(out) + ".manifest.json")
     ran = []
     real = census._work
-    monkeypatch.setattr(census, "_work", lambda args: ran.append(args[:2]) or real(args))
+    monkeypatch.setattr(census, "_work", lambda args: ran.append(args[0]) or real(args))
     assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
-    assert ran == [("Z2xZ2", 0), ("Z5", 0), ("Z5", 1)]
+    assert ran == ["Z5"]
+
+
+class Killed(Exception):
+    """Stands for the interruption of a census run."""
+
+
+def killed_at(work, name):
+    """The work function work, but interrupted when it reaches the group name."""
+
+    def killed(args):
+        if args[0] == name:
+            raise Killed(name)
+        return work(args)
+
+    return killed
+
+
+def test_a_resume_leaves_no_second_copy_of_a_groups_lines(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    cfg = dict(groups=("Z4", "Z5", "Z6"), caps=caps)
+    ref = tmp_path / "ref.jsonl"
+    run_census(RunConfig(out_path=str(ref), **cfg))
+    z5_lines = [line for line in read_lines(ref) if json.loads(line)["group"] == "Z5"]
+    out = RunConfig(out_path=str(tmp_path / "out.jsonl"), **cfg)
+    real = census._work
+    # run 1 journals Z4 and is killed after two lines of Z5 reached the part file
+    monkeypatch.setattr(census, "_work", killed_at(real, "Z5"))
+    with pytest.raises(Killed):
+        run_census(out)
+    with open(out.out_path + ".part", "a", encoding="ascii") as fh:
+        fh.writelines(z5_lines[:2])
+    # run 2 finishes Z5 and is killed in Z6; run 3 finishes
+    monkeypatch.setattr(census, "_work", killed_at(real, "Z6"))
+    with pytest.raises(Killed):
+        run_census(out)
+    monkeypatch.undo()
+    assert len(run_census(out)) == 29
+    assert (tmp_path / "out.jsonl").read_bytes() == ref.read_bytes()
+
+
+def test_a_journaled_group_without_lines_runs_again(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    cfg = dict(groups=("Z4", "Z5"), caps=caps)
+    ref = tmp_path / "ref.jsonl"
+    expected = run_census(RunConfig(out_path=str(ref), **cfg))
+    out = RunConfig(out_path=str(tmp_path / "out.jsonl"), **cfg)
+    monkeypatch.setattr(census, "_work", killed_at(census._work, "Z5"))
+    with pytest.raises(Killed):
+        run_census(out)
+    monkeypatch.undo()
+    # Z4 is journaled, but its lines are gone
+    os.remove(out.out_path + ".part")
+    assert run_census(out) == expected
+    assert (tmp_path / "out.jsonl").read_bytes() == ref.read_bytes()
+
+
+def test_a_resume_of_every_group_builds_no_alpha_class(tmp_path, monkeypatch, caps):
+    import gcg.census as census
+
+    cfg = dict(groups=("Z2xZ2", "Z4", "D4"), caps=caps)
+    ref = tmp_path / "ref.jsonl"
+    expected = run_census(RunConfig(out_path=str(ref), **cfg))
+    out = tmp_path / "done.jsonl"
+    # every group journaled and written, but the run stopped before the output
+    shutil.copy(ref, str(out) + ".part")
+    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
+        fh.write("".join(name + "\n" for name in ("Z2xZ2", "Z4", "D4")))
+    shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
+    calls = []
+    real = census._alpha_classes
+    monkeypatch.setattr(census, "_alpha_classes", lambda g: calls.append(g.name) or real(g))
+    assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
+    assert out.read_bytes() == ref.read_bytes()
+    assert calls == []
 
 
 def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):
@@ -311,10 +390,10 @@ def test_jobs_are_clamped(tmp_path, monkeypatch, caps):
     monkeypatch.setattr(census, "Pool", SerialPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     ref = run_census(RunConfig(groups=("Z4", "Z5", "Z6"), out_path=str(tmp_path / "a.jsonl"), caps=caps))
-    # six pending items but two CPUs: two workers, not 64
+    # three pending groups but two CPUs: two workers, not 64
     wide = tmp_path / "b.jsonl"
     assert run_census(RunConfig(groups=("Z4", "Z5", "Z6"), out_path=str(wide), jobs=64, caps=caps)) == ref
-    # Z2 has one involutory automorphism, so one pending item runs in-process
+    # one pending group runs in-process
     run_census(RunConfig(groups=("Z2",), out_path=str(tmp_path / "c.jsonl"), jobs=64, caps=caps))
     assert started == [2]
 
@@ -337,27 +416,26 @@ def test_orbit_sharing_follows_only_the_centralizer(caps):
     # Z4xZ4 is among the first catalog groups where an automorphism outside
     # C(alpha) maps a valid set to a valid, non-isomorphic one, so sharing
     # along all of Aut(G) would copy wrong fingerprints into this item.
-    # alpha #4 is conjugate to alpha #2, so item Z4xZ4|2 writes both.
+    # alpha #4 is conjugate to alpha #2, so its records are transported from
+    # those of #2.
     from gcg.canon import canonical_form
     from gcg.census import _work
     from gcg.construct import build_gc_graph
 
     g = make_group("Z4xZ4", caps)
     involutions = enumerate_involutory_automorphisms(g)
-    key, records = _work(("Z4xZ4", 2, caps))
-    assert key == "Z4xZ4|2"
+    key, records = _work(("Z4xZ4", caps))
+    assert key == "Z4xZ4"
     by_alpha = Counter(rec["alpha_index"] for rec in records)
     assert by_alpha[2] == by_alpha[4] == 1024
     for rec in records:
         if rec["alpha_index"] in (2, 4):
             x = build_gc_graph(make_spec(g, involutions[rec["alpha_index"]], rec["set_ids"]))
             assert rec["fingerprint"] == canonical_form(x).fingerprint.decode("ascii"), rec["set_ids"]
-    with pytest.raises(ValueError, match="does not represent"):
-        _work(("Z4xZ4", 4, caps))
 
 
 def test_alpha_classes_partition_the_involutions(caps):
-    from gcg.census import _alpha_classes, _automorphism_perms
+    from gcg.census import _alpha_classes
 
     items = {}
     for max_order in (11, 12):
@@ -366,6 +444,7 @@ def test_alpha_classes_partition_the_involutions(caps):
         for name in builtin_descriptors(max_order):
             g = make_group(name, caps)
             involutions = [a.perm for a in enumerate_involutory_automorphisms(g)]
+            automorphisms = [phi.perm for phi in enumerate_automorphisms(g)]
             seen = []
             for cls in _alpha_classes(g):
                 rep = involutions[cls.rep]
@@ -376,7 +455,7 @@ def test_alpha_classes_partition_the_involutions(caps):
                     assert all(psi[rep[x]] == involutions[j][psi[x]] for x in range(g.order)), (name, j)
                     seen.append(j)
                 assert set(cls.centralizer) == {
-                    p for p in _automorphism_perms(g) if all(p[rep[x]] == rep[p[x]] for x in range(g.order))
+                    p for p in automorphisms if all(p[rep[x]] == rep[p[x]] for x in range(g.order))
                 }
             assert sorted(seen) == list(range(len(involutions))), name
             classes += len(_alpha_classes(g))
@@ -386,22 +465,30 @@ def test_alpha_classes_partition_the_involutions(caps):
 
 
 @cache
-def class_record_sample(name, rep, caps):
-    """About 128 evenly spaced records of item name|rep, so that every
-    member alpha of the class is sampled without keeping 100k records alive,
-    and as many of its graphs that are not vertex-transitive, whose triangle
-    profiles are the ones that renaming can change."""
-    from gcg.census import _work
+def class_record_samples(name, caps):
+    """For each Aut(G)-class of alpha of the group, keyed by its
+    representative: about 128 evenly spaced records of the group item whose
+    alpha is in the class, so that every member alpha is sampled without
+    keeping 100k records alive, and as many of its graphs that are not
+    vertex-transitive, whose triangle profiles are the ones that renaming
+    can change."""
+    from gcg.census import _alpha_classes, _work
 
-    records = _work((name, rep, caps))[1]
-    intransitive = [rec for rec in records if rec["vertex_transitive"] is False]
-    return records[::max(1, len(records) // 128)] + intransitive[::max(1, len(intransitive) // 128)]
+    records = _work((name, caps))[1]
+    samples = {}
+    for cls in _alpha_classes(make_group(name, caps)):
+        members = {j for j, _ in cls.members}
+        in_class = [rec for rec in records if rec["alpha_index"] in members]
+        intransitive = [rec for rec in in_class if rec["vertex_transitive"] is False]
+        samples[cls.rep] = (in_class[::max(1, len(in_class) // 128)]
+                            + intransitive[::max(1, len(intransitive) // 128)])
+    return samples
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_transported_records_equal_direct_records(data):
-    # order-16 items: Z2xZ2xZ2xZ2 (|Aut| = 20160, classes of 1, 105 and 210
+    # order-16 groups: Z2xZ2xZ2xZ2 (|Aut| = 20160, classes of 1, 105 and 210
     # involutions) and Z4xZ4; most records are transported along C(alpha)
     # or from the class representative
     from gcg.census import _alpha_classes
@@ -409,7 +496,7 @@ def test_transported_records_equal_direct_records(data):
     caps = Caps()
     name = data.draw(st.sampled_from(("Z2xZ2xZ2xZ2", "Z4xZ4")))
     cls = data.draw(st.sampled_from(_alpha_classes(make_group(name, caps))))
-    rec = data.draw(st.sampled_from(class_record_sample(name, cls.rep, caps)))
+    rec = data.draw(st.sampled_from(class_record_samples(name, caps)[cls.rep]))
     assert rec == direct_record(rec, caps)
 
 

@@ -78,6 +78,22 @@ def test_build_exits_3_when_a_search_runs_out(capsys):
     assert code == 0 and json.loads(out)["stability"] == "unknown"
 
 
+def test_build_exits_3_when_the_regular_subgroup_search_runs_out(capsys, monkeypatch):
+    # the 5-cycle is connected and co-connected, so its Cayley verdict comes
+    # from the regular-subgroup search, which one chain node cannot finish
+    from dataclasses import replace
+
+    import gcg.cli
+
+    monkeypatch.setattr(gcg.cli, "caps_from_env", lambda: replace(caps_from_env(), regular_search_budget=1))
+    spec = ("--group", "Z5", "--alpha", "0", "--set", "1,4")
+    code, out, err = run_cli(capsys, "--format", "json", "build", *spec)
+    assert code == 3 and out == ""
+    assert "regular-subgroup search" in err
+    code, out, _ = run_cli(capsys, "--format", "json", "analyze", *spec)
+    assert code == 0 and json.loads(out)["cayley"] == "unknown"
+
+
 def test_analyze_certifies_instability_without_a_search(capsys):
     # alpha #2 of D8 is not the identity, and the graph is connected and not
     # bipartite: a twisted translation certifies instability where a budget
