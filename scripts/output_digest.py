@@ -8,7 +8,10 @@ pool workers, and of one-job censuses to order 7 at an automorphism-search
 budget of 8 nodes and to order 9 at a budget of 10 nodes, where some answers
 stay unknown (so a change in how records are shared shows on the pool path
 and under a budget; the order-9 line has moved under a change to orbit
-sharing that left the order-7 line as it was).  Then the
+sharing that left the order-7 line as it was).  Then the sha256 and record
+count of the --max-order census killed in its 11th group (a patched
+`gcg.census._work` raises there) and then resumed, at one job and at two
+pool workers, which must equal the uninterrupted census's.  Then the
 sha256 of the `stability_check` answers (status, |Aut|, |Aut(cover)|,
 reason) of every connected non-bipartite census graph to order 10, in
 census order, so a change in the double-cover search shows, and of the
@@ -77,6 +80,7 @@ from gcg.caps import caps_from_env  # noqa: E402
 from gcg.catalog import builtin_descriptors  # noqa: E402
 from gcg.canon import canonical_form  # noqa: E402
 from gcg.cayley import detect_cayley, stability_check, twisted_translation  # noqa: E402
+import gcg.census  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.construct import build_gc_graph, enumerate_connection_sets  # noqa: E402
 from gcg.groups import make_group  # noqa: E402
@@ -123,6 +127,7 @@ SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-
 LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "prop-5.1")
 SMALL_BUDGET = 5
 TIGHT_CENSUSES = ((7, 8), (9, 10))   # (max order, aut_node_budget)
+KILLED_GROUP = 10   # index of the group in which the resumed census is killed
 STABILITY_ORDER = 10
 BUDGET_LADDER = (1, SMALL_BUDGET, 40)
 # Prints a verifier's reports the way `gcg --format json verify` does, under
@@ -145,6 +150,41 @@ def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = N
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "census.jsonl")
         records = run_census(RunConfig(max_order=max_order, out_path=out, jobs=jobs, caps=caps))
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest(), len(records)
+
+
+class Killed(Exception):
+    """Stands for the interruption of a census run."""
+
+
+_WORK = gcg.census._work
+_kill_at: str | None = None   # read by pool workers, which fork after it is set
+
+
+def _killed_work(args):
+    if args[0] == _kill_at:
+        raise Killed(args[0])
+    return _WORK(args)
+
+
+def resumed_census_digest(max_order: int, jobs: int) -> tuple[str, int]:
+    """census_digest of a census killed in its KILLED_GROUP-th group and then resumed."""
+    global _kill_at
+    _kill_at = builtin_descriptors(max_order)[KILLED_GROUP]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "census.jsonl")
+        config = RunConfig(max_order=max_order, out_path=out, jobs=jobs, caps=caps_from_env())
+        gcg.census._work = _killed_work
+        try:
+            run_census(config)
+        except Killed:
+            pass
+        else:
+            raise RuntimeError(f"the census was not killed in {_kill_at}")
+        finally:
+            gcg.census._work = _WORK
+        records = run_census(config)
         with open(out, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest(), len(records)
 
@@ -249,6 +289,9 @@ def main() -> int:
     for order, budget in TIGHT_CENSUSES:
         digest, count = census_digest(order, aut_node_budget=budget)
         print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
+    for jobs in (1, 2):
+        digest, count = resumed_census_digest(args.max_order, jobs)
+        print(f"census --max-order {args.max_order} --jobs {jobs} killed and resumed  {digest}  {count} records")
     digest, count = stability_digest(STABILITY_ORDER)
     print(f"stability --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = two_fold_digest(STABILITY_ORDER)

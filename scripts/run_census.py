@@ -4,8 +4,9 @@
 Sweeps every builtin group up to --max-order, one JSON line per
 (group, alpha, connection set), then prints aggregate statistics (the
 number of isomorphism classes among them) and cross-checks the records for
-internal contradictions.  Interrupted runs resume from the journal next to
-the output file.
+internal contradictions.  An interrupted run resumes from the finished
+groups' block files in `<out>.parts`.  Exit status: 0 clean, 1 usage error,
+2 a refuting record, 3 a cap or budget exhausted.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from collections import Counter
 from gcg.caps import caps_from_env
 from gcg.census import RunConfig, refuting_records, run_census
 from gcg.cli import UsageParser, positive_int
-from gcg.errors import DescriptorError, ManifestMismatch
+from gcg.errors import BudgetExceeded, CapExceeded, DescriptorError, ManifestMismatch
 
 
 def main() -> int:
@@ -41,6 +42,9 @@ def main() -> int:
     except (DescriptorError, ManifestMismatch) as exc:
         print(f"run_census: {exc}", file=sys.stderr)
         return 1
+    except (CapExceeded, BudgetExceeded) as exc:
+        print(f"run_census: budget exhausted: {exc}", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - started
 
     per_group = Counter(r["group"] for r in records)

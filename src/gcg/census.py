@@ -4,15 +4,15 @@ One JSON line per (group, alpha, connection set).  A work item is one group,
 keyed by its name; it expands to one record per valid set of every
 involutory alpha of the group, computed one Aut(G)-conjugacy class of alpha
 at a time.  Each finished item is sorted by (group, alpha_index, set_ids)
-and appended to the part file as one block, and the item is then journaled,
-so an interrupted census resumes: the blocks of journaled groups are kept,
-and the part file is cut after the last of them (dropping an unjournaled
-item's lines, and a line cut short).  The final file is the blocks copied
-in group-name order, each record serialized once, so worker count and
-scheduling cannot leak into the output bytes.  A manifest sidecar
-`<out>.manifest.json` records what the bytes depend on (schema version,
-resolved group names, max order, caps; not the worker count); a finished
-output or a journal is reused only when its manifest matches the run.
+and written to `<out>.parts/<group>.jsonl.tmp`, which is then renamed to
+`<out>.parts/<group>.jsonl`; a block file is therefore whole or absent, and
+an interrupted census resumes by running the groups without one.  The final
+file is the block files copied in group-name order, each record serialized
+once, so worker count and scheduling cannot leak into the output bytes;
+`<out>.parts` is then removed.  A manifest sidecar `<out>.manifest.json`
+records what the bytes depend on (schema version, resolved group names, max
+order, caps; not the worker count); a manifest, an output or a `.parts`
+directory already there is reused only when the manifest matches the run.
 
 Expensive verdicts degrade to "unknown" (or a null fingerprint) when a
 budget cap is hit; records are never dropped.
@@ -65,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
@@ -107,6 +108,8 @@ class RunConfig:
             raise ValueError("worker count must be >= 1")
         if self.max_order < 1:
             raise ValueError("max order must be >= 1")
+        if self.groups is not None and not self.groups:
+            raise ValueError("the group filter names no group")
 
 
 def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
@@ -325,7 +328,7 @@ def _work(args: tuple[str, Caps]) -> tuple[str, list[dict]]:
     return g.name, records
 
 
-MANIFEST_SCHEMA = 3
+MANIFEST_SCHEMA = 4
 
 
 def _manifest(groups: list[str], max_order: int, caps: Caps) -> dict:
@@ -353,11 +356,13 @@ def _check_manifest(path: str, want: dict, out_path: str) -> None:
             )
 
 
-def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def _record_line(record: dict) -> bytes:
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
-_COPY_CHUNK = 1 << 20   # bytes per read when the blocks are copied to the output
+def _read_records(path: str) -> list[dict]:
+    with open(path, "rb") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _sort_key(record: dict):
@@ -367,7 +372,7 @@ def _sort_key(record: dict):
 def run_census(config: RunConfig) -> list[dict]:
     caps = config.caps or caps_from_env()
     _VERDICTS.clear()   # a run never depends on what ran before it
-    names = config.groups or tuple(builtin_descriptors(config.max_order))
+    names = config.groups if config.groups is not None else tuple(builtin_descriptors(config.max_order))
     resolved: list[str] = []
     for name in names:
         g = make_group(name, caps)
@@ -375,80 +380,49 @@ def run_census(config: RunConfig) -> list[dict]:
             raise DescriptorError(f"census group {g.name} is listed twice")
         resolved.append(g.name)
 
-    journal_path = config.out_path + ".journal"
-    part_path = config.out_path + ".part"
+    parts = config.out_path + ".parts"
     manifest_path = config.out_path + ".manifest.json"
     manifest = _manifest(resolved, config.max_order, caps)
-    # group -> (start, end, records): its sorted block of lines in the part file
-    blocks: dict[str, tuple[int, int, list[dict]]] = {}
-    resuming = os.path.exists(journal_path)
-    if resuming or os.path.exists(config.out_path):
+    if any(map(os.path.exists, (manifest_path, config.out_path, parts))):
         _check_manifest(manifest_path, manifest, config.out_path)
     else:
         with open(manifest_path, "w", encoding="ascii") as fh:
             fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    if not resuming and os.path.exists(config.out_path):
-        with open(config.out_path, "r", encoding="ascii") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    if resuming and os.path.exists(part_path):
-        with open(journal_path, "r", encoding="ascii") as fh:
-            journaled = {line.strip() for line in fh if line.strip()}
-        keep = pos = 0   # keep: the end of the last line of a journaled group
-        with open(part_path, "rb") as fh:
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    break   # cut mid-line, so its group is not journaled
-                start, pos = pos, pos + len(line)
-                rec = json.loads(line)
-                name = rec["group"]
-                if name in journaled:
-                    begin, _, recs = blocks.get(name, (start, start, []))
-                    recs.append(rec)
-                    blocks[name] = (begin, pos, recs)
-                    keep = pos
-        os.truncate(part_path, keep)
+    if not os.path.exists(parts) and os.path.exists(config.out_path):
+        return _read_records(config.out_path)
+    os.makedirs(parts, exist_ok=True)
 
-    # every group writes at least the record of S = {}, so a journaled group
-    # without a block lost its lines and runs again
-    pending = [(name, caps) for name, key in zip(names, resolved) if key not in blocks]
-    with open(part_path, "ab") as part, \
-            open(journal_path, "a", encoding="ascii") as journal:
-        pos = part.tell()
+    def block(key: str) -> str:
+        return os.path.join(parts, key + ".jsonl")
 
-        def consume(key: str, recs: list[dict]) -> None:
-            nonlocal pos
-            recs.sort(key=_sort_key)
-            start = pos
-            for rec in recs:
-                line = (_record_line(rec) + "\n").encode("ascii")
-                part.write(line)
-                pos += len(line)
-            part.flush()
-            journal.write(key + "\n")
-            journal.flush()
-            blocks[key] = (start, pos, recs)
+    blocks: dict[str, list[dict]] = {}   # group -> its sorted records, for groups run here
 
-        workers = min(config.jobs, os.cpu_count() or 1, len(pending))
-        if workers <= 1:
-            for it in pending:
-                consume(*_work(it))
-        else:
-            with Pool(workers) as pool:
-                for key, recs in pool.imap(_work, pending, chunksize=1):
-                    consume(key, recs)
+    def consume(key: str, recs: list[dict]) -> None:
+        recs.sort(key=_sort_key)
+        with open(block(key) + ".tmp", "wb") as fh:
+            fh.writelines(map(_record_line, recs))
+        os.replace(block(key) + ".tmp", block(key))   # a block file is whole or absent
+        blocks[key] = recs
+
+    pending = [(name, caps) for name, key in zip(names, resolved) if not os.path.exists(block(key))]
+    workers = min(config.jobs, os.cpu_count() or 1, len(pending))
+    if workers <= 1:
+        for it in pending:
+            consume(*_work(it))
+    else:
+        with Pool(workers) as pool:
+            for key, recs in pool.imap(_work, pending, chunksize=1):
+                consume(key, recs)
 
     # _sort_key leads with the group name, so the blocks in name order are
     # the sorted output
     records: list[dict] = []
-    with open(part_path, "rb") as part, open(config.out_path, "wb") as out:
-        for key in sorted(blocks):
-            start, end, recs = blocks[key]
-            part.seek(start)
-            for offset in range(start, end, _COPY_CHUNK):
-                out.write(part.read(min(_COPY_CHUNK, end - offset)))
-            records += recs
-    os.remove(part_path)
-    os.remove(journal_path)
+    with open(config.out_path, "wb") as out:
+        for key in sorted(resolved):
+            with open(block(key), "rb") as fh:
+                shutil.copyfileobj(fh, out)
+            records += blocks[key] if key in blocks else _read_records(block(key))
+    shutil.rmtree(parts)
     return records
 
 

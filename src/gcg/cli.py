@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error (also a census --out written under
-another configuration), 2 invalid spec (or a refuted
-verification instance), 3 budget or cap exhausted (or a budget-skipped
-verification instance).
+another configuration, or an --out that cannot be written), 2 invalid spec
+(or a refuted verification instance), 3 budget or cap exhausted (or a
+budget-skipped verification instance).
 """
 from __future__ import annotations
 
@@ -341,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"gcg: budget exhausted: {exc}", file=sys.stderr)
         return BUDGET_EXIT
-    except (DescriptorError, ShapeError, ManifestMismatch) as exc:
+    except (DescriptorError, ShapeError, ManifestMismatch, OSError) as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     return USAGE_EXIT

@@ -27,5 +27,5 @@ class ShapeError(ValueError):
 
 
 class ManifestMismatch(ValueError):
-    """An existing census output or journal was written under another
+    """An existing census output or interrupted run was written under another
     configuration (or carries no manifest), so it cannot be reused."""

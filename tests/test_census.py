@@ -40,8 +40,7 @@ def test_single_group_census(tmp_path, caps):
     # alphas sort by perm: identity, x -> 3x, x -> 5x, x -> 7x (inversion)
     by_alpha = Counter(r["alpha_index"] for r in records)
     assert by_alpha == {0: 16, 1: 4, 2: 8, 3: 16}
-    assert not os.path.exists(str(out) + ".journal")
-    assert not os.path.exists(str(out) + ".part")
+    assert sorted(os.listdir(tmp_path)) == ["z8.jsonl", "z8.jsonl.manifest.json"]
     # records carry every analysis column
     for r in records:
         for key in ("group", "alpha_index", "alpha", "set_ids", "order", "degree",
@@ -88,22 +87,26 @@ def test_worker_count_does_not_change_bytes(tmp_path, caps):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_census_resumes_from_journal(tmp_path, caps):
+def write_lines(path, records):
+    with open(path, "w", encoding="ascii") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def test_census_resumes_from_block_files(tmp_path, caps):
     # reference run
     ref = tmp_path / "ref.jsonl"
     cfg = dict(groups=("Z4", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(ref), **cfg))
 
-    # fabricate an interrupted run: Z4 journaled with its records in the
-    # part file, plus an orphan record of Z5, which is not journaled
+    # fabricate an interrupted run: Z4's block file in place, plus an orphan
+    # record of Z5 in a block file that was never renamed into place
     out = tmp_path / "resume.jsonl"
-    z4 = [r for r in expected if r["group"] == "Z4"]
+    parts = tmp_path / "resume.jsonl.parts"
+    parts.mkdir()
     orphan = dict(next(r for r in expected if r["group"] == "Z5"), triangle_hash="feedfacefeedface")
-    with open(str(out) + ".part", "w", encoding="ascii") as fh:
-        for rec in z4 + [orphan]:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z4\n")
+    write_lines(parts / "Z4.jsonl", [r for r in expected if r["group"] == "Z4"])
+    write_lines(parts / "Z5.jsonl.tmp", [orphan])
     shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
 
     resumed = run_census(RunConfig(out_path=str(out), **cfg))
@@ -111,23 +114,23 @@ def test_census_resumes_from_journal(tmp_path, caps):
     assert ref.read_bytes() == out.read_bytes()
     # the orphan was recomputed, not trusted
     assert not any(r["triangle_hash"] == "feedfacefeedface" for r in resumed)
+    assert not parts.exists()
 
 
 def test_census_resumes_after_a_line_cut_short(tmp_path, caps):
-    # a run killed while writing a record leaves a part line without its
-    # newline; its group is not journaled, so the resumed run drops the cut
-    # line and recomputes the group
+    # a run killed while writing a record leaves a line without its newline
+    # in a block file not yet renamed into place, so the resumed run ignores
+    # it and recomputes the group
     ref = tmp_path / "ref.jsonl"
     cfg = dict(groups=("Z4", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(ref), **cfg))
     out = tmp_path / "cut.jsonl"
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in expected]
-    z4 = [line for r, line in zip(expected, lines) if r["group"] == "Z4"]
-    z5_line = next(line for r, line in zip(expected, lines) if r["group"] == "Z5")
-    with open(str(out) + ".part", "w", encoding="ascii") as fh:
-        fh.write("".join(line + "\n" for line in z4) + z5_line[: len(z5_line) // 2])
-    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z4\n")
+    parts = tmp_path / "cut.jsonl.parts"
+    parts.mkdir()
+    write_lines(parts / "Z4.jsonl", [r for r in expected if r["group"] == "Z4"])
+    z5_line = json.dumps(next(r for r in expected if r["group"] == "Z5"), sort_keys=True,
+                         separators=(",", ":"))
+    (parts / "Z5.jsonl.tmp").write_text(z5_line[: len(z5_line) // 2], encoding="ascii")
     shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
 
     assert run_census(RunConfig(out_path=str(out), **cfg)) == expected
@@ -157,8 +160,8 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
     # the worker count is not part of the manifest
     assert len(run_census(RunConfig(max_order=4, out_path=str(out), jobs=2, caps=caps))) == 42
 
-    # a journal resume checks the manifest too
-    open(str(out) + ".journal", "w", encoding="ascii").close()
+    # a resume from block files checks the manifest too
+    os.mkdir(str(out) + ".parts")
     with pytest.raises(ManifestMismatch, match="caps.aut_node_budget"):
         run_census(RunConfig(max_order=4, out_path=str(out), caps=replace(caps, aut_node_budget=7)))
     with pytest.raises(ManifestMismatch, match="groups"):
@@ -166,15 +169,26 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
 
     # without a manifest nothing says which configuration wrote the output
     os.remove(str(out) + ".manifest.json")
-    os.remove(str(out) + ".journal")
+    os.rmdir(str(out) + ".parts")
     with pytest.raises(ManifestMismatch, match="no manifest"):
         run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))
 
 
+def test_a_lone_stale_manifest_is_refused(tmp_path, caps):
+    out = tmp_path / "census.jsonl"
+    run_census(RunConfig(groups=("Z4",), out_path=str(out), caps=caps))
+    os.remove(out)
+    with pytest.raises(ManifestMismatch, match="groups"):
+        run_census(RunConfig(groups=("Z5",), out_path=str(out), caps=caps))
+    assert sorted(os.listdir(tmp_path)) == ["census.jsonl.manifest.json"]
+
+
 def test_schema_1_journal_is_refused(tmp_path, caps):
-    # A schema-1 journal names single alphas done (say Z2xZ2xZ2|1), and a
-    # schema-2 journal Aut(G)-classes of alpha under the same keys; schema 3
-    # names whole groups, so an older journal is refused, not reinterpreted.
+    # A schema-1 journal names single alphas done (say Z2xZ2xZ2|1), a schema-2
+    # journal Aut(G)-classes of alpha under the same keys, and a schema-3
+    # journal whole groups whose lines sit in a shared part file; schema 4
+    # keeps one block file per finished group, so a run killed under an
+    # older schema is refused, not reinterpreted.
     from gcg.census import MANIFEST_SCHEMA
 
     out = tmp_path / "old.jsonl"
@@ -183,33 +197,30 @@ def test_schema_1_journal_is_refused(tmp_path, caps):
     manifest_path = str(out) + ".manifest.json"
     with open(manifest_path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    assert manifest["schema"] == MANIFEST_SCHEMA == 3
+    assert manifest["schema"] == MANIFEST_SCHEMA == 4
     os.remove(out)
     with open(str(out) + ".journal", "w", encoding="ascii") as fh:
         fh.write("Z2xZ2xZ2|1\n")
-    for schema in (1, 2):
+    for schema in (1, 2, 3):
         with open(manifest_path, "w", encoding="ascii") as fh:
             json.dump(dict(manifest, schema=schema), fh)
         with pytest.raises(ManifestMismatch, match=f"schema = {schema}") as exc:
             run_census(cfg)
-        assert "this run has 3" in str(exc.value)
+        assert "this run has 4" in str(exc.value)
 
 
 def test_resume_keeps_whole_groups(tmp_path, monkeypatch, caps):
     import gcg.census as census
 
     # Z2xZ2 has involutions 0 (identity) and 1, 2, 3, which Aut = S3
-    # conjugates; the journaled group keeps the records of all of them
+    # conjugates; the group's block file keeps the records of all of them
     cfg = dict(groups=("Z2xZ2", "Z5"), caps=caps)
     expected = run_census(RunConfig(out_path=str(tmp_path / "ref.jsonl"), **cfg))
     out = tmp_path / "resume.jsonl"
-    journaled = [r for r in expected if r["group"] == "Z2xZ2"]
-    assert {r["alpha_index"] for r in journaled} == {0, 1, 2, 3}
-    with open(str(out) + ".part", "w", encoding="ascii") as fh:
-        for rec in journaled:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("Z2xZ2\n")
+    finished = [r for r in expected if r["group"] == "Z2xZ2"]
+    assert {r["alpha_index"] for r in finished} == {0, 1, 2, 3}
+    os.mkdir(str(out) + ".parts")
+    write_lines(str(out) + ".parts/Z2xZ2.jsonl", finished)
     shutil.copy(str(tmp_path / "ref.jsonl.manifest.json"), str(out) + ".manifest.json")
     ran = []
     real = census._work
@@ -230,6 +241,9 @@ def killed_at(work, name):
             raise Killed(name)
         return work(args)
 
+    # the pool pickles it by the name it is patched in under, which forked
+    # workers resolve to it
+    killed.__module__, killed.__qualname__ = work.__module__, work.__qualname__
     return killed
 
 
@@ -242,11 +256,11 @@ def test_a_resume_leaves_no_second_copy_of_a_groups_lines(tmp_path, monkeypatch,
     z5_lines = [line for line in read_lines(ref) if json.loads(line)["group"] == "Z5"]
     out = RunConfig(out_path=str(tmp_path / "out.jsonl"), **cfg)
     real = census._work
-    # run 1 journals Z4 and is killed after two lines of Z5 reached the part file
+    # run 1 finishes Z4 and is killed after two lines of Z5 were written
     monkeypatch.setattr(census, "_work", killed_at(real, "Z5"))
     with pytest.raises(Killed):
         run_census(out)
-    with open(out.out_path + ".part", "a", encoding="ascii") as fh:
+    with open(out.out_path + ".parts/Z5.jsonl.tmp", "w", encoding="ascii") as fh:
         fh.writelines(z5_lines[:2])
     # run 2 finishes Z5 and is killed in Z6; run 3 finishes
     monkeypatch.setattr(census, "_work", killed_at(real, "Z6"))
@@ -257,7 +271,7 @@ def test_a_resume_leaves_no_second_copy_of_a_groups_lines(tmp_path, monkeypatch,
     assert (tmp_path / "out.jsonl").read_bytes() == ref.read_bytes()
 
 
-def test_a_journaled_group_without_lines_runs_again(tmp_path, monkeypatch, caps):
+def test_a_deleted_block_runs_again(tmp_path, monkeypatch, caps):
     import gcg.census as census
 
     cfg = dict(groups=("Z4", "Z5"), caps=caps)
@@ -268,10 +282,33 @@ def test_a_journaled_group_without_lines_runs_again(tmp_path, monkeypatch, caps)
     with pytest.raises(Killed):
         run_census(out)
     monkeypatch.undo()
-    # Z4 is journaled, but its lines are gone
-    os.remove(out.out_path + ".part")
+    # Z4 finished, but its block file is gone
+    os.remove(out.out_path + ".parts/Z4.jsonl")
+    ran = []
+    real = census._work
+    monkeypatch.setattr(census, "_work", lambda args: ran.append(args[0]) or real(args))
     assert run_census(out) == expected
+    assert ran == ["Z4", "Z5"]
     assert (tmp_path / "out.jsonl").read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("group", ["Z4", "Z5", "Z6", "D6", "Z2xZ2"])
+def test_a_census_killed_in_any_group_resumes_to_the_same_bytes(tmp_path, monkeypatch, caps, jobs, group):
+    import gcg.census as census
+
+    cfg = dict(groups=("Z4", "Z5", "Z6", "D6", "Z2xZ2"), jobs=jobs, caps=caps)
+    ref = tmp_path / "ref.jsonl"
+    expected = run_census(RunConfig(out_path=str(ref), **cfg))
+    out = tmp_path / "out.jsonl"
+    config = RunConfig(out_path=str(out), **cfg)
+    monkeypatch.setattr(census, "_work", killed_at(census._work, group))
+    with pytest.raises(Killed):
+        run_census(config)
+    monkeypatch.undo()
+    assert run_census(config) == expected
+    assert out.read_bytes() == ref.read_bytes()
+    assert not os.path.exists(str(out) + ".parts")
 
 
 def test_a_resume_of_every_group_builds_no_alpha_class(tmp_path, monkeypatch, caps):
@@ -281,10 +318,11 @@ def test_a_resume_of_every_group_builds_no_alpha_class(tmp_path, monkeypatch, ca
     ref = tmp_path / "ref.jsonl"
     expected = run_census(RunConfig(out_path=str(ref), **cfg))
     out = tmp_path / "done.jsonl"
-    # every group journaled and written, but the run stopped before the output
-    shutil.copy(ref, str(out) + ".part")
-    with open(str(out) + ".journal", "w", encoding="ascii") as fh:
-        fh.write("".join(name + "\n" for name in ("Z2xZ2", "Z4", "D4")))
+    # every group's block file written, but the run stopped before the output
+    parts = tmp_path / "done.jsonl.parts"
+    parts.mkdir()
+    for name in ("Z2xZ2", "Z4", "D4"):
+        write_lines(parts / f"{name}.jsonl", [r for r in expected if r["group"] == name])
     shutil.copy(str(ref) + ".manifest.json", str(out) + ".manifest.json")
     calls = []
     real = census._alpha_classes
@@ -344,6 +382,13 @@ def test_bad_config_rejected():
         RunConfig(jobs=0)
     with pytest.raises(ValueError):
         RunConfig(max_order=0)
+
+
+def test_an_empty_group_filter_is_refused(tmp_path, caps):
+    # () names no group; it is not the absent filter None, the whole catalog
+    with pytest.raises(ValueError, match="names no group"):
+        run_census(RunConfig(groups=(), max_order=3, out_path=str(tmp_path / "c.jsonl"), caps=caps))
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_group_listed_twice_is_refused_before_anything_is_written(tmp_path, caps):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -275,22 +276,45 @@ def test_census_counts_must_be_positive(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--max-order", "--jobs"])
-def test_census_script_counts_must_be_positive(tmp_path, flag):
+def run_census_script(*argv):
     import os
     import subprocess
     import sys
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "run_census.py"), flag, "0",
-         "--out", str(tmp_path / "census.jsonl")],
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_census.py"), *argv],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         capture_output=True, text=True, check=False,
     )
+
+
+@pytest.mark.parametrize("flag", ["--max-order", "--jobs"])
+def test_census_script_counts_must_be_positive(tmp_path, flag):
+    proc = run_census_script(flag, "0", "--out", str(tmp_path / "census.jsonl"))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("usage: run_census.py")
     assert f"error: argument {flag}: must be at least 1, got 0" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_script_exits_3_on_a_cap(tmp_path):
+    proc = run_census_script("--groups", "Z300", "--out", str(tmp_path / "census.jsonl"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert re.fullmatch(r"run_census: budget exhausted: group order 300 exceeds cap \d+\n", proc.stderr)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--groups", "Z4"),
+    ("export", "--group", "Z4", "--alpha", "1", "--set", "1,3"),
+])
+def test_an_out_in_a_missing_directory_is_an_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("gcg: error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
