@@ -38,11 +38,13 @@ does not read, a --max-order that leaves nothing to check, an empty
 --group and --groups, and a group listed twice.  Then the exit status of
 the command lines the front end must refuse: an unknown --format, graph6
 or dot outside export, --canonical with a format other than graph6, and a
-`group list --max-order` below 1.
-Then the sha256 and exit status of `gcg --format json build` and `analyze`
-on a fixed list of specs, one of them invalid and one given with its ids
-unsorted and repeated, and of an `analyze` under a negative --caps-aut,
-which must be refused.  Then `build` and `analyze` on a D6 spec at an
+`group list --max-order` below 1.  Then the sha256 and exit status of
+`gcg census --groups Z4,Z5` and of a `census --groups Z4 --max-order 8`,
+which must be refused, each run in a fresh temporary working directory so
+that stdout names no temporary path.  Then the sha256 and exit status of
+`gcg --format json build` and `analyze` on a fixed list of specs, one of
+them invalid and one given with its ids unsorted and repeated, and of an
+`analyze` under a negative --caps-aut, which must be refused.  Then `build` and `analyze` on a D6 spec at an
 automorphism-search budget of 9 nodes, which the double-cover search
 exhausts: `build` must exit 3, and `analyze` exit 0 with its stability
 `unknown`.  Then the
@@ -117,6 +119,10 @@ REFUSED_RUNS = (
     ("--format", "dot", "export", "--canonical", "--group", "D8", "--alpha", "2", "--set", "1,3"),
     ("group", "list", "--max-order", "0"),
     ("group", "list", "--max-order", "-1"),
+)
+CENSUS_RUNS = (
+    ("census", "--groups", "Z4,Z5", "--out", "c.jsonl"),
+    ("census", "--groups", "Z4", "--max-order", "8", "--out", "c.jsonl"),   # refused
 )
 SPECS = (("Z4", "1", "3,1,1"), ("Z4", "1", "2"), ("Z6", "1", "1,3,5"), ("D8", "2", "1,3"))
 # a spec whose double-cover search runs out of an automorphism-search budget of 9 nodes
@@ -271,10 +277,10 @@ def automorphism_digest() -> tuple[str, int]:
     return digest.hexdigest(), len(names)
 
 
-def run_digest(*args: str) -> tuple[str, int]:
+def run_digest(*args: str, cwd: str | None = None) -> tuple[str, int]:
     """sha256 of the stdout of `python -m gcg <args>` (or `python -c`), and its exit status."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False, cwd=cwd)
     return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
 
 
@@ -311,6 +317,10 @@ def main() -> int:
     for argv in REFUSED_RUNS:
         digest, status = run_digest("-m", "gcg", *argv)
         print(f"refused {' '.join(argv)}  {digest}  exit {status}")
+    for argv in CENSUS_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digest, status = run_digest("-m", "gcg", *argv, cwd=tmp)
+        print(f"{' '.join(argv)}  {digest}  exit {status}")
     for command in ("build", "analyze"):
         for group, alpha, ids in SPECS:
             digest, status = run_digest(

@@ -2,27 +2,31 @@
 """Run every theorem verifier at its default desk-scale parameters.
 
 Prints one line per theorem with verdict counts and timing, then a totals
-line.  Exit code 0 when everything verified, 2 on any refutation, 3 when
-any sweep was budget-skipped.
+line.  Exit code 0 when everything verified, 1 on a usage error (an
+unknown theorem id among them), 2 on any refutation, 3 when any sweep was
+budget-skipped.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections import Counter
 
 from gcg.caps import caps_from_env
+from gcg.cli import UsageParser
 from gcg.theorems import THEOREM_IDS, run_theorem
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument(
         "theorems", nargs="*", default=list(THEOREM_IDS),
         help="theorem ids to run (default: all)",
     )
     args = parser.parse_args()
+    unknown = [tid for tid in args.theorems if tid not in THEOREM_IDS]
+    if unknown:
+        parser.error(f"unknown theorem id {unknown[0]!r} (choose from {', '.join(THEOREM_IDS)})")
     caps = caps_from_env()
 
     totals: Counter[str] = Counter()

@@ -10,9 +10,10 @@ an interrupted census resumes by running the groups without one.  The final
 file is the block files copied in group-name order, each record serialized
 once, so worker count and scheduling cannot leak into the output bytes;
 `<out>.parts` is then removed.  A manifest sidecar `<out>.manifest.json`
-records what the bytes depend on (schema version, resolved group names, max
-order, caps; not the worker count); a manifest, an output or a `.parts`
-directory already there is reused only when the manifest matches the run.
+records what the bytes depend on (schema version, resolved group names and
+caps; not the max order, which only chooses the groups, nor the worker
+count); a manifest, an output or a `.parts` directory already there is
+reused only when the manifest matches the run.
 
 Expensive verdicts degrade to "unknown" (or a null fingerprint) when a
 budget cap is hit; records are never dropped.
@@ -331,9 +332,8 @@ def _work(args: tuple[str, Caps]) -> tuple[str, list[dict]]:
 MANIFEST_SCHEMA = 4
 
 
-def _manifest(groups: list[str], max_order: int, caps: Caps) -> dict:
-    # max_order before groups: the catalog's groups follow from it
-    fields = {"schema": MANIFEST_SCHEMA, "max_order": max_order, "groups": groups}
+def _manifest(groups: list[str], caps: Caps) -> dict:
+    fields = {"schema": MANIFEST_SCHEMA, "groups": groups}
     fields.update({f"caps.{k}": v for k, v in asdict(caps).items()})
     return fields
 
@@ -382,7 +382,7 @@ def run_census(config: RunConfig) -> list[dict]:
 
     parts = config.out_path + ".parts"
     manifest_path = config.out_path + ".manifest.json"
-    manifest = _manifest(resolved, config.max_order, caps)
+    manifest = _manifest(resolved, caps)
     if any(map(os.path.exists, (manifest_path, config.out_path, parts))):
         _check_manifest(manifest_path, manifest, config.out_path)
     else:

@@ -2,20 +2,24 @@
 
 Exit codes: 0 success, 1 usage error (also a census --out written under
 another configuration, or an --out that cannot be written), 2 invalid spec
-(or a refuted verification instance), 3 budget or cap exhausted (or a
-budget-skipped verification instance).
+(or a refuted verification instance, or a census record that refutes the
+theory it samples), 3 budget or cap exhausted (or a budget-skipped
+verification instance).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
+from collections import Counter
+from functools import partial
 
 from .automorphisms import enumerate_involutory_automorphisms
 from .canon import automorphism_group, canonical_form
 from .caps import Caps, caps_from_env, with_overrides
 from .cayley import detect_cayley, stability_check, twisted_translation
-from .census import RunConfig, compute_record, run_census, spec_fields
+from .census import RunConfig, compute_record, refuting_records, run_census, spec_fields
 from .construct import (
     build_gc_graph,
     enumerate_connection_sets,
@@ -109,7 +113,8 @@ def _build_parser() -> UsageParser:
     verify.add_argument("--groups", default=None, help="comma-separated descriptors")
 
     census = sub.add_parser("census", help="run the catalog census")
-    census.add_argument("--max-order", type=positive_int, default=8)
+    census.add_argument("--max-order", type=positive_int, default=None,
+                        help="census every builtin group up to this order (default 8)")
     census.add_argument("--out", required=True)
     census.add_argument("--groups", default=None, help="comma-separated descriptors")
 
@@ -275,15 +280,42 @@ def cmd_verify(args, caps: Caps) -> int:
 def cmd_census(args, caps: Caps) -> int:
     groups = tuple(args.groups.split(",")) if args.groups is not None else None
     config = RunConfig(
-        max_order=args.max_order,
+        max_order=args.max_order or 8,
         out_path=args.out,
         jobs=args.jobs,
         caps=caps,
         groups=groups,
     )
+    started = time.perf_counter()
     records = run_census(config)
     print(f"{len(records)} records -> {args.out}")
+    _census_summary(records, time.perf_counter() - started)
+    bad = refuting_records(records)
+    for rec, why in bad[:10]:
+        print(f"REFUTING {rec['group']} alpha#{rec['alpha_index']} S={rec['set_ids']}: {why}",
+              file=sys.stderr)
+    if bad:
+        return SPEC_EXIT
+    print("cross-checks: clean", file=sys.stderr)
     return 0
+
+
+def _census_summary(records: list[dict], elapsed: float) -> None:
+    """Print the census totals to stderr: time, isomorphism classes, records
+    per group and how many records carry each notable verdict."""
+    err = partial(print, file=sys.stderr)
+    err(f"elapsed {elapsed:.1f}s")
+    fingerprints = Counter(r["fingerprint"] for r in records)
+    missing = fingerprints.pop(None, 0)
+    err(f"{len(fingerprints)} isomorphism classes (distinct fingerprints)"
+        + (f", {missing} records without a fingerprint" if missing else ""))
+    per_group = Counter(r["group"] for r in records)
+    for name, count in sorted(per_group.items(), key=lambda kv: (-kv[1], kv[0])):
+        err(f"  {name:>14}  {count:>5} records")
+    err(f"not vertex-transitive: {sum(r['vertex_transitive'] is False for r in records)}")
+    err(f"not Cayley: {sum(r['cayley'] == 'not_cayley' for r in records)}")
+    err(f"unworthy: {sum(r['unworthy'] for r in records)}")
+    err(f"unstable: {sum(r['stability'] == 'unstable' for r in records)}")
 
 
 def cmd_export(args, caps: Caps) -> int:
@@ -318,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--format {args.format} applies to export only")
     if args.command == "export" and args.canonical and args.format not in (None, "graph6"):
         parser.error("--canonical applies to --format graph6 only")
+    if args.command == "census" and args.groups is not None and args.max_order is not None:
+        parser.error("--max-order applies to a census without --groups only")
     try:
         caps = _caps(args)
         if args.command == "group":

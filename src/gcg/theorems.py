@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from .automorphisms import (
     AutomorphismMap,
+    DihedralInvolutionParams,
     _two_part,
     automorphism_from_perm,
     classify_dihedral_involutions,
@@ -708,14 +709,11 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
             p, "dihedral-identity", spec, g, spec.set_ids(), identity_perm,
             witness, {},
         )
-    match = None
-    for params in classify_dihedral_involutions(p):
-        if params.k == 1:
-            continue
-        if params.to_automorphism(g).perm == spec.alpha.perm:
-            match = params
-            break
-    if match is None:
+    # alpha is r -> r^-1, t -> t r^l (classify_dihedral_involutions): k and l
+    # are read off the images of r = 1 and t = p
+    l = spec.alpha.perm[p] - p
+    match = DihedralInvolutionParams(p, -1, l, l * ((p + 1) // 2) % p)
+    if spec.alpha.perm[1] != p - 1 or match.to_automorphism(g).perm != spec.alpha.perm:
         raise ShapeError("alpha is not an involutory automorphism of this group")
     kprime = match.halfshift
     s_ids = spec.set_ids()

@@ -152,9 +152,9 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
     assert len(run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))) == 42
     stale = out.read_bytes()
     # a finished order-4 census is not passed off as the order-6 one
-    with pytest.raises(ManifestMismatch, match="max_order = 4") as exc:
+    with pytest.raises(ManifestMismatch, match="groups = ") as exc:
         run_census(RunConfig(max_order=6, out_path=str(out), caps=caps))
-    assert "this run has 6" in str(exc.value)
+    assert "'Z6'" in str(exc.value).split("this run has")[1]
     assert out.read_bytes() == stale
     assert len(run_census(RunConfig(max_order=6, out_path=str(tmp_path / "fresh.jsonl"), caps=caps))) == 107
     # the worker count is not part of the manifest
@@ -172,6 +172,16 @@ def test_census_reuse_checks_the_manifest(tmp_path, caps):
     os.rmdir(str(out) + ".parts")
     with pytest.raises(ManifestMismatch, match="no manifest"):
         run_census(RunConfig(max_order=4, out_path=str(out), caps=caps))
+
+
+def test_a_group_list_census_is_reused_under_another_max_order(tmp_path, caps):
+    # max_order only chooses the groups, so a census with a group list does
+    # not depend on it
+    out = tmp_path / "z12.jsonl"
+    first = run_census(RunConfig(groups=("Z12",), max_order=8, out_path=str(out), caps=caps))
+    stamp = out.stat().st_mtime_ns
+    assert run_census(RunConfig(groups=("Z12",), max_order=12, out_path=str(out), caps=caps)) == first
+    assert out.stat().st_mtime_ns == stamp
 
 
 def test_a_lone_stale_manifest_is_refused(tmp_path, caps):

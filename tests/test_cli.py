@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -276,33 +279,60 @@ def test_census_counts_must_be_positive(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def run_census_script(*argv):
-    import os
-    import subprocess
-    import sys
+def test_census_prints_its_summary_and_cross_check_to_stderr(tmp_path, capsys):
+    out_path = tmp_path / "census.jsonl"
+    code, out, err = run_cli(capsys, "census", "--groups", "Z4,Z5", "--out", str(out_path))
+    assert code == 0 and out == f"13 records -> {out_path}\n"
+    lines = err.splitlines()
+    assert re.fullmatch(r"elapsed \d+\.\ds", lines[0])
+    assert "7 isomorphism classes (distinct fingerprints)" in lines
+    assert "              Z4      8 records" in lines and "unworthy: 6" in lines
+    assert lines[-1] == "cross-checks: clean"
 
+
+def test_census_exits_2_on_a_refuting_record(tmp_path, capsys, monkeypatch):
+    import gcg.census
+
+    work = gcg.census._work
+
+    def flipped(args):
+        name, records = work(args)
+        return name, [dict(r, unworthy=not r["unworthy"]) for r in records]
+
+    # every one of the 13 records refutes Prop 5.1; ten of them are named
+    monkeypatch.setattr(gcg.census, "_work", flipped)
+    code, out, err = run_cli(capsys, "census", "--groups", "Z4,Z5", "--out", str(tmp_path / "c.jsonl"))
+    assert code == 2 and out.startswith("13 records -> ")
+    refuting = [line for line in err.splitlines() if line.startswith("REFUTING ")]
+    assert len(refuting) == 10 and "cross-checks: clean" not in err
+    assert refuting[0] == "REFUTING Z4 alpha#0 S=[]: unworthiness flag disagrees with kernel size"
+
+
+def test_census_exits_3_on_a_cap(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "census", "--groups", "Z300", "--out", str(tmp_path / "census.jsonl"))
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"gcg: budget exhausted: group order 300 exceeds cap \d+\n", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_defaults_to_order_8(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "census", "--out", str(tmp_path / "c.jsonl"))
+    assert code == 0 and out.startswith("928 records -> ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--bogus",), "error: unrecognized arguments: --bogus"),
+    (("lemma-4.1", "thm-9.9"), "error: unknown theorem id 'thm-9.9'"),
+])
+def test_verify_all_refuses_a_usage_error(argv, message):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "run_census.py"), *argv],
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_all.py"), *argv],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         capture_output=True, text=True, check=False,
     )
-
-
-@pytest.mark.parametrize("flag", ["--max-order", "--jobs"])
-def test_census_script_counts_must_be_positive(tmp_path, flag):
-    proc = run_census_script(flag, "0", "--out", str(tmp_path / "census.jsonl"))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("usage: run_census.py")
-    assert f"error: argument {flag}: must be at least 1, got 0" in proc.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_census_script_exits_3_on_a_cap(tmp_path):
-    proc = run_census_script("--groups", "Z300", "--out", str(tmp_path / "census.jsonl"))
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert re.fullmatch(r"run_census: budget exhausted: group order 300 exceeds cap \d+\n", proc.stderr)
-    assert list(tmp_path.iterdir()) == []
+    assert proc.stderr.startswith("usage: verify_all.py") and message in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -403,6 +433,9 @@ def test_export_formats(tmp_path, capsys):
      "--canonical applies to --format graph6 only"),
     (("group", "list", "--max-order", "0"), "argument --max-order: must be at least 1, got 0"),
     (("group", "list", "--max-order", "-1"), "argument --max-order: must be at least 1, got -1"),
+    # the group list alone decides a --groups census
+    (("census", "--groups", "Z4", "--max-order", "8", "--out", "c.jsonl"),
+     "--max-order applies to a census without --groups only"),
 ])
 def test_flags_a_command_would_ignore_are_refused(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
