@@ -22,6 +22,12 @@ sha256 of the `detect_cayley` answers (status, reason, |Aut|, connection
 ids, orbit witness) and of the `canonical_form` answers (fingerprint,
 labelling) of every distinct census graph to order 10, in census order, so
 a change in Cayley detection or in the canonical search shows.  Then the
+sha256 of the search trees on those graphs: base, generators and nodes
+charged of the automorphism search, labelling and nodes charged of the
+canonical search, and base, generators and nodes charged of the seeded
+double-cover search, each at the default automorphism-search budget (or
+the budget error it raises), so a change in any search tree shows even
+where the answers stay the same.  Then the
 sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
@@ -80,11 +86,14 @@ from gcg.automorphisms import (  # noqa: E402
 )
 from gcg.caps import caps_from_env  # noqa: E402
 from gcg.catalog import builtin_descriptors  # noqa: E402
+from gcg import canon  # noqa: E402
 from gcg.canon import canonical_form  # noqa: E402
 from gcg.cayley import detect_cayley, stability_check, twisted_translation  # noqa: E402
 import gcg.census  # noqa: E402
 from gcg.census import RunConfig, run_census  # noqa: E402
 from gcg.construct import build_gc_graph, enumerate_connection_sets  # noqa: E402
+from gcg.errors import BudgetExceeded  # noqa: E402
+from gcg.graphs import bipartite_double_cover  # noqa: E402
 from gcg.groups import make_group  # noqa: E402
 from gcg.theorems import THEOREM_IDS  # noqa: E402
 
@@ -266,6 +275,48 @@ def canonical_digest(max_order: int) -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def search_tree_digest(max_order: int) -> tuple[str, int]:
+    budget = caps_from_env().aut_node_budget
+    budgets = []
+
+    class Counting(canon._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    def tree(search, *args):
+        """(answer, nodes charged) of one search, or its budget error."""
+        budgets.clear()
+        try:
+            return search(*args), budgets[0].nodes
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    digest = hashlib.sha256()
+    count = 0
+    plain = canon._Budget
+    canon._Budget = Counting
+    try:
+        for x in distinct_census_graphs(max_order):
+            aut = tree(canon._aut_search, x.rows, x.n, budget)
+            trees = [aut]
+            if not isinstance(aut, str):
+                gens = aut[0][1]
+                cover = bipartite_double_cover(x)
+                trees.append(tree(canon._canon_search, x.rows, x.n, list(gens), budget))
+                # the lifts of Aut(x)'s generators and the layer swap, as
+                # `double_cover_automorphism_group` seeds its search
+                seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * x.n)) for g in gens]
+                seeds.append(tuple(v ^ 1 for v in range(2 * x.n)))
+                trees.append(tree(canon._aut_search, cover.rows, cover.n, budget,
+                                  seeds, "double-cover automorphism search"))
+            digest.update(repr((x.rows, trees)).encode())
+            count += 1
+    finally:
+        canon._Budget = plain
+    return digest.hexdigest(), count
+
+
 def automorphism_digest() -> tuple[str, int]:
     caps = caps_from_env()
     digest = hashlib.sha256()
@@ -306,6 +357,8 @@ def main() -> int:
     print(f"detect_cayley --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = canonical_digest(STABILITY_ORDER)
     print(f"canonical_form --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
+    digest, count = search_tree_digest(STABILITY_ORDER)
+    print(f"search trees --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = automorphism_digest()
     print(f"automorphisms  {digest}  {count} groups")
     for tid in THEOREM_IDS:

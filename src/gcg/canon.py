@@ -8,9 +8,37 @@ must preserve and (b) orbits of the automorphisms found so far.
 The automorphism pass records the leftmost path during the first walk; for
 every sibling branch it probes for a single automorphism mapping the
 leftmost prefix onto that branch and then abandons the branch (the coset
-argument makes the generated group complete).  The canonical pass keeps the minimal
-(trace sequence, graph6) leaf, and that graph6 is the fingerprint;
-isomorphic graphs therefore get identical fingerprints.
+argument makes the generated group complete).  The canonical pass keeps the
+leaf with the least trace sequence, and that leaf's graph6 is the
+fingerprint; isomorphic graphs therefore get identical fingerprints.
+
+Two lemmas let both passes skip work without changing any search tree.
+
+Leaves.  The trace of a discrete partition is the adjacency matrix with the
+vertices in leaf order (`_trace`), so leaves with equal traces have equal
+graph6 strings.  The canonical pass therefore compares trace sequences
+alone: where they tie, the graph6 strings tie as well, and the leaf found
+first is kept as before.
+
+Probes.  Let a probe node at depth d have the same non-singleton cells (the
+same lists at the same positions) as the first path's node at depth d, and
+let gamma send the first path's singleton at each position to the probe's
+singleton at that position and fix every other vertex.  Then gamma is an
+automorphism.  Both partitions are equitable and have equal traces, so the
+trace gives the adjacency between singletons, a singleton is adjacent to
+all or none of a cell (a cell it splits would not be equitable) as the
+trace says, and the vertices of the other cells are fixed.  (A leaf has no
+non-singleton cell, so this holds at every probe leaf.)  So gamma maps the
+first path's partition onto the probe's, element by element and in order.
+`_refine` is label-invariant: parts are ordered by count, cell order is
+kept, splitters are queued left to right, and the target cell is chosen by
+position.  So the leftmost descent from the probe node is the gamma-image
+of the first path below depth d: each of its traces matches, and it ends at
+a leaf whose map is gamma, where a probe that walked down would stop.  The
+probe appends gamma at once instead (checking that it is an automorphism).
+It still charges the budget the len(base) - d nodes of that descent, so the
+nodes spent, the point where a budget runs out and every budget-limited
+answer stay those of the walk.
 
 The automorphisms found are a strong generating set relative to the
 leftmost path's base b_0, ..., b_k (McKay and Piperno, Practical graph
@@ -80,16 +108,23 @@ class _Budget:
         self.limit = limit
         self.nodes = 0
 
-    def spend(self) -> None:
-        self.nodes += 1
+    def spend(self, count: int = 1) -> None:
+        self.nodes += count
         if self.nodes > self.limit:
             raise BudgetExceeded(
                 f"{self.stage}: budget exhausted after {self.limit} refinement nodes on {self.n} vertices"
             )
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) -> tuple[int, ...]:
-    """Refine the partition cells to equitability; returns the node trace.
+def _neighbours(rows: tuple[int, ...]) -> list[list[int]]:
+    """Each vertex's neighbours in increasing order; a search builds them once."""
+    return [list(bits(r)) for r in rows]
+
+
+def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int],
+            nbrs: list[list[int]] | None = None) -> tuple[int, ...]:
+    """Refine the partition cells to equitability; returns the node trace
+    (`nbrs`, the neighbour lists of `rows`, is built here when not given).
 
     Cells are replaced in the outer list, never mutated, so a child
     partition may share its untouched cells with its parent.
@@ -140,12 +175,21 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int]) 
                     still_open.append((i + shift + k, pmask))
             shift += len(parts) - 1
         open_ = still_open
-    return _trace(rows, cells)
+    return _trace(rows, cells, nbrs)
 
 
-def _trace(rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
+def _trace(rows: tuple[int, ...], cells: list[list[int]],
+           nbrs: list[list[int]] | None = None) -> tuple[int, ...]:
     """Cell count, cell sizes, then for each cell the number of neighbors its
-    first vertex has in every cell: O(n + degrees) rather than O(cells^2)."""
+    first vertex has in every cell, read off the neighbour lists `nbrs`
+    (built from `rows` when not given).  The trace holds k^2 counts for k
+    cells, one `[0] * k` per cell, so it costs O(k^2 + degrees).
+
+    On a discrete partition the counts are the adjacency matrix with the
+    vertices in cell order, so two leaves with equal traces have equal
+    graph6 strings under their vertex orders."""
+    if nbrs is None:
+        nbrs = _neighbours(rows)
     k = len(cells)
     cell_of = [0] * len(rows)
     for i, c in enumerate(cells):
@@ -155,11 +199,8 @@ def _trace(rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
     trace.extend(len(c) for c in cells)
     for c in cells:
         counts = [0] * k
-        m = rows[c[0]]
-        while m:
-            low = m & -m
-            counts[cell_of[low.bit_length() - 1]] += 1
-            m ^= low
+        for u in nbrs[c[0]]:
+            counts[cell_of[u]] += 1
         trace.extend(counts)
     return tuple(trace)
 
@@ -172,14 +213,14 @@ def _target_cell(cells: list[list[int]]) -> int | None:
     return best
 
 
-def _child(rows, cells, t, v, budget: _Budget):
+def _child(rows, cells, t, v, budget: _Budget, nbrs: list[list[int]] | None = None):
     """Individualize v out of cell t and re-refine; returns (cells, trace).
     Only the outer list is copied: `_refine` never mutates a cell."""
     budget.spend()
     new_cells = cells[:t]
     new_cells += ([v], [u for u in cells[t] if u != v])
     new_cells += cells[t + 1 :]
-    trace = _refine(rows, new_cells, [1 << v])
+    trace = _refine(rows, new_cells, [1 << v], nbrs)
     return new_cells, trace
 
 
@@ -190,10 +231,12 @@ def _labeling(cells: list[list[int]], n: int) -> Perm:
     return tuple(lab)
 
 
-def _is_automorphism(rows: tuple[int, ...], p: Perm) -> bool:
+def _is_automorphism(rows: tuple[int, ...], p: Perm, nbrs: list[list[int]] | None = None) -> bool:
+    if nbrs is None:
+        nbrs = _neighbours(rows)
     for u in range(len(p)):
         img = 0
-        for v in bits(rows[u]):
+        for v in nbrs[u]:
             img |= 1 << p[v]
         if img != rows[p[u]]:
             return False
@@ -257,46 +300,56 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
     """Returns (base, gens): gens, which starts with the seeds, is a strong
     generating set of Aut relative to base, the leftmost path's
     individualized vertices.  Every seed must be an automorphism."""
+    nbrs = _neighbours(rows)
     gens: list[Perm] = list(seeds)
     for seed in gens:
-        if len(seed) != n or not _is_automorphism(rows, seed):
+        if len(seed) != n or not _is_automorphism(rows, seed, nbrs):
             raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
     budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))])
-    # the leftmost path, recorded as the first walk takes it
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    # the leftmost path, recorded as the first walk takes it: its vertices,
+    # and its partition, the positions of that partition's non-singleton
+    # cells and the trace at each depth
     base: list[int] = []
+    first_nodes: list[tuple[list[list[int]], list[int]]] = []
     first_traces: list[tuple[int, ...]] = []
-    zeta: list = [(), ""]  # the first leaf's vertex order and key
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
         t = _target_cell(cells)
-        if t is None:
-            order = [c[0] for c in cells]
-            if on_first:
-                zeta[:] = order, graph6_in_order(rows, order)
+        if on_first:
+            first_nodes.append((cells, [i for i, c in enumerate(cells) if len(c) > 1]))
+            if t is None:
                 return False
-            if graph6_in_order(rows, order) == zeta[1]:
-                # sends the vertex labeled j at the first leaf to the one labeled j here
-                gamma = tuple(w for _, w in sorted(zip(zeta[0], order)))
-                if not _is_automorphism(rows, gamma):
-                    raise AssertionError("leaf key collision without automorphism")
+        else:
+            first, open_ = first_nodes[depth]
+            if all(cells[i] == first[i] for i in open_):
+                # sends the first path's vertex at each position to the one
+                # here; a non-singleton cell is the same list in both
+                gamma = list(range(n))
+                for a, b in zip(first, cells):
+                    gamma[a[0]] = b[0]
+                gamma = tuple(gamma)
+                if not _is_automorphism(rows, gamma, nbrs):
+                    raise AssertionError("equal traces and open cells without an automorphism")
+                # the leftmost descent from here, which would end at gamma's
+                # leaf, is charged though not refined
+                budget.spend(len(base) - depth)
                 gens.append(gamma)
                 return True
-            return False
         orbits = _SiblingOrbits(prefix, gens)
         found_any = False
         for v in cells[t]:
             if on_first and v == cells[t][0]:
                 base.append(v)
-                child, tr = _child(rows, cells, t, v, budget)
+                child, tr = _child(rows, cells, t, v, budget, nbrs)
                 first_traces.append(tr)
                 explore(child, depth + 1, prefix + (v,), True)
                 orbits.explored(v)
                 continue
             if orbits.hits(v):
                 continue
-            child, tr = _child(rows, cells, t, v, budget)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
             orbits.explored(v)
             if tr != first_traces[depth]:
                 continue
@@ -311,25 +364,26 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
 
 
 def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
-    """Labeling of the minimal (trace sequence, graph6) leaf over the search tree."""
+    """Labeling of the leaf with the least trace sequence over the search tree
+    (equal leaf traces mean equal graph6 strings, see `_trace`)."""
     budget = _Budget("canonical search", n, limit)
+    nbrs = _neighbours(rows)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))])
-    best: list = [None, None, ()]  # traces, leaf graph6, labeling
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    best: list = [None, ()]  # traces, labeling
 
     def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
         t = _target_cell(cells)
         if t is None:
-            key = graph6_in_order(rows, [c[0] for c in cells])
-            if best[0] is None or (traces, key) < (best[0], best[1]):
-                best[0], best[1], best[2] = traces, key, _labeling(cells, n)
+            if best[0] is None or traces < best[0]:
+                best[0], best[1] = traces, _labeling(cells, n)
             return
         orbits = _SiblingOrbits(prefix, gens)
         for v in cells[t]:
             if orbits.hits(v):
                 continue
             orbits.explored(v)
-            child, tr = _child(rows, cells, t, v, budget)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
             newtraces = traces + (tr,)
             if best[0] is not None:
                 bt = best[0][: depth + 1]
@@ -338,7 +392,7 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
             explore(child, depth + 1, prefix + (v,), newtraces)
 
     explore(cells0, 0, (), ())
-    return best[2]
+    return best[1]
 
 
 def _describe(n: int, base: list[int], gens: list[Perm]) -> PermGroupDescription:
@@ -362,14 +416,20 @@ def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescript
     return _aut_cached(g.n, g.rows, budget)
 
 
+def _cover_seeds(n: int, gens) -> list[Perm]:
+    """The lifts (x, i) -> (sigma x, i) of the automorphisms gens of a graph
+    on n vertices and the layer swap (x, i) -> (x, 1 - i), on its double
+    cover, whose vertex (x, i) is 2x + i."""
+    seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * n)) for g in gens]
+    seeds.append(tuple(v ^ 1 for v in range(2 * n)))
+    return seeds
+
+
 @lru_cache(maxsize=1024)
 def _cover_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
     """Aut(X x K2) of the graph X with these rows, from a search seeded with
-    the lifts (x, i) -> (sigma x, i) of Aut(X)'s strong generators and the
-    layer swap (x, i) -> (x, 1 - i); the cover's vertex (x, i) is 2x + i."""
-    gens = _aut_cached(n, rows, budget).generators
-    seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * n)) for g in gens]
-    seeds.append(tuple(v ^ 1 for v in range(2 * n)))
+    `_cover_seeds` of Aut(X)'s strong generators."""
+    seeds = _cover_seeds(n, _aut_cached(n, rows, budget).generators)
     cover = bipartite_double_cover(Graph(n, rows))
     return _describe(cover.n, *_aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search"))
 

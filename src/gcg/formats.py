@@ -26,9 +26,10 @@ def _g6_header(n: int) -> str:
 
 def graph6_in_order(rows, order) -> str:
     """graph6 of the graph with these adjacency rows, vertex order[j] written
-    as vertex j.  For a fixed vertex count the strings sort like the upper
-    triangles read as big-endian integers, which is the order in which the
-    canonical search compares its leaves."""
+    as vertex j.  The canonical fingerprint is this string for the best
+    leaf's vertex order, written once per graph; the searches compare leaves
+    by their traces, which already hold the adjacency matrix in leaf order,
+    and never key a leaf by its graph6."""
     n = len(order)
     acc = 0
     for j in range(1, n):

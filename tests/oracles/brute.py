@@ -29,7 +29,14 @@ of a kernel afresh from the multiplication table, as sorted tuples, and
 `sorted_tuple_quotient` ORs the rows of their members; they are the
 reference for the subgroup handle's coset table, which
 `construct.quotient_by_kernel` and the X -> X/K[empty] map of the
-unworthiness check read.
+unworthiness check read.  `leaf_descent_aut_search` and
+`graph6_keyed_canon_search` are the searches `canon._aut_search` and
+`canon._canon_search` replaced, kept as they were: every probe descends to
+a leaf and compares leaves by their graph6 strings.  They share the
+refinement and prune helpers of `gcg.canon`, so they check the search
+trees, not the refinement.  `triple_loop_group_axioms` checks
+associativity on every triple of elements; it is the reference for
+`groups.check_group_axioms`, which checks it on a generating set only.
 """
 from __future__ import annotations
 
@@ -41,6 +48,17 @@ from gcg.automorphisms import (
     generating_ids,
     identity_automorphism,
 )
+from gcg.canon import (
+    _Budget,
+    _child,
+    _is_automorphism,
+    _labeling,
+    _refine,
+    _SiblingOrbits,
+    _target_cell,
+)
+from gcg.errors import DescriptorError
+from gcg.formats import graph6_in_order
 from gcg.groups import FiniteGroup, mask_of
 from gcg.perms import Perm, identity_perm, pinv, pmul
 
@@ -554,3 +572,110 @@ def closure_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list
     if involutory_only:
         out = [a for a in out if a.order2]
     return out
+
+
+def triple_loop_group_axioms(mul, order: int) -> None:
+    """Identity and inverse checks, then associativity on all order^3 triples;
+    raises DescriptorError with the message of the first axiom that fails."""
+    for a in range(order):
+        if mul[0][a] != a or mul[a][0] != a:
+            raise DescriptorError("identity axiom fails")
+    for a in range(order):
+        if not any(mul[a][b] == 0 for b in range(order)):
+            raise DescriptorError("inverse axiom fails")
+    for a in range(order):
+        ma = mul[a]
+        for b in range(order):
+            mab = mul[ma[b]]
+            mb = mul[b]
+            for c in range(order):
+                if mab[c] != ma[mb[c]]:
+                    raise DescriptorError("associativity fails")
+
+
+def leaf_descent_aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
+    """Returns (base, gens): gens, which starts with the seeds, is a strong
+    generating set of Aut relative to base, the leftmost path's
+    individualized vertices.  Every seed must be an automorphism."""
+    gens: list[Perm] = list(seeds)
+    for seed in gens:
+        if len(seed) != n or not _is_automorphism(rows, seed):
+            raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
+    budget = _Budget(stage, n, limit)
+    cells0: list[list[int]] = [list(range(n))] if n else []
+    _refine(rows, cells0, [mask_of(range(n))])
+    # the leftmost path, recorded as the first walk takes it
+    base: list[int] = []
+    first_traces: list[tuple[int, ...]] = []
+    zeta: list = [(), ""]  # the first leaf's vertex order and key
+
+    def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
+        t = _target_cell(cells)
+        if t is None:
+            order = [c[0] for c in cells]
+            if on_first:
+                zeta[:] = order, graph6_in_order(rows, order)
+                return False
+            if graph6_in_order(rows, order) == zeta[1]:
+                # sends the vertex labeled j at the first leaf to the one labeled j here
+                gamma = tuple(w for _, w in sorted(zip(zeta[0], order)))
+                if not _is_automorphism(rows, gamma):
+                    raise AssertionError("leaf key collision without automorphism")
+                gens.append(gamma)
+                return True
+            return False
+        orbits = _SiblingOrbits(prefix, gens)
+        found_any = False
+        for v in cells[t]:
+            if on_first and v == cells[t][0]:
+                base.append(v)
+                child, tr = _child(rows, cells, t, v, budget)
+                first_traces.append(tr)
+                explore(child, depth + 1, prefix + (v,), True)
+                orbits.explored(v)
+                continue
+            if orbits.hits(v):
+                continue
+            child, tr = _child(rows, cells, t, v, budget)
+            orbits.explored(v)
+            if tr != first_traces[depth]:
+                continue
+            found = explore(child, depth + 1, prefix + (v,), False)
+            found_any = found_any or found
+            if not on_first and found:
+                return True
+        return found_any
+
+    explore(cells0, 0, (), True)
+    return base, gens
+
+
+def graph6_keyed_canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
+    """Labeling of the minimal (trace sequence, graph6) leaf over the search tree."""
+    budget = _Budget("canonical search", n, limit)
+    cells0: list[list[int]] = [list(range(n))] if n else []
+    _refine(rows, cells0, [mask_of(range(n))])
+    best: list = [None, None, ()]  # traces, leaf graph6, labeling
+
+    def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
+        t = _target_cell(cells)
+        if t is None:
+            key = graph6_in_order(rows, [c[0] for c in cells])
+            if best[0] is None or (traces, key) < (best[0], best[1]):
+                best[0], best[1], best[2] = traces, key, _labeling(cells, n)
+            return
+        orbits = _SiblingOrbits(prefix, gens)
+        for v in cells[t]:
+            if orbits.hits(v):
+                continue
+            orbits.explored(v)
+            child, tr = _child(rows, cells, t, v, budget)
+            newtraces = traces + (tr,)
+            if best[0] is not None:
+                bt = best[0][: depth + 1]
+                if newtraces > bt:
+                    continue
+            explore(child, depth + 1, prefix + (v,), newtraces)
+
+    explore(cells0, 0, (), ())
+    return best[2]

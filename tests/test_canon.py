@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.canon import (
     _aut_search,
     _canon_search,
+    _cover_seeds,
     _refine,
     _SiblingOrbits,
     _trace,
@@ -40,12 +42,15 @@ from gcg.graphs import (
 )
 from gcg.groups import make_group, mask_of
 
+from oracles import brute
 from oracles.brute import (
     SchreierSimsChain,
     _orbit_hits,
     brute_automorphisms,
     brute_vertex_orbits,
+    graph6_keyed_canon_search,
     is_graph_automorphism,
+    leaf_descent_aut_search,
     scanning_refine,
 )
 
@@ -291,6 +296,155 @@ def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
         count += 1
     assert count == 430
     assert digest.hexdigest() == "3584316667a585fc4b942d187727ae12e95987e45c09c2b980e93a8554b9960a"
+
+
+def _recorded_budgets(mp, *modules):
+    """Sets `_Budget` of the modules to a subclass that records every budget
+    made; returns the record."""
+    budgets = []
+
+    class Counting(canon._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    for module in modules:
+        mp.setattr(module, "_Budget", Counting)
+    return budgets
+
+
+def test_seeded_search_trees_are_pinned(caps, monkeypatch):
+    # base, generators and nodes spent of the double-cover search, seeded as
+    # `double_cover_automorphism_group` seeds it, over the distinct census
+    # graphs to order 8, captured while every probe still walked down to a
+    # leaf and keyed it by its graph6
+    budgets = _recorded_budgets(monkeypatch, canon)
+    digest = hashlib.sha256()
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        _, gens = _aut_search(x.rows, x.n, 10**9)
+        cover = bipartite_double_cover(x)
+        budgets.clear()
+        base, cover_gens = _aut_search(
+            cover.rows, cover.n, 10**9, _cover_seeds(x.n, gens), "double-cover automorphism search")
+        (budget,) = budgets
+        digest.update(repr((x.rows, base, cover_gens, budget.nodes)).encode())
+        count += 1
+    assert count == 430
+    assert digest.hexdigest() == "bc96aaf60e8a7a4a4ac1d8b2061809a2fdf06240b2628642d325c3677fb17792"
+
+
+def _hypercube(d):
+    n = 1 << d
+    return from_edges(n, [(v, v ^ 1 << i) for v in range(n) for i in range(d) if v >> i & 1 == 0])
+
+
+def _rook(m, k):
+    # K_m box K_k: vertex a * k + b, adjacent when one coordinate agrees
+    n = m * k
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // k == v // k or u % k == v % k])
+
+
+def _crown(k):
+    # K_{k,k} minus a perfect matching
+    return from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+
+
+SEARCH_FAMILIES = (
+    [cycle_graph(n) for n in range(3, 13)]
+    + [_hypercube(d) for d in (2, 3, 4)]
+    + [_rook(m, k) for m, k in ((2, 3), (3, 3), (2, 4), (3, 4))]
+    + [petersen_graph()]
+    + [_crown(k) for k in (3, 4, 5, 6)]
+)
+
+
+def _search_trees(g, aut_search, canon_search):
+    """Base, generators and nodes spent of the automorphism search, labelling
+    and nodes of the canonical search, and base, generators and nodes of the
+    seeded double-cover search, all three run by the given implementations."""
+    with pytest.MonkeyPatch.context() as mp:
+        budgets = _recorded_budgets(mp, canon, brute)
+        base, gens = aut_search(g.rows, g.n, 10**9)
+        lab = canon_search(g.rows, g.n, list(gens), 10**9)
+        cover = bipartite_double_cover(g)
+        cover_tree = aut_search(cover.rows, cover.n, 10**9, _cover_seeds(g.n, gens),
+                                "double-cover automorphism search")
+    return base, gens, lab, cover_tree, [b.nodes for b in budgets]
+
+
+def _trees_agree_with_leaf_descent(g):
+    assert _search_trees(g, _aut_search, _canon_search) == _search_trees(
+        g, leaf_descent_aut_search, graph6_keyed_canon_search)
+
+
+def test_search_trees_equal_the_leaf_descent_on_families():
+    for g in SEARCH_FAMILIES:
+        _trees_agree_with_leaf_descent(g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] < e[1]
+        )).map(lambda edges: from_edges(n, sorted(edges)))
+    )
+)
+def test_search_trees_equal_the_leaf_descent_on_random_graphs(g):
+    # base, generators, nodes charged and labelling are those of the searches
+    # that walked every probe down to a leaf and keyed leaves by graph6
+    _trees_agree_with_leaf_descent(g)
+
+
+def _refined_and_charged(g):
+    """`_child` calls and nodes charged by one automorphism search of g."""
+    refined = []
+    child = canon._child
+
+    def counting_child(*args):
+        refined.append(args[3])
+        return child(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        budgets = _recorded_budgets(mp, canon)
+        mp.setattr(canon, "_child", counting_child)
+        _aut_search(g.rows, g.n, 10**9)
+    (budget,) = budgets
+    return len(refined), budget.nodes
+
+
+def test_probes_stop_where_they_line_up_with_the_first_path():
+    # on K_{6,6} minus a perfect matching the early route fires: 6 of the 25
+    # nodes charged are never refined
+    assert _refined_and_charged(_crown(6)) == (19, 25)
+    # on Q5 it cannot fire above a leaf: an automorphism fixing the vertices
+    # of every non-singleton cell of a node there is the identity, and the
+    # probe's singletons differ from the first path's
+    assert _refined_and_charged(_hypercube(5)) == (20, 20)
+
+
+def _outcome(search, rows, n, limit, *seeded):
+    try:
+        return search(rows, n, limit, *seeded)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_budgets_run_out_where_the_leaf_descent_runs_out():
+    # an automorphism search first raises at the same budget, with the same
+    # message, as the search that walked every probe down to a leaf
+    for g in (_hypercube(4), petersen_graph(), _crown(5), _rook(3, 3), cycle_graph(8)):
+        _, gens = _aut_search(g.rows, g.n, 10**9)
+        cover = bipartite_double_cover(g)
+        seeded = (_cover_seeds(g.n, gens), "double-cover automorphism search")
+        for rows, n, extra in ((g.rows, g.n, ()), (cover.rows, cover.n, seeded)):
+            for limit in itertools.count():
+                old = _outcome(leaf_descent_aut_search, rows, n, limit, *extra)
+                assert _outcome(_aut_search, rows, n, limit, *extra) == old
+                if not isinstance(old, str):
+                    break
+            assert limit > 0
 
 
 def _cover_agrees_with_oracles(x):

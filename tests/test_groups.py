@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,8 @@ from gcg.groups import (
     subgroup_closure,
     subgroup_handle,
 )
+
+from oracles.brute import triple_loop_group_axioms
 
 
 def test_parse_format_roundtrip():
@@ -110,6 +113,50 @@ def test_generalized_dihedral_relation(caps):
     for x in range(m):
         for y in range(m):
             assert g.mul[m + x][m + y] == inner.mul[inner.inv[x]][y]
+
+
+def _axioms_outcome(check, mul, order):
+    try:
+        check(mul, order)
+    except DescriptorError as exc:
+        return str(exc)
+    return None
+
+
+def test_generator_associativity_agrees_with_the_triple_loop(caps):
+    # every catalog table, then tables perturbed off row and column 0 (one
+    # entry changed, two entries of a row swapped) or relabelled by a
+    # permutation fixing the identity: both checks accept the same tables and
+    # refuse the others with the same message
+    tables = [g.mul for g in builtin_groups(24, caps)]
+    for mul in tables:
+        assert _axioms_outcome(check_group_axioms, mul, len(mul)) is None
+        assert _axioms_outcome(triple_loop_group_axioms, mul, len(mul)) is None
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(3000):
+        mul = [list(row) for row in rng.choice(tables)]
+        n = len(mul)
+        if n < 3:
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            mul[rng.randrange(1, n)][rng.randrange(1, n)] = rng.randrange(n)
+        elif kind == 1:
+            row = mul[rng.randrange(1, n)]
+            a, b = rng.randrange(1, n), rng.randrange(1, n)
+            row[a], row[b] = row[b], row[a]
+        else:
+            p = [0] + rng.sample(range(1, n), n - 1)
+            q = [0] * n
+            for x, y in enumerate(p):
+                q[y] = x
+            mul = [[p[mul[q[x]][q[y]]] for y in range(n)] for x in range(n)]
+        fast = _axioms_outcome(check_group_axioms, mul, n)
+        assert fast == _axioms_outcome(triple_loop_group_axioms, mul, n)
+        outcomes.append(fast)
+    assert outcomes.count("associativity fails") > 1000
+    assert outcomes.count(None) > 1000
 
 
 def test_alt4_is_nonabelian_order_12(caps):
