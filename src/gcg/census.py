@@ -254,13 +254,13 @@ def _invariant_fields(x: Graph, caps: Caps, two_fold: tuple[Perm, Perm] | None) 
     return {"fingerprint": fingerprint, **verdicts}, known
 
 
-def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps,
-           two_fold: tuple[Perm, Perm] | None) -> None:
-    """Give record its orbit's invariant fields, computing them on its own
-    graph, graph_of(), with the two-fold automorphism two_fold, while the
-    orbit has none known."""
+def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps) -> None:
+    """Give record its orbit's invariant fields, computing them, while the
+    orbit has none known, on its own graph and two-fold automorphism, the
+    pair graph_of() returns."""
     if shared.fields is None:
-        fields, known = _invariant_fields(graph_of(), caps, two_fold)
+        x, two_fold = graph_of()
+        fields, known = _invariant_fields(x, caps, two_fold)
         if known:
             shared.fields = fields
         record.update(fields)
@@ -282,8 +282,8 @@ def _transport(g: FiniteGroup, source: Transported, phi: Perm, alpha: Automorphi
     out = dict(record, alpha_index=alpha_index, alpha=list(alpha.perm),
                set_ids=sorted(phi[s] for s in record["set_ids"]),
                triangle_hash=_profile_hash(renamed))
-    _share(shared, out, lambda: build_gc_graph(make_spec(g, alpha, out["set_ids"])), caps,
-           twisted_translation(g, alpha.perm))
+    _share(shared, out, lambda: (build_gc_graph(make_spec(g, alpha, out["set_ids"])),
+                                 twisted_translation(g, alpha.perm)), caps)
     return out, tuple(renamed), shared
 
 
@@ -303,7 +303,7 @@ def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index:
         spec = make_spec(g, alpha, mask)
         x, record, profile = _labelled_fields(spec, alpha_index)
         shared = _OrbitFields()
-        _share(shared, record, lambda: x, caps, two_fold)
+        _share(shared, record, lambda: (x, two_fold), caps)
         first = (record, profile, shared)
         out.append(first)
         s_ids = spec.set_ids()

@@ -675,23 +675,23 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
         raise ShapeError("the order must be twice a prime")
     p = g.order // 2
     n = g.order
-    x_graph = build_gc_graph(spec)
     identity_perm = tuple(range(n))
     cyclic = any(o == n for o in g.element_orders)
+    if cyclic and spec.alpha.perm != identity_perm:
+        if spec.alpha.perm != tuple(g.inv):
+            raise ShapeError("cyclic groups of order 2p admit only identity and inversion")
+        d = dihedralize_inversion(spec)     # builds and checks GC(G, S, alpha) itself
+        return Order2pWitness(
+            p, "cyclic-dihedralize", spec, d.target_group, d.target_set_ids,
+            d.mapping, d.witness, {"eq1_pairs": d.eq1_pairs},
+        )
+    x_graph = build_gc_graph(spec)
     if cyclic:
-        if spec.alpha.perm == identity_perm:
-            witness = IsomorphismWitness(x_graph, x_graph, identity_perm)
-            return Order2pWitness(
-                p, "cyclic-identity", spec, g, spec.set_ids(), identity_perm,
-                witness, {},
-            )
-        if spec.alpha.perm == tuple(g.inv):
-            d = dihedralize_inversion(spec)
-            return Order2pWitness(
-                p, "cyclic-dihedralize", spec, d.target_group, d.target_set_ids,
-                d.mapping, d.witness, {"eq1_pairs": d.eq1_pairs},
-            )
-        raise ShapeError("cyclic groups of order 2p admit only identity and inversion")
+        witness = IsomorphismWitness(x_graph, x_graph, identity_perm)
+        return Order2pWitness(
+            p, "cyclic-identity", spec, g, spec.set_ids(), identity_perm,
+            witness, {},
+        )
     if p == 2:
         verdict = detect_cayley(x_graph, caps)
         if verdict.status != "cayley" or verdict.witness is None:
@@ -1046,13 +1046,28 @@ def run_lemma_4_1(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     return reports
 
 
+def _order_2p_sweeps(
+    g: FiniteGroup, caps: Caps, budget: _SweepBudget
+) -> Iterator[tuple[str, int, bool, str | None]]:
+    """Certify every connection set of each alpha of g by `order_2p_witness`,
+    which raises on any failure, one budget unit per set.  Yields, per alpha,
+    the instance name, the sets certified, whether the budget ran out first
+    and the route of the last set certified."""
+    route = None
+
+    def check(spec: GCSpec) -> None:
+        nonlocal route
+        route = order_2p_witness(spec, caps).route
+
+    for key, _, alpha in _alpha_walk([g]):
+        route = None
+        count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
+        yield key, count, skipped, route
+
+
 def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-
-    def check(spec: GCSpec) -> None:
-        order_2p_witness(spec, caps)                # raises on any failure
-
     ps = [3, 5] if p is None else [p]
     for p in ps:
         if not is_prime(p) or p == 2:
@@ -1067,8 +1082,7 @@ def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
                 {"reason": "classification does not match enumeration"},
             ))
             continue
-        for key, _, alpha in _alpha_walk([g]):
-            count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
+        for key, count, skipped, _ in _order_2p_sweeps(g, caps, budget):
             reports.append(_sweep_report("lemma-4.2", key, count, skipped, involutions=len(classified)))
     return reports
 
@@ -1080,30 +1094,10 @@ def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
             raise ShapeError(f"{p} is not prime")
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
-    unknown = 0     # detect_cayley cross-checks cut short by a budget
-    route = None    # the order-2p route of the last set that passed
-
-    def check(spec: GCSpec) -> str | None:
-        nonlocal unknown, route
-        w = order_2p_witness(spec, caps)
-        status = detect_cayley(build_gc_graph(spec), caps).status
-        if status == "not_cayley":
-            return _spec_key(spec)
-        unknown += status == "unknown"
-        route = w.route
-        return None
-
-    groups = (make_group(f"{kind}{2 * p}", caps) for p in ps for kind in "ZD")
-    for key, g, alpha in _alpha_walk(groups):
-        unknown, route = 0, None
-        specs = enumerate_connection_sets(g, alpha, caps=caps)
-        count, skipped, contradicted = _sweep(specs, check, budget)
-        if contradicted:
-            cert = {"contradicting_spec": contradicted, "cayley_unknown": unknown}
-            reports.append(TheoremReport("thm-4.3", key, "refuted", cert))
-        else:
+    for g in (make_group(f"{kind}{2 * p}", caps) for p in ps for kind in "ZD"):
+        for key, count, skipped, route in _order_2p_sweeps(g, caps, budget):
             last = {} if skipped else {"route_of_last": route}
-            reports.append(_sweep_report("thm-4.3", key, count, skipped, cayley_unknown=unknown, **last))
+            reports.append(_sweep_report("thm-4.3", key, count, skipped, **last))
     return reports
 
 
