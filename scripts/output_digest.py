@@ -32,13 +32,15 @@ sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
 Then, for every theorem id, the sha256 and exit status of
-`gcg --format json verify <id>`, then of thirteen verifier runs with flags
+`gcg --format json verify <id>`, then of fourteen verifier runs with flags
 (each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
 --groups; two of them thm-3.5 on Z48 and Z64, whose 2^24 and 2^32 sets
 lie past the catalog and past the bit cap on set enumeration, one
-thm-3.1 on product presentations, whose even factor sits first, last or
-beside an odd part, prop-5.1 to order 16, whose unworthiness sweep runs
-out of its budget part-way through orders 13-16, and cor-5.4 to order 16),
+thm-4.3 --p 11, whose D22|alpha#0 holds 2^16 sets, more than the default
+sweep budget, one thm-3.1 on product presentations, whose even factor sits
+first, last or beside an odd part, prop-5.1 to order 16, whose unworthiness
+sweep runs out of its budget part-way through orders 13-16, and cor-5.4 to
+order 16),
 and the exit status of five runs that must be refused: a flag the verifier
 does not read, a --max-order that leaves nothing to check, an empty
 --group and --groups, and a group listed twice.  Then the exit status of
@@ -59,12 +61,12 @@ D8 and a Z2xZ4 spec (their vertex labels are the groups' element names),
 and of each sweeping verifier's reports at a sweep budget of 5 checks,
 where most sweeps stop part-way.  A check is one budget unit: a connection
 set, a (spec, phi) pair, or one connection-orbit layer of the verifiers that
-certify layers instead of single sets (prop-2.5, thm-3.1, thm-3.5), whose j
-layers certify the first 2^j sets.  Those three and prop-5.1, whose sets
-are built from the same layers, are also run at budgets of 1 and 40, so a
-change in how they count layers or sets shows here.  Every
-gcg run is a fresh interpreter.  Run it on two checkouts and diff the two
-outputs.
+certify layers instead of single sets (prop-2.5, thm-3.1, thm-3.5, lemma-4.2,
+thm-4.3), whose j layers certify the first 2^j sets.  Those five and
+prop-5.1, whose sets are built from the same layers, are also run at
+budgets of 1 and 40, so a change in how they count layers or sets shows
+here.  Every gcg run is a fresh interpreter.  Run it on two checkouts and
+diff the two outputs.
 """
 from __future__ import annotations
 
@@ -100,6 +102,7 @@ from gcg.theorems import THEOREM_IDS  # noqa: E402
 EXPORTS = (("D8", "2", "1,3"), ("Z2xZ4", "3", "1,3"))
 FLAGGED_VERIFY = (
     ("thm-4.3", "--p", "7"),
+    ("thm-4.3", "--p", "11"),
     ("thm-3.1", "--groups", "Z4,Z12"),
     ("ex-3.2", "--m", "2", "--n", "3"),
     ("ex-3.3", "--k", "3"),
@@ -139,7 +142,7 @@ TIGHT_SPEC = ("D6", "0", "1,2,3,4")
 TIGHT_SPEC_BUDGET = 9
 SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 # run at every budget of BUDGET_LADDER, the other sweeping ids at SMALL_BUDGET only
-LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "prop-5.1")
+LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 SMALL_BUDGET = 5
 TIGHT_CENSUSES = ((7, 8), (9, 10))   # (max order, aut_node_budget)
 KILLED_GROUP = 10   # index of the group in which the resumed census is killed
@@ -304,10 +307,8 @@ def search_tree_digest(max_order: int) -> tuple[str, int]:
                 gens = aut[0][1]
                 cover = bipartite_double_cover(x)
                 trees.append(tree(canon._canon_search, x.rows, x.n, list(gens), budget))
-                # the lifts of Aut(x)'s generators and the layer swap, as
-                # `double_cover_automorphism_group` seeds its search
-                seeds = [tuple(2 * g[v >> 1] | (v & 1) for v in range(2 * x.n)) for g in gens]
-                seeds.append(tuple(v ^ 1 for v in range(2 * x.n)))
+                # seeded as `double_cover_automorphism_group` seeds its search
+                seeds = canon._cover_seeds(x.n, gens)
                 trees.append(tree(canon._aut_search, cover.rows, cover.n, budget,
                                   seeds, "double-cover automorphism search"))
             digest.update(repr((x.rows, trees)).encode())

@@ -122,9 +122,9 @@ def _neighbours(rows: tuple[int, ...]) -> list[list[int]]:
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int],
-            nbrs: list[list[int]] | None = None) -> tuple[int, ...]:
+            nbrs: list[list[int]]) -> tuple[int, ...]:
     """Refine the partition cells to equitability; returns the node trace
-    (`nbrs`, the neighbour lists of `rows`, is built here when not given).
+    (`nbrs` holds the neighbour lists of `rows`).
 
     Cells are replaced in the outer list, never mutated, so a child
     partition may share its untouched cells with its parent.
@@ -178,18 +178,15 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], worklist: list[int],
     return _trace(rows, cells, nbrs)
 
 
-def _trace(rows: tuple[int, ...], cells: list[list[int]],
-           nbrs: list[list[int]] | None = None) -> tuple[int, ...]:
+def _trace(rows: tuple[int, ...], cells: list[list[int]], nbrs: list[list[int]]) -> tuple[int, ...]:
     """Cell count, cell sizes, then for each cell the number of neighbors its
-    first vertex has in every cell, read off the neighbour lists `nbrs`
-    (built from `rows` when not given).  The trace holds k^2 counts for k
-    cells, one `[0] * k` per cell, so it costs O(k^2 + degrees).
+    first vertex has in every cell, read off the neighbour lists `nbrs` of
+    `rows`.  The trace holds k^2 counts for k cells, one `[0] * k` per cell,
+    so it costs O(k^2 + degrees).
 
     On a discrete partition the counts are the adjacency matrix with the
     vertices in cell order, so two leaves with equal traces have equal
     graph6 strings under their vertex orders."""
-    if nbrs is None:
-        nbrs = _neighbours(rows)
     k = len(cells)
     cell_of = [0] * len(rows)
     for i, c in enumerate(cells):
@@ -213,7 +210,7 @@ def _target_cell(cells: list[list[int]]) -> int | None:
     return best
 
 
-def _child(rows, cells, t, v, budget: _Budget, nbrs: list[list[int]] | None = None):
+def _child(rows, cells, t, v, budget: _Budget, nbrs: list[list[int]]):
     """Individualize v out of cell t and re-refine; returns (cells, trace).
     Only the outer list is copied: `_refine` never mutates a cell."""
     budget.spend()
@@ -231,9 +228,7 @@ def _labeling(cells: list[list[int]], n: int) -> Perm:
     return tuple(lab)
 
 
-def _is_automorphism(rows: tuple[int, ...], p: Perm, nbrs: list[list[int]] | None = None) -> bool:
-    if nbrs is None:
-        nbrs = _neighbours(rows)
+def _is_automorphism(rows: tuple[int, ...], p: Perm, nbrs: list[list[int]]) -> bool:
     for u in range(len(p)):
         img = 0
         for v in nbrs[u]:

@@ -1,8 +1,9 @@
 """Built-in group catalog: every group the sweeps and the census walk.
 
-The list covers all cyclic groups, products of cyclic groups, dihedral
-groups, and the alternating group on four letters up to order 24, ordered
-by (order, name) so sweep output is deterministic.  Two presentations of
+The list covers all cyclic groups and products of cyclic groups up to
+order 24, the dihedral groups up to order 16 and D24 (D18, D20 and D22 are
+missing), and the alternating group on four letters, ordered by (order,
+name) so sweep output is deterministic.  Two presentations of
 the same abstract group (such as Z2xZ6 and Z2xZ2xZ3) are both kept: the
 constructions here are presentation-sensitive.
 """

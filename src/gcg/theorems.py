@@ -38,7 +38,6 @@ from .automorphisms import (
 from .canon import automorphism_group
 from .caps import Caps, caps_from_env
 from .catalog import builtin_groups
-from .cayley import detect_cayley
 from .construct import (
     GCSpec,
     build_gc_graph,
@@ -142,11 +141,13 @@ def _sweep_layers(
     Lemma.  Let S be the union of connection orbits O.  Every row of
     `build_gc_graph(S)` is the OR of the same row of the layers X_O, because
     x ~ alpha(x)s for s in S is a union over orbits.  The same holds for the
-    Cayley target Cay(Dih(.), f(S)) of `dihedralize_inversion` and for the
-    edge rule of `normal_form_odd_abelian`, and the vertex maps of both
-    depend on (G, alpha) only.  A bijection f maps a union of rows to the
-    union of the images, so if one f passes `check_witness` on every layer
-    X_O -> Y_O, it is an isomorphism X_S -> Y_S for every union S of them.
+    edge rule of `normal_form_odd_abelian` and for every Cayley target
+    Cay(H, t(S)) with t applied element by element, as in
+    `dihedralize_inversion` and `order_2p_witness`, and the vertex maps of
+    all of them depend on (G, alpha) only.  A bijection f maps a union of
+    rows to the union of the images, so if one f passes `check_witness` on
+    every layer X_O -> Y_O, it is an isomorphism X_S -> Y_S for every union
+    S of them.
 
     `certify` checks the witness on one layer (raising on failure) and
     returns its vertex map; every layer must return the same map.  With
@@ -668,8 +669,9 @@ class Order2pWitness:
     params: dict
 
 
-def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
-    caps = caps or caps_from_env()
+def order_2p_witness(spec: GCSpec) -> Order2pWitness:
+    """A checked isomorphism from GC(G, S, alpha), |G| = 2p, onto a Cayley
+    graph (Thm 4.3).  The vertex map depends on (G, alpha) only."""
     g = spec.group
     if g.order % 2 != 0 or not is_prime(g.order // 2):
         raise ShapeError("the order must be twice a prime")
@@ -685,55 +687,38 @@ def order_2p_witness(spec: GCSpec, caps: Caps | None = None) -> Order2pWitness:
             p, "cyclic-dihedralize", spec, d.target_group, d.target_set_ids,
             d.mapping, d.witness, {"eq1_pairs": d.eq1_pairs},
         )
-    x_graph = build_gc_graph(spec)
-    if cyclic:
-        witness = IsomorphismWitness(x_graph, x_graph, identity_perm)
-        return Order2pWitness(
-            p, "cyclic-identity", spec, g, spec.set_ids(), identity_perm,
-            witness, {},
-        )
-    if p == 2:
-        verdict = detect_cayley(x_graph, caps)
-        if verdict.status != "cayley" or verdict.witness is None:
-            raise AssertionError("small-order search failed to certify")
-        inv_map = tuple(verdict.witness.mapping)
-        return Order2pWitness(
-            p, "small-direct", spec, verdict.group, verdict.connection_ids,
-            inv_map, verdict.witness, {"aut_order": verdict.aut_order},
-        )
-    if not isinstance(g.descriptor, Dihedral):
+    if not cyclic and p > 2 and not isinstance(g.descriptor, Dihedral):
         raise ShapeError("expected a dihedral presentation for the non-cyclic case")
-    if spec.alpha.perm == identity_perm:
-        witness = IsomorphismWitness(x_graph, x_graph, identity_perm)
-        return Order2pWitness(
-            p, "dihedral-identity", spec, g, spec.set_ids(), identity_perm,
-            witness, {},
-        )
-    # alpha is r -> r^-1, t -> t r^l (classify_dihedral_involutions): k and l
-    # are read off the images of r = 1 and t = p
-    l = spec.alpha.perm[p] - p
-    match = DihedralInvolutionParams(p, -1, l, l * ((p + 1) // 2) % p)
-    if spec.alpha.perm[1] != p - 1 or match.to_automorphism(g).perm != spec.alpha.perm:
-        raise ShapeError("alpha is not an involutory automorphism of this group")
-    kprime = match.halfshift
-    s_ids = spec.set_ids()
-    if any(s < p for s in s_ids):
-        raise AssertionError("a rotation slipped into the connection set")
-    s_prime = sorted((s - p) % p for s in s_ids)
-    if sorted((2 * kprime - i) % p for i in s_prime) != s_prime:
-        raise AssertionError("connection indices are not symmetric about the halfshift")
-    s1 = tuple(sorted(p + (i - kprime) % p for i in s_prime))
-    phi = tuple(
-        ((-i - kprime) % p) if i < p else i for i in range(2 * p)
-    )
+    if cyclic or p == 2 or spec.alpha.perm == identity_perm:
+        # GC(G, S, alpha) is Cay(G, S) row for row: alpha(x)S = xS.  For
+        # alpha = id that is the definition.  On Z2 x Z2 with alpha != id, S
+        # avoids omega(G) = {1, c}, c the element alpha fixes, so S is empty
+        # or the other two elements; then cS = S and alpha(x) is x or xc.
+        route = "cyclic-identity" if cyclic else "small-direct" if p == 2 else "dihedral-identity"
+        s1, phi, params = spec.set_ids(), identity_perm, {}
+    else:
+        # alpha is r -> r^-1, t -> t r^l (classify_dihedral_involutions): k
+        # and l are read off the images of r = 1 and t = p
+        l = spec.alpha.perm[p] - p
+        match = DihedralInvolutionParams(p, -1, l, l * ((p + 1) // 2) % p)
+        if spec.alpha.perm[1] != p - 1 or match.to_automorphism(g).perm != spec.alpha.perm:
+            raise ShapeError("alpha is not an involutory automorphism of this group")
+        kprime = match.halfshift
+        s_ids = spec.set_ids()
+        if any(s < p for s in s_ids):
+            raise AssertionError("a rotation slipped into the connection set")
+        s_prime = sorted((s - p) % p for s in s_ids)
+        if sorted((2 * kprime - i) % p for i in s_prime) != s_prime:
+            raise AssertionError("connection indices are not symmetric about the halfshift")
+        route = "dihedral-phi"
+        s1 = tuple(sorted(p + (i - kprime) % p for i in s_prime))
+        phi = tuple(((-i - kprime) % p) if i < p else i for i in range(2 * p))
+        params = {"k": match.k, "l": match.l, "halfshift": kprime, "s_prime": s_prime}
     cay = make_spec(g, identity_automorphism(g), s1)
-    witness = IsomorphismWitness(x_graph, build_gc_graph(cay), phi)
+    witness = IsomorphismWitness(build_gc_graph(spec), build_gc_graph(cay), phi)
     if not check_witness(witness):
-        raise AssertionError("dihedral route witness failed")
-    return Order2pWitness(
-        p, "dihedral-phi", spec, g, s1, phi, witness,
-        {"k": match.k, "l": match.l, "halfshift": kprime, "s_prime": s_prime},
-    )
+        raise AssertionError(f"{route} route witness failed")
+    return Order2pWitness(p, route, spec, g, s1, phi, witness, params)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,23 +1031,23 @@ def run_lemma_4_1(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     return reports
 
 
-def _order_2p_sweeps(
-    g: FiniteGroup, caps: Caps, budget: _SweepBudget
-) -> Iterator[tuple[str, int, bool, str | None]]:
-    """Certify every connection set of each alpha of g by `order_2p_witness`,
-    which raises on any failure, one budget unit per set.  Yields, per alpha,
-    the instance name, the sets certified, whether the budget ran out first
-    and the route of the last set certified."""
-    route = None
+def _order_2p_sweeps(g: FiniteGroup, budget: _SweepBudget) -> Iterator[tuple[str, int, bool, str | None]]:
+    """Certify the connection sets of each alpha of g by `order_2p_witness`,
+    which raises on any failure, one connection-orbit layer per budget unit
+    (`_sweep_layers`).  Yields, per alpha, the instance name, the sets
+    certified, whether the budget ran out first and the witness's route,
+    which depends on (G, alpha) only."""
 
-    def check(spec: GCSpec) -> None:
+    def certify(spec: GCSpec) -> Perm:
         nonlocal route
-        route = order_2p_witness(spec, caps).route
+        witness = order_2p_witness(spec)
+        route = witness.route
+        return witness.mapping
 
     for key, _, alpha in _alpha_walk([g]):
         route = None
-        count, skipped, _ = _sweep(enumerate_connection_sets(g, alpha, caps=caps), check, budget)
-        yield key, count, skipped, route
+        layers, skipped, _ = _sweep(connection_orbits(g, alpha), _sweep_layers(g, alpha, certify), budget)
+        yield key, 1 << layers, skipped, route
 
 
 def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
@@ -1082,7 +1067,7 @@ def run_lemma_4_2(caps: Caps, p: int | None = None) -> list[TheoremReport]:
                 {"reason": "classification does not match enumeration"},
             ))
             continue
-        for key, count, skipped, _ in _order_2p_sweeps(g, caps, budget):
+        for key, count, skipped, _ in _order_2p_sweeps(g, budget):
             reports.append(_sweep_report("lemma-4.2", key, count, skipped, involutions=len(classified)))
     return reports
 
@@ -1095,7 +1080,7 @@ def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     budget = _SweepBudget(caps.sweep_instance_budget)
     reports = []
     for g in (make_group(f"{kind}{2 * p}", caps) for p in ps for kind in "ZD"):
-        for key, count, skipped, route in _order_2p_sweeps(g, caps, budget):
+        for key, count, skipped, route in _order_2p_sweeps(g, budget):
             last = {} if skipped else {"route_of_last": route}
             reports.append(_sweep_report("thm-4.3", key, count, skipped, **last))
     return reports

@@ -31,8 +31,9 @@ reference for the subgroup handle's coset table, which
 `construct.quotient_by_kernel` and the X -> X/K[empty] map of the
 unworthiness check read.  `leaf_descent_aut_search` and
 `graph6_keyed_canon_search` are the searches `canon._aut_search` and
-`canon._canon_search` replaced, kept as they were: every probe descends to
-a leaf and compares leaves by their graph6 strings.  They share the
+`canon._canon_search` replaced, kept as they were but for passing the
+neighbour lists the helpers take: every probe descends to a leaf and
+compares leaves by their graph6 strings.  They share the
 refinement and prune helpers of `gcg.canon`, so they check the search
 trees, not the refinement.  `triple_loop_group_axioms` checks
 associativity on every triple of elements; it is the reference for
@@ -53,6 +54,7 @@ from gcg.canon import (
     _child,
     _is_automorphism,
     _labeling,
+    _neighbours,
     _refine,
     _SiblingOrbits,
     _target_cell,
@@ -598,12 +600,13 @@ def leaf_descent_aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(),
     generating set of Aut relative to base, the leftmost path's
     individualized vertices.  Every seed must be an automorphism."""
     gens: list[Perm] = list(seeds)
+    nbrs = _neighbours(rows)
     for seed in gens:
-        if len(seed) != n or not _is_automorphism(rows, seed):
+        if len(seed) != n or not _is_automorphism(rows, seed, nbrs):
             raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
     budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))])
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
     # the leftmost path, recorded as the first walk takes it
     base: list[int] = []
     first_traces: list[tuple[int, ...]] = []
@@ -619,7 +622,7 @@ def leaf_descent_aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(),
             if graph6_in_order(rows, order) == zeta[1]:
                 # sends the vertex labeled j at the first leaf to the one labeled j here
                 gamma = tuple(w for _, w in sorted(zip(zeta[0], order)))
-                if not _is_automorphism(rows, gamma):
+                if not _is_automorphism(rows, gamma, nbrs):
                     raise AssertionError("leaf key collision without automorphism")
                 gens.append(gamma)
                 return True
@@ -629,14 +632,14 @@ def leaf_descent_aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(),
         for v in cells[t]:
             if on_first and v == cells[t][0]:
                 base.append(v)
-                child, tr = _child(rows, cells, t, v, budget)
+                child, tr = _child(rows, cells, t, v, budget, nbrs)
                 first_traces.append(tr)
                 explore(child, depth + 1, prefix + (v,), True)
                 orbits.explored(v)
                 continue
             if orbits.hits(v):
                 continue
-            child, tr = _child(rows, cells, t, v, budget)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
             orbits.explored(v)
             if tr != first_traces[depth]:
                 continue
@@ -653,8 +656,9 @@ def leaf_descent_aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(),
 def graph6_keyed_canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
     """Labeling of the minimal (trace sequence, graph6) leaf over the search tree."""
     budget = _Budget("canonical search", n, limit)
+    nbrs = _neighbours(rows)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))])
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
     best: list = [None, None, ()]  # traces, leaf graph6, labeling
 
     def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
@@ -669,7 +673,7 @@ def graph6_keyed_canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], l
             if orbits.hits(v):
                 continue
             orbits.explored(v)
-            child, tr = _child(rows, cells, t, v, budget)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
             newtraces = traces + (tr,)
             if best[0] is not None:
                 bt = best[0][: depth + 1]

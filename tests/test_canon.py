@@ -14,6 +14,7 @@ from gcg.canon import (
     _aut_search,
     _canon_search,
     _cover_seeds,
+    _neighbours,
     _refine,
     _SiblingOrbits,
     _trace,
@@ -555,7 +556,7 @@ def test_trace_matches_pairwise_formula(data):
     masks = [mask_of(c) for c in cells]
     pairwise = [len(cells)] + [len(c) for c in cells]
     pairwise += [(g.rows[c[0]] & m).bit_count() for c in cells for m in masks]
-    assert _trace(g.rows, cells) == tuple(pairwise)
+    assert _trace(g.rows, cells, _neighbours(g.rows)) == tuple(pairwise)
 
 
 @settings(max_examples=300, deadline=None)
@@ -574,21 +575,22 @@ def test_refine_matches_scanning_refine(data):
         st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3),
     ))
     fast, slow = [list(c) for c in cells], [list(c) for c in cells]
-    assert _refine(g.rows, fast, list(worklist)) == scanning_refine(g.rows, slow, list(worklist))
+    nbrs = _neighbours(g.rows)
+    assert _refine(g.rows, fast, list(worklist), nbrs) == scanning_refine(g.rows, slow, list(worklist))
     assert fast == slow
 
 
 def test_refine_matches_scanning_refine_on_search_nodes():
     # the partitions the searches refine: equitable, then one vertex individualized
     for g in (cycle_graph(40), petersen_graph(), disjoint_union(cycle_graph(5), path_graph(6))):
-        n = g.n
+        n, nbrs = g.n, _neighbours(g.rows)
         cells = [list(range(n))]
-        assert _refine(g.rows, cells, [mask_of(range(n))]) == scanning_refine(
+        assert _refine(g.rows, cells, [mask_of(range(n))], nbrs) == scanning_refine(
             g.rows, [list(range(n))], [mask_of(range(n))])
         for t, cell in enumerate(cells):
             for v in cell if len(cell) > 1 else ():
                 fast = [list(c) for c in cells]
                 fast[t : t + 1] = [[v], [u for u in cell if u != v]]
                 slow = [list(c) for c in fast]
-                assert _refine(g.rows, fast, [1 << v]) == scanning_refine(g.rows, slow, [1 << v])
+                assert _refine(g.rows, fast, [1 << v], nbrs) == scanning_refine(g.rows, slow, [1 << v])
                 assert fast == slow

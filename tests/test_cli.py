@@ -182,9 +182,9 @@ def test_verify_exit_codes(capsys):
     assert "cyclic Sylow 2-subgroup; Z3: group has odd order" in err
 
     # a cap small enough to abort enumeration maps to the budget exit code
-    code, _, err = run_cli(capsys, "--caps-bits", "2", "verify", "lemma-4.2")
+    code, _, err = run_cli(capsys, "--caps-bits", "2", "verify", "prop-2.1")
     assert code == 3
-    assert "budget" in err
+    assert "3 orbits exceed bit budget 2" in err
 
 
 def test_the_bit_cap_limits_set_enumeration_not_layer_sweeps(capsys):
@@ -192,6 +192,11 @@ def test_the_bit_cap_limits_set_enumeration_not_layer_sweeps(capsys):
     # enumerates no set, so only listing the 2^24 sets meets the cap
     code, out, _ = run_cli(capsys, "--caps-bits", "8", "verify", "thm-3.5", "--group", "Z48")
     assert code == 0 and json.loads(out)["verdict"] == "verified"
+    # so do the order-2p sweeps, whose D10|alpha#0 has 7 orbits
+    for tid in ("lemma-4.2", "thm-4.3"):
+        code, out, _ = run_cli(capsys, "--caps-bits", "2", "verify", tid)
+        assert code == 0
+        assert {json.loads(line)["verdict"] for line in out.splitlines()} == {"verified"}
     code, out, err = run_cli(capsys, "--caps-bits", "8", "enumerate", "--group", "Z48", "--alpha", "7")
     assert code == 3 and out == ""
     assert "24 orbits exceed bit budget 8" in err

@@ -314,23 +314,23 @@ def test_dichotomy_runner_exactly_one_branch(caps):
 
 def test_order_2p_routes(caps):
     z6 = make_group("Z6", caps)
-    w = order_2p_witness(make_spec(z6, identity_automorphism(z6), (1, 5)), caps)
+    w = order_2p_witness(make_spec(z6, identity_automorphism(z6), (1, 5)))
     assert w.route == "cyclic-identity"
-    w = order_2p_witness(make_spec(z6, inversion_map(z6), (1, 3, 5)), caps)
+    w = order_2p_witness(make_spec(z6, inversion_map(z6), (1, 3, 5)))
     assert w.route == "cyclic-dihedralize"
     assert check_witness(w.witness)
 
     d6 = make_group("D6", caps)
     ident = identity_automorphism(d6)
     refl = (3, 4, 5)
-    w = order_2p_witness(make_spec(d6, ident, refl), caps)
+    w = order_2p_witness(make_spec(d6, ident, refl))
     assert w.route == "dihedral-identity"
     phi_alpha = [a for a in enumerate_involutory_automorphisms(d6)
                  if a.perm != ident.perm][0]
     spec = next(iter(
         s for s in enumerate_connection_sets(d6, phi_alpha, nonempty_only=True, caps=caps)
     ))
-    w = order_2p_witness(spec, caps)
+    w = order_2p_witness(spec)
     assert w.route == "dihedral-phi"
     assert check_witness(w.witness)
     assert "halfshift" in w.params
@@ -340,13 +340,28 @@ def test_order_2p_routes(caps):
     spec4 = next(iter(
         s for s in enumerate_connection_sets(d4, alpha, nonempty_only=True, caps=caps)
     ))
-    w4 = order_2p_witness(spec4, caps)
-    assert w4.route in ("small-direct", "dihedral-identity", "cyclic-identity",
-                        "cyclic-dihedralize")
+    w4 = order_2p_witness(spec4)
+    assert w4.route == "small-direct"
 
     with pytest.raises(ShapeError):
         z9 = make_group("Z9", caps)
-        order_2p_witness(make_spec(z9, identity_automorphism(z9), (1, 8)), caps)
+        order_2p_witness(make_spec(z9, identity_automorphism(z9), (1, 8)))
+
+
+@pytest.mark.parametrize("name", ["D4", "Z2xZ2"])
+def test_order_4_gc_graphs_are_their_cayley_graphs(name, caps):
+    # on the Klein group alpha(x)S = xS for every valid S, so GC(G, S, alpha)
+    # has the rows of Cay(G, S) and the identity map is the witness
+    g = make_group(name, caps)
+    alphas = enumerate_involutory_automorphisms(g)
+    specs = [spec for alpha in alphas for spec in enumerate_connection_sets(g, alpha, caps=caps)]
+    assert (len(alphas), len(specs)) == (4, 14)
+    for spec in specs:
+        cayley = build_gc_graph(make_spec(g, identity_automorphism(g), spec.set_ids()))
+        assert build_gc_graph(spec).rows == cayley.rows
+        w = order_2p_witness(spec)
+        assert (w.route, w.mapping) == ("small-direct", (0, 1, 2, 3))
+        assert (w.target_group, w.target_set_ids) == (g, spec.set_ids())
 
 
 def test_order_2p_runners(caps):
@@ -394,7 +409,9 @@ def test_report_json_shape(caps):
 
 # Full report lists of the sweeping verifiers when the sweep budget runs out
 # part-way: (reports, skipped, sha256 prefix of the sorted-key JSON of the
-# runner's report list), captured one fresh interpreter per run.
+# runner's report list), captured one fresh interpreter per run.  prop-2.5,
+# thm-3.5, lemma-4.2 and thm-4.3 spend a budget unit per connection-orbit
+# layer, and the empty set needs none.
 BUDGET_REFERENCE = {
     "prop-2.1": {0: (10, 10, "8382dfa116a06f57"), 1: (10, 9, "7609adbde837b6c5"),
                  5: (10, 8, "91753af8859ed089"), 40: (10, 7, "48def61ec5d16773")},
@@ -402,10 +419,10 @@ BUDGET_REFERENCE = {
                  5: (43, 28, "8b69b690793439f3"), 40: (43, 16, "da3f2deca2698391")},
     "thm-3.5": {0: (50, 24, "bf8e2f3d2138a3cb"), 1: (50, 23, "e99928db9061e94d"),
                 5: (50, 15, "066e20cfb8552fa8"), 40: (50, 0, "4a3b562c27145d45")},
-    "lemma-4.2": {0: (10, 10, "102529cacda9a48d"), 1: (10, 10, "0ae0d3a481bb93ae"),
-                  5: (10, 10, "dccfe8ec33d945a8"), 40: (10, 6, "619cc94f1a289db8")},
-    "thm-4.3": {0: (20, 20, "c852cb0ff869b0cb"), 1: (20, 20, "6be127d308ff39ff"),
-                5: (20, 19, "88e1c74bc344d945"), 40: (20, 12, "25182360a5739ddb")},
+    "lemma-4.2": {0: (10, 10, "193ebb1134bf8fae"), 1: (10, 10, "1c2115789ab6541f"),
+                  5: (10, 9, "4ec1fcaa4378d4e4"), 40: (10, 0, "a4610dfa8df6d039")},
+    "thm-4.3": {0: (20, 20, "433087a7246c224f"), 1: (20, 20, "87ad19dd8b62533d"),
+                5: (20, 18, "25ec5cc2ec9ce407"), 40: (20, 6, "e5b6172f18e68252")},
     "prop-5.1": {0: (134, 134, "b63bfe77358eaf85"), 1: (134, 133, "e79589b95c777dec"),
                  5: (134, 131, "ea42ead834e9adee"), 40: (134, 121, "aa12db448b86f9a7")},
 }
@@ -511,8 +528,9 @@ def test_unworthiness_ids_share_one_sweep(caps):
 
 
 # ---------------------------------------------------------------------------
-# layer certificates: thm-3.5, thm-3.1 and prop-2.5 certify a whole family
-# of connection sets through one vertex map checked on single-orbit layers
+# layer certificates: thm-3.5, thm-3.1, prop-2.5, lemma-4.2 and thm-4.3
+# certify a whole family of connection sets through one vertex map checked
+# on single-orbit layers
 
 
 def _cyclic_sylow(g) -> bool:
@@ -606,14 +624,13 @@ def _oracle_thm_3_1(caps, budget, names):
     return rows
 
 
-def _oracle_prop_2_5(caps, budget):
-    """(instance, covered, skipped) of prop-2.5, set by set; one shared budget."""
+def _oracle_per_alpha(groups, check, budget, caps):
+    """(instance, covered, skipped) of a layer sweep over every alpha of each
+    group, set by set; one shared budget."""
     rows = []
-    for g in builtin_groups(21, caps):
-        if not _odd_abelian(g):
-            continue
+    for g in groups:
         for idx, alpha in enumerate(enumerate_involutory_automorphisms(g)):
-            covered, skipped, spent = _layer_oracle(g, alpha, normal_form_odd_abelian, budget, caps)
+            covered, skipped, spent = _layer_oracle(g, alpha, check, budget, caps)
             budget -= spent
             rows.append((f"{g.name}|alpha#{idx}", covered, skipped))
     return rows
@@ -639,7 +656,15 @@ def test_layer_sweeps_match_the_per_set_oracle(budget, caps):
     reports = run_theorem("thm-3.1", {"groups": names}, run_caps)
     assert _swept(reports) == _oracle_thm_3_1(caps, limit, names)
     reports = run_theorem("prop-2.5", {}, run_caps)
-    assert _swept(reports) == _oracle_prop_2_5(caps, limit)
+    odd = [g for g in builtin_groups(21, caps) if _odd_abelian(g)]
+    assert _swept(reports) == _oracle_per_alpha(odd, normal_form_odd_abelian, limit, caps)
+    # the order-2p sweeps, against `order_2p_witness` on each set
+    reports = run_theorem("lemma-4.2", {}, run_caps)
+    dihedral = [make_group(f"D{2 * p}", caps) for p in (3, 5)]
+    assert _swept(reports) == _oracle_per_alpha(dihedral, order_2p_witness, limit, caps)
+    reports = run_theorem("thm-4.3", {}, run_caps)
+    order_2p = [make_group(f"{kind}{2 * p}", caps) for p in (2, 3, 5) for kind in "ZD"]
+    assert _swept(reports) == _oracle_per_alpha(order_2p, order_2p_witness, limit, caps)
 
 
 def _wrong_on(orbit, layer_only: bool):
