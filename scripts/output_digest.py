@@ -5,10 +5,14 @@
 Prints the sha256 and record count of a one-job census to --max-order
 (default 11, written to a temporary directory), of the same census at two
 pool workers, and of one-job censuses to order 7 at an automorphism-search
-budget of 8 nodes and to order 9 at a budget of 10 nodes, where some answers
-stay unknown (so a change in how records are shared shows on the pool path
-and under a budget; the order-9 line has moved under a change to orbit
-sharing that left the order-7 line as it was).  Then the sha256 and record
+budget of 8 nodes, to order 9 at a budget of 10 nodes and to order 12 at a
+regular-subgroup search budget of 3 nodes, where some answers stay unknown
+(so a change in how records are shared shows on the pool path and under
+either budget; the order-9 line has moved under a change to orbit sharing
+that left the order-7 line as it was).  The tight lines stay at one job:
+under a budget, which answers a worker's verdict memo turns known depends
+on the groups it ran before, so at two workers the bytes can change from
+run to run.  Then the sha256 and record
 count of the --max-order census killed in its 11th group (a patched
 `gcg.census._work` raises there) and then resumed, at one job and at two
 pool workers, which must equal the uninterrupted census's.  Then the
@@ -144,7 +148,8 @@ SWEEPING_IDS = ("prop-2.1", "prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-
 # run at every budget of BUDGET_LADDER, the other sweeping ids at SMALL_BUDGET only
 LADDER_IDS = ("prop-2.5", "thm-3.1", "thm-3.5", "lemma-4.2", "thm-4.3", "prop-5.1")
 SMALL_BUDGET = 5
-TIGHT_CENSUSES = ((7, 8), (9, 10))   # (max order, aut_node_budget)
+# (max order, Caps field, value), each run at one job
+TIGHT_CENSUSES = ((7, "aut_node_budget", 8), (9, "aut_node_budget", 10), (12, "regular_search_budget", 3))
 KILLED_GROUP = 10   # index of the group in which the resumed census is killed
 STABILITY_ORDER = 10
 BUDGET_LADDER = (1, SMALL_BUDGET, 40)
@@ -161,10 +166,8 @@ for r in sorted(reports, key=lambda r: (r.theorem_id, r.instance)):
 """
 
 
-def census_digest(max_order: int, jobs: int = 1, aut_node_budget: int | None = None) -> tuple[str, int]:
-    caps = caps_from_env()
-    if aut_node_budget is not None:
-        caps = replace(caps, aut_node_budget=aut_node_budget)
+def census_digest(max_order: int, jobs: int = 1, **caps_fields: int) -> tuple[str, int]:
+    caps = replace(caps_from_env(), **caps_fields)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "census.jsonl")
         records = run_census(RunConfig(max_order=max_order, out_path=out, jobs=jobs, caps=caps))
@@ -344,9 +347,9 @@ def main() -> int:
     print(f"census --max-order {args.max_order}  {digest}  {count} records")
     digest, count = census_digest(args.max_order, jobs=2)
     print(f"census --max-order {args.max_order} --jobs 2  {digest}  {count} records")
-    for order, budget in TIGHT_CENSUSES:
-        digest, count = census_digest(order, aut_node_budget=budget)
-        print(f"census --max-order {order} aut_node_budget={budget}  {digest}  {count} records")
+    for order, field, value in TIGHT_CENSUSES:
+        digest, count = census_digest(order, **{field: value})
+        print(f"census --max-order {order} {field}={value}  {digest}  {count} records")
     for jobs in (1, 2):
         digest, count = resumed_census_digest(args.max_order, jobs)
         print(f"census --max-order {args.max_order} --jobs {jobs} killed and resumed  {digest}  {count} records")

@@ -48,18 +48,20 @@ connected non-bipartite GC(G, S, alpha) unstable with no search and no
 budget (the lemma is in `stability_check`), so only alpha = id graphs run
 the double-cover search.
 
-Only fully known invariant answers are shared.  All records transported
-from one C(alpha)-orbit, across the whole class, are isomorphic graphs; they
-copy the orbit's invariant fields once some member has them all known, and
-until then each computes them on its own graph.  Across work items, the
-verdicts of a graph are looked up by its fingerprint, the graph6 of the
-canonically relabelled graph, so equal fingerprints mean isomorphic graphs;
-a null fingerprint or an "unknown" verdict is never stored.  A budget can
-therefore turn "unknown" into a known, exact answer but never the reverse.
-At caps where nothing is unknown the bytes are those of `compute_record` on
-every record, whatever the worker count; when a budget leaves answers
-unknown, which of them become known can depend on the items a worker ran
-before.
+Only fully known invariant answers are shared.  All records of one
+C(alpha_rep)-orbit, across the whole class, are isomorphic graphs, and the
+orbit's records are made together: the representative's sets in
+enumeration order, then each other member's images, member by member.  In
+that order they copy the orbit's invariant fields once some record has them
+all known, and until then each computes them on its own graph.  Across
+orbits and work items, the verdicts of a graph are looked up by its
+fingerprint, the graph6 of the canonically relabelled graph, so equal
+fingerprints mean isomorphic graphs; a null fingerprint or an "unknown"
+verdict is never stored.  A budget can therefore turn "unknown" into a
+known, exact answer but never the reverse.  At caps where nothing is
+unknown the bytes are those of `compute_record` on every record, whatever
+the worker count; when a budget leaves answers unknown, which of them
+become known can depend on the items a worker ran before.
 """
 from __future__ import annotations
 
@@ -230,16 +232,6 @@ def _alpha_classes(g: FiniteGroup) -> tuple[AlphaClass, ...]:
     return tuple(classes)
 
 
-class _OrbitFields:
-    """The invariant fields of one orbit's (isomorphic) graphs, once one of
-    them has every field known."""
-
-    __slots__ = ("fields",)
-
-    def __init__(self):
-        self.fields: dict | None = None
-
-
 def _invariant_fields(x: Graph, caps: Caps, two_fold: tuple[Perm, Perm] | None) -> tuple[dict, bool]:
     """fingerprint and verdicts of x, through the verdict memo, and whether
     every one is known."""
@@ -254,78 +246,67 @@ def _invariant_fields(x: Graph, caps: Caps, two_fold: tuple[Perm, Perm] | None) 
     return {"fingerprint": fingerprint, **verdicts}, known
 
 
-def _share(shared: _OrbitFields, record: dict, graph_of, caps: Caps) -> None:
-    """Give record its orbit's invariant fields, computing them, while the
-    orbit has none known, on its own graph and two-fold automorphism, the
-    pair graph_of() returns."""
-    if shared.fields is None:
-        x, two_fold = graph_of()
-        fields, known = _invariant_fields(x, caps, two_fold)
-        if known:
-            shared.fields = fields
-        record.update(fields)
-    else:
-        record.update(shared.fields)
-
-
-Transported = tuple[dict, tuple[int, ...], _OrbitFields]   # record, triangle profile, orbit fields
-
-
-def _transport(g: FiniteGroup, source: Transported, phi: Perm, alpha: AutomorphismMap,
-               alpha_index: int, caps: Caps) -> Transported:
-    """The record of GC(G, phi(S), alpha) from that of GC(G, S, alpha'), where
-    phi alpha' phi^-1 = alpha: x -> phi(x) is an isomorphism between them."""
-    record, profile, shared = source
-    renamed = [0] * g.order
+def _transport(record: dict, profile: tuple[int, ...], phi: Perm, alpha: AutomorphismMap,
+               alpha_index: int) -> tuple[dict, tuple[int, ...]]:
+    """The labelled record and triangle profile of GC(G, phi(S), alpha) from
+    those of GC(G, S, alpha'), where phi alpha' phi^-1 = alpha: x -> phi(x) is
+    an isomorphism between them."""
+    renamed = [0] * len(profile)
     for x, t in enumerate(profile):
         renamed[phi[x]] = t
-    out = dict(record, alpha_index=alpha_index, alpha=list(alpha.perm),
-               set_ids=sorted(phi[s] for s in record["set_ids"]),
-               triangle_hash=_profile_hash(renamed))
-    _share(shared, out, lambda: (build_gc_graph(make_spec(g, alpha, out["set_ids"])),
-                                 twisted_translation(g, alpha.perm)), caps)
-    return out, tuple(renamed), shared
+    return dict(record, alpha_index=alpha_index, alpha=list(alpha.perm),
+                set_ids=sorted(phi[s] for s in record["set_ids"]),
+                triangle_hash=_profile_hash(renamed)), tuple(renamed)
 
 
-def _representative_records(g: FiniteGroup, alpha: AutomorphismMap, alpha_index: int,
-                            centralizer: tuple[Perm, ...], caps: Caps) -> list[Transported]:
-    """Every valid set's record for alpha, in enumeration order: the first
-    set of each C(alpha)-orbit computed in full, the later ones transported
-    from it."""
-    out: list[Transported] = []
-    two_fold = twisted_translation(g, alpha.perm)
-    pending: dict[int, tuple[Transported, Perm]] = {}   # later set of an orbit -> (first set, phi)
-    for mask in connection_masks(capped_connection_orbits(g, alpha, caps)):
-        if mask in pending:
-            source, phi = pending.pop(mask)
-            out.append(_transport(g, source, phi, alpha, alpha_index, caps))
+def _orbit_records(g: FiniteGroup, involutions: tuple[AutomorphismMap, ...], cls: AlphaClass,
+                   first: Graph, orbit: list[tuple[dict, tuple[int, ...]]], caps: Caps) -> list[dict]:
+    """The records of one C(alpha_rep)-orbit across its class, from the
+    representative's labelled records in enumeration order and the graph of
+    the first: those, then their psi_j images member by member, each given
+    the orbit's invariant fields."""
+    records = [record for record, _ in orbit]
+    for j, psi in cls.members[1:]:
+        records += [_transport(*source, psi, involutions[j], j)[0] for source in orbit]
+    shared: dict | None = None   # the invariant fields, once a record has them all known
+    for i, record in enumerate(records):
+        if shared is not None:
+            record.update(shared)
             continue
-        spec = make_spec(g, alpha, mask)
-        x, record, profile = _labelled_fields(spec, alpha_index)
-        shared = _OrbitFields()
-        _share(shared, record, lambda: (x, two_fold), caps)
-        first = (record, profile, shared)
-        out.append(first)
-        s_ids = spec.set_ids()
-        for phi in centralizer:
-            image = sum(1 << phi[s] for s in s_ids)
-            if image != mask:
-                pending.setdefault(image, (first, phi))
-    return out
+        alpha = involutions[record["alpha_index"]]
+        x = first if i == 0 else build_gc_graph(make_spec(g, alpha, record["set_ids"]))
+        fields, known = _invariant_fields(x, caps, twisted_translation(g, alpha.perm))
+        record.update(fields)
+        if known:
+            shared = fields
+    return records
 
 
 def _work(args: tuple[str, Caps]) -> tuple[str, list[dict]]:
     """The group's name and the records of every alpha of the group, one
-    Aut(G)-class of alpha at a time in order of the representatives."""
+    C(alpha_rep)-orbit of each Aut(G)-class of alpha at a time."""
     name, caps = args
     g = make_group(name, caps)
     involutions = enumerate_involutory_automorphisms(g)
     records: list[dict] = []
     for cls in _alpha_classes(g):
-        sources = _representative_records(g, involutions[cls.rep], cls.rep, cls.centralizer, caps)
-        records += [record for record, _, _ in sources]
-        for j, psi in cls.members[1:]:
-            records += [_transport(g, source, psi, involutions[j], j, caps)[0] for source in sources]
+        alpha = involutions[cls.rep]
+        orbits: list[tuple[Graph, list]] = []   # (first set's graph, labelled records) of each C(alpha)-orbit
+        pending: dict[int, tuple[list, Perm]] = {}   # later set of an orbit -> (its labelled records, phi)
+        for mask in connection_masks(capped_connection_orbits(g, alpha, caps)):
+            if mask in pending:
+                orbit, phi = pending.pop(mask)
+                orbit.append(_transport(*orbit[0], phi, alpha, cls.rep))
+                continue
+            x, record, profile = _labelled_fields(make_spec(g, alpha, mask), cls.rep)
+            orbit = [(record, profile)]
+            orbits.append((x, orbit))
+            for phi in cls.centralizer:
+                image = sum(1 << phi[s] for s in record["set_ids"])
+                if image != mask:
+                    pending.setdefault(image, (orbit, phi))
+        for x, orbit in orbits:
+            records += _orbit_records(g, involutions, cls, x, orbit, caps)
     return g.name, records
 
 

@@ -160,8 +160,8 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def check_group_axioms(mul: list[list[int]] | tuple, order: int, full: bool = True) -> None:
-    """Identity/inverse checks always; associativity only when full is set.
+def check_group_axioms(mul: list[list[int]] | tuple, order: int) -> None:
+    """Identity, inverse and associativity checks.
 
     Associativity by Light's test: (xg)y = x(gy) is checked for all x, y
     only for g in a generating set.  The set A of the elements a with
@@ -180,8 +180,6 @@ def check_group_axioms(mul: list[list[int]] | tuple, order: int, full: bool = Tr
     for a in range(order):
         if not any(mul[a][b] == 0 for b in range(order)):
             raise DescriptorError("inverse axiom fails")
-    if not full:
-        return
     gens: list[int] = []
     reached = [False] * order
     reached[0] = True
@@ -206,9 +204,9 @@ def check_group_axioms(mul: list[list[int]] | tuple, order: int, full: bool = Tr
 
 
 def group_from_table(mul: list[list[int]], names: list[str] | None, descriptor: Descriptor) -> FiniteGroup:
-    """Wrap an explicit table, verifying axioms (full check up to order 64)."""
+    """Wrap an explicit table, verifying the group axioms."""
     order = len(mul)
-    check_group_axioms(mul, order, full=order <= 64)
+    check_group_axioms(mul, order)
     inv = [0] * order
     for a in range(order):
         for b in range(order):

@@ -519,6 +519,49 @@ def test_alpha_classes_partition_the_involutions(caps):
     assert items == {11: 92, 12: 134}
 
 
+def burnside_count(g, cls, involutions):
+    """(1/|C(alpha)|) sum over phi in C(alpha) of 2^c(phi), where c(phi)
+    counts phi's cycles on alpha's connection orbits: the number of
+    C(alpha)-orbits of valid sets of the class representative alpha, whose
+    valid sets are the unions of its connection orbits (Burnside)."""
+    orbits = connection_orbits(g, involutions[cls.rep])
+    where = {s: i for i, orbit in enumerate(orbits) for s in orbit}
+    total = 0
+    for phi in cls.centralizer:
+        image = [where[phi[orbit[0]]] for orbit in orbits]
+        cycles, seen = 0, set()
+        for i in range(len(orbits)):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = image[i]
+        total += 2 ** cycles
+    assert total % len(cls.centralizer) == 0
+    return total // len(cls.centralizer)
+
+
+def test_full_computations_are_counted_by_burnside(monkeypatch, caps):
+    # one full computation per C(alpha_rep)-orbit of valid sets: the census
+    # labels those sets in full and transports every other record
+    import gcg.census as census
+
+    calls = []
+    real = census._labelled_fields
+    monkeypatch.setattr(census, "_labelled_fields", lambda *args: calls.append(args) or real(*args))
+    total = 0
+    for name in builtin_descriptors(12):
+        g = make_group(name, caps)
+        involutions = enumerate_involutory_automorphisms(g)
+        calls.clear()
+        records = census._work((name, caps))[1]
+        expected = sum(burnside_count(g, cls, involutions) for cls in census._alpha_classes(g))
+        assert len(calls) == expected, name
+        assert len(records) == sum(2 ** len(connection_orbits(g, a)) for a in involutions), name
+        total += expected
+    assert total == 1171
+
+
 @cache
 def class_record_samples(name, caps):
     """For each Aut(G)-class of alpha of the group, keyed by its
@@ -601,12 +644,16 @@ def test_conjugate_specs_agree_on_invariant_fields(data):
         assert a[field] == b[field], field
 
 
-def test_budget_only_turns_unknown_into_known(tmp_path, caps):
-    # at 6 nodes some answers stay unknown and some are shared into records
-    # whose own computation runs out (at 8 every shared answer is known)
-    tight = replace(caps, aut_node_budget=6)
-    records = run_census(RunConfig(max_order=7, out_path=str(tmp_path / "tight.jsonl"), caps=tight))
-    assert len(records) == 116
+@pytest.mark.parametrize("max_order, cap, value, count", [
+    (7, "aut_node_budget", 6, 116),   # at 8 nodes every shared answer is known
+    (9, "regular_search_budget", 2, 1058),
+], ids=["aut_node_budget", "regular_search_budget"])
+def test_budget_only_turns_unknown_into_known(tmp_path, caps, max_order, cap, value, count):
+    # some answers stay unknown and some are shared into records whose own
+    # computation runs out
+    tight = replace(caps, **{cap: value})
+    records = run_census(RunConfig(max_order=max_order, out_path=str(tmp_path / "tight.jsonl"), caps=tight))
+    assert len(records) == count
     unknown, gained = 0, 0
     for rec in records:
         direct = direct_record(rec, tight)

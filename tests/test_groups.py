@@ -16,6 +16,7 @@ from gcg.groups import (
     check_group_axioms,
     descriptor_order,
     format_descriptor,
+    group_from_table,
     make_generalized_dihedral,
     make_group,
     mask_of,
@@ -157,6 +158,17 @@ def test_generator_associativity_agrees_with_the_triple_loop(caps):
         outcomes.append(fast)
     assert outcomes.count("associativity fails") > 1000
     assert outcomes.count(None) > 1000
+
+
+def test_a_perturbed_table_above_order_64_is_refused(caps):
+    # associativity is checked at every order: Z66's table with two entries
+    # of a row swapped off column 0 keeps its identity and inverses, but its
+    # columns repeat an element, so it is no group
+    g = make_group("Z66", caps)
+    mul = [list(row) for row in g.mul]
+    mul[1][2], mul[1][3] = mul[1][3], mul[1][2]
+    with pytest.raises(DescriptorError, match="associativity fails"):
+        group_from_table(mul, None, g.descriptor)
 
 
 def test_alt4_is_nonabelian_order_12(caps):
