@@ -35,6 +35,11 @@ where the answers stay the same.  Then the
 sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
 order, so a change in the Aut(G) enumeration or in the alpha indices shows.
+Then the sha256 of the `decompose_odd_abelian` coordinates (`pair_of`) for
+every alpha of every odd abelian catalog group, and of the
+`decompose_cyclic_sylow` answers (n, a, z, coords) for every alpha of every
+even abelian catalog group with at most one involution, so a change in the
+coordinates shows; no verifier report carries them.
 Then, for every theorem id, the sha256 and exit status of
 `gcg --format json verify <id>`, then of fourteen verifier runs with flags
 (each flag a verifier reads: --max-order, --p, --m/--n, --k, --group,
@@ -87,6 +92,8 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 from gcg.automorphisms import (  # noqa: E402
+    decompose_cyclic_sylow,
+    decompose_odd_abelian,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
 )
@@ -332,6 +339,25 @@ def automorphism_digest() -> tuple[str, int]:
     return digest.hexdigest(), len(names)
 
 
+def decomposition_digest() -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for name in builtin_descriptors():
+        g = make_group(name, caps)
+        if not g.abelian or (g.order % 2 == 0 and sum(o == 2 for o in g.element_orders) > 1):
+            continue
+        for alpha in enumerate_involutory_automorphisms(g):
+            if g.order % 2:
+                answer = decompose_odd_abelian(g, alpha).pair_of
+            else:
+                dec = decompose_cyclic_sylow(g, alpha)
+                answer = (dec.n, dec.a, dec.z, dec.coords)
+            digest.update(repr((name, answer)).encode())
+            count += 1
+    return digest.hexdigest(), count
+
+
 def run_digest(*args: str, cwd: str | None = None) -> tuple[str, int]:
     """sha256 of the stdout of `python -m gcg <args>` (or `python -c`), and its exit status."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -365,6 +391,8 @@ def main() -> int:
     print(f"search trees --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = automorphism_digest()
     print(f"automorphisms  {digest}  {count} groups")
+    digest, count = decomposition_digest()
+    print(f"decompositions  {digest}  {count} (group, alpha) pairs")
     for tid in THEOREM_IDS:
         digest, status = run_digest("-m", "gcg", "--format", "json", "verify", tid)
         print(f"verify {tid:<9}  {digest}  exit {status}")

@@ -14,6 +14,7 @@ from collections import Counter
 
 from gcg.caps import caps_from_env
 from gcg.cli import UsageParser
+from gcg.errors import DescriptorError
 from gcg.theorems import THEOREM_IDS, run_theorem
 
 
@@ -27,7 +28,10 @@ def main() -> int:
     unknown = [tid for tid in args.theorems if tid not in THEOREM_IDS]
     if unknown:
         parser.error(f"unknown theorem id {unknown[0]!r} (choose from {', '.join(THEOREM_IDS)})")
-    caps = caps_from_env()
+    try:
+        caps = caps_from_env()
+    except DescriptorError as exc:
+        parser.error(str(exc))
 
     totals: Counter[str] = Counter()
     started = time.perf_counter()

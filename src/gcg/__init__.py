@@ -79,9 +79,8 @@ from .groups import (
 )
 from .theorems import (
     THEOREM_IDS,
-    DihedralizationWitness,
+    CayleyWitness,
     OddAbelianNormalForm,
-    Order2pWitness,
     TheoremReport,
     build_counterexample,
     check_inversion_dichotomy,

@@ -17,8 +17,8 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     bits,
+    generators,
     mask_of,
-    subgroup_closure,
     subgroup_handle,
 )
 
@@ -60,23 +60,12 @@ def inversion_map(g: FiniteGroup) -> AutomorphismMap:
     return automorphism_from_perm(g, g.inv)
 
 
-def generating_ids(g: FiniteGroup) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the smallest uncovered id."""
-    gens: list[int] = []
-    span = 1
-    for x in range(1, g.order):
-        if not span >> x & 1:
-            gens.append(x)
-            span = subgroup_closure(g, gens)
-    return gens
-
-
 def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list[AutomorphismMap]:
     """All automorphisms (optionally only those of order <= 2), sorted by perm.
 
-    Chooses the images of `generating_ids(g)` one at a time, each among the
-    elements of the same order.  After each choice it walks the subgroup H
-    spanned by the chosen generators T from the identity, setting
+    Chooses the images of `generators(g.mul, g.order)` one at a time, each
+    among the elements of the same order.  After each choice it walks the
+    subgroup H spanned by the chosen generators T from the identity, setting
     phi(xt) = phi(x) phi(t) for every x in H and t in T, and rejects the
     choice on a clash or a repeated image.  With `involutory_only` it also
     rejects a choice where phi(phi(x)) != x with both values known.
@@ -94,7 +83,7 @@ def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> li
     """
     n = g.order
     mul = g.mul
-    gens = generating_ids(g)
+    gens = generators(mul, n)
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(g.element_orders[x], []).append(x)
@@ -165,6 +154,36 @@ def omega_set(g: FiniteGroup, alpha: AutomorphismMap) -> OmegaSet:
 # structure decompositions
 
 
+def _internal_product(g: FiniteGroup, factors) -> list[tuple[int, ...]]:
+    """coords[x] = (f1, ..., fk), the one choice of fi in factors[i] with
+    x = f1 f2 ... fk, when that map is an isomorphism from G onto the
+    external product of the factors' members (G is their internal direct
+    product).  Raises ShapeError on a collision, a gap, or a map that is not
+    multiplicative.
+
+    Multiplicativity is checked as coords[xt] = coords[x] coords[t], slot by
+    slot, for every x and every t in `generators(g.mul, g.order)` only.
+    Every y is a left-normed product of those t, and induction on its length
+    gives coords[xy] = coords[x] coords[y]: for y = y't, coords[xy't] =
+    coords[xy'] coords[t] = coords[x] coords[y'] coords[t]."""
+    coords: list[tuple[int, ...] | None] = [None] * g.order
+    products = [(0, ())]
+    for members in factors:
+        products = [(g.mul[x][f], c + (f,)) for x, c in products for f in members]
+    for x, c in products:
+        if coords[x] is not None:
+            raise ShapeError("coordinates collide; not a direct product")
+        coords[x] = c
+    if None in coords:
+        raise ShapeError("coordinates do not cover the group")
+    for t in generators(g.mul, g.order):
+        ct = coords[t]
+        for x, row in enumerate(g.mul):
+            if coords[row[t]] != tuple(g.mul[a][b] for a, b in zip(coords[x], ct)):
+                raise ShapeError("coordinates are not multiplicative")
+    return coords
+
+
 @dataclass(frozen=True)
 class OddAbelianDecomposition:
     """G = Fix(alpha) x omega(G) internally; pair_of[x] = (fix part, omega part)."""
@@ -189,25 +208,7 @@ def decompose_odd_abelian(g: FiniteGroup, alpha: AutomorphismMap) -> OddAbelianD
     if not om.is_subgroup:
         raise ShapeError("omega image failed to close")
     omega = subgroup_handle(g, om.set.mask)
-    if len(fix) * len(omega) != g.order:
-        raise ShapeError("fixed set and omega image do not complement")
-    fix_members = fix.members()
-    omega_members = omega.members()
-    pair_of: list[tuple[int, int]] = []
-    for x in range(g.order):
-        hits = [
-            (a, b) for a in fix_members for b in omega_members if g.mul[a][b] == x
-        ]
-        if len(hits) != 1:
-            raise ShapeError("decomposition is not unique")
-        pair_of.append(hits[0])
-    # the pairing must be an isomorphism onto the external product
-    for x in range(g.order):
-        for y in range(g.order):
-            fx, ox = pair_of[x]
-            fy, oy = pair_of[y]
-            if pair_of[g.mul[x][y]] != (g.mul[fx][fy], g.mul[ox][oy]):
-                raise ShapeError("decomposition is not multiplicative")
+    pair_of = _internal_product(g, (fix.members(), omega.members()))
     return OddAbelianDecomposition(fix, omega, tuple(pair_of))
 
 
@@ -245,15 +246,13 @@ def decompose_cyclic_sylow(g: FiniteGroup, alpha: AutomorphismMap) -> CyclicSylo
     z = next((x for x in range(g.order) if g.element_orders[x] == two_n), None)
     if z is None:
         raise ShapeError("Sylow 2-subgroup is not cyclic")
-    # discrete log of alpha(z) in <z>
-    a, cur = None, 0
-    for k in range(1, two_n + 1):
-        cur = g.mul[cur][z]
-        if cur == alpha.perm[z]:
-            a = k % two_n
-            break
-    if a is None:
+    powers = [0]   # powers[x] = z^x
+    for _ in range(two_n - 1):
+        powers.append(g.mul[powers[-1]][z])
+    exponent = {zx: x for x, zx in enumerate(powers)}
+    if alpha.perm[z] not in exponent:
         raise ShapeError("alpha does not preserve the Sylow 2-subgroup")
+    a = exponent[alpha.perm[z]]
     legal = {1 % two_n, (two_n - 1) % two_n, (two_n // 2 - 1) % two_n, (two_n // 2 + 1) % two_n}
     if a not in legal:
         raise ShapeError(f"transported action {a} is not an involution mod {two_n}")
@@ -262,30 +261,11 @@ def decompose_cyclic_sylow(g: FiniteGroup, alpha: AutomorphismMap) -> CyclicSylo
     om = omega_set(g, alpha)
     h1 = subgroup_handle(g, h_mask & fix.set.mask)
     h2 = subgroup_handle(g, h_mask & om.set.mask)
-    # enumerate z^x * y1 * y2 and invert
-    coords: list[tuple[int, int, int] | None] = [None] * g.order
-    zx = 0
-    for x in range(two_n):
-        for y1 in h1.members():
-            base = g.mul[zx][y1]
-            for y2 in h2.members():
-                e = g.mul[base][y2]
-                if coords[e] is not None:
-                    raise ShapeError("coordinates collide; not a direct product")
-                coords[e] = (x, y1, y2)
-        zx = g.mul[zx][z]
-    if any(c is None for c in coords):
-        raise ShapeError("coordinates do not cover the group")
-    # multiplicativity and the transported action
-    for p in range(g.order):
-        x1, y11, y21 = coords[p]
-        ax, ay1, ay2 = coords[alpha.perm[p]]
-        if (ax, ay1, ay2) != ((a * x1) % two_n, y11, g.inv[y21]):
+    product = _internal_product(g, (powers, h1.members(), h2.members()))
+    coords = [(exponent[zx], y1, y2) for zx, y1, y2 in product]
+    for p, (x, y1, y2) in enumerate(coords):
+        if coords[alpha.perm[p]] != ((a * x) % two_n, y1, g.inv[y2]):
             raise ShapeError("alpha does not act coordinatewise")
-        for q in range(g.order):
-            x2, y12, y22 = coords[q]
-            if coords[g.mul[p][q]] != ((x1 + x2) % two_n, g.mul[y11][y12], g.mul[y21][y22]):
-                raise ShapeError("coordinates are not multiplicative")
     return CyclicSylowDecomposition(n, a, z, h1, h2, tuple(coords))
 
 

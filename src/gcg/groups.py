@@ -160,59 +160,67 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def check_group_axioms(mul: list[list[int]] | tuple, order: int) -> None:
-    """Identity, inverse and associativity checks.
+def _span(mul, gens, reached: list[bool]) -> None:
+    """Mark every product x g1 g2 ... gk of a marked x with gens in `gens`.
+    From the identity alone this reaches the left-normed products of
+    `gens`: in a group, the subgroup they generate (finite, so no inverses
+    are needed)."""
+    frontier = [x for x, r in enumerate(reached) if r]
+    while frontier:
+        row = mul[frontier.pop()]
+        for g in gens:
+            y = row[g]
+            if not reached[y]:
+                reached[y] = True
+                frontier.append(y)
+
+
+def generators(mul, order: int) -> list[int]:
+    """Greedy generating set: each generator is the least element that the
+    left-normed products of the earlier ones do not reach."""
+    gens: list[int] = []
+    reached = [True] + [False] * (order - 1)
+    for a in range(1, order):
+        if not reached[a]:
+            gens.append(a)
+            _span(mul, gens, reached)
+    return gens
+
+
+def check_group_axioms(mul: list[list[int]] | tuple, order: int) -> tuple[int, ...]:
+    """Identity, inverse and associativity checks; returns the inverse table.
 
     Associativity by Light's test: (xg)y = x(gy) is checked for all x, y
-    only for g in a generating set.  The set A of the elements a with
-    (xa)y = x(ay) for all x, y is closed under the product.  For a, b in A
-    and any x, y, a in A gives x(ab) = (xa)b and b in A gives
+    only for g in `generators(mul, order)`.  The set A of the elements a
+    with (xa)y = x(ay) for all x, y is closed under the product.  For a, b
+    in A and any x, y, a in A gives x(ab) = (xa)b and b in A gives
     (ab)y = a(by), so
         (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
     the middle steps by b, then a, in A.  A holds the identity (the identity
     axiom), so when it holds every g checked it holds every left-normed
-    product g1 g2 ... gk of them.  Each g is the least element that no such
-    product reaches yet, so together they reach every element, and the test
-    is exact, in O(order^2) products per generator instead of O(order^3)."""
+    product g1 g2 ... gk of them.  Those products reach every element, so
+    the test is exact, in O(order^2) products per generator instead of
+    O(order^3)."""
     for a in range(order):
         if mul[0][a] != a or mul[a][0] != a:
             raise DescriptorError("identity axiom fails")
-    for a in range(order):
-        if not any(mul[a][b] == 0 for b in range(order)):
-            raise DescriptorError("inverse axiom fails")
-    gens: list[int] = []
-    reached = [False] * order
-    reached[0] = True
-    for a in range(1, order):
-        if reached[a]:
-            continue
-        gens.append(a)
-        frontier = [x for x in range(order) if reached[x]]
-        while frontier:
-            row = mul[frontier.pop()]
-            for g in gens:
-                y = row[g]
-                if not reached[y]:
-                    reached[y] = True
-                    frontier.append(y)
-    for g in gens:
+    try:
+        inv = tuple(mul[a].index(0) for a in range(order))
+    except ValueError:
+        raise DescriptorError("inverse axiom fails") from None
+    for g in generators(mul, order):
         mg = mul[g]
         for x in range(order):
             mx = mul[x]
             if any(z != mx[w] for z, w in zip(mul[mx[g]], mg)):
                 raise DescriptorError("associativity fails")
+    return inv
 
 
 def group_from_table(mul: list[list[int]], names: list[str] | None, descriptor: Descriptor) -> FiniteGroup:
     """Wrap an explicit table, verifying the group axioms."""
     order = len(mul)
-    check_group_axioms(mul, order)
-    inv = [0] * order
-    for a in range(order):
-        for b in range(order):
-            if mul[a][b] == 0:
-                inv[a] = b
-                break
+    inv = check_group_axioms(mul, order)
     abelian = all(mul[a][b] == mul[b][a] for a in range(order) for b in range(a))
     orders = []
     for a in range(order):
@@ -225,7 +233,7 @@ def group_from_table(mul: list[list[int]], names: list[str] | None, descriptor: 
         descriptor=descriptor,
         order=order,
         mul=tuple(tuple(row) for row in mul),
-        inv=tuple(inv),
+        inv=inv,
         names=tuple(names) if names else tuple(str(i) for i in range(order)),
         abelian=abelian,
         element_orders=tuple(orders),
@@ -403,22 +411,9 @@ class SubgroupHandle:
 
 def subgroup_closure(g: FiniteGroup, seed) -> int:
     """Mask of the subgroup generated by seed ids."""
-    mask = 1
-    members = {0}
-    for s in seed:
-        if s not in members:
-            members.add(s)
-            mask |= 1 << s
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            for c in (g.mul[a][b], g.mul[b][a], g.inv[a]):
-                if c not in members:
-                    members.add(c)
-                    mask |= 1 << c
-                    frontier.append(c)
-    return mask
+    reached = [True] + [False] * (g.order - 1)
+    _span(g.mul, list(seed), reached)
+    return mask_of(x for x, r in enumerate(reached) if r)
 
 
 def subgroup_handle(g: FiniteGroup, mask: int) -> SubgroupHandle:

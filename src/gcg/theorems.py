@@ -391,16 +391,31 @@ def _dihedral_target(g: FiniteGroup) -> _DihedralTarget:
 
 
 @dataclass(frozen=True)
-class DihedralizationWitness:
+class CayleyWitness:
+    """A checked isomorphism `mapping` from GC(G, S, alpha) onto the Cayley
+    graph Cay(H, T), H = `target_group` and T = `target_set_ids`, found by
+    the named route."""
+
+    route: str
     source: GCSpec
     target_group: FiniteGroup
     target_set_ids: tuple[int, ...]
     mapping: Perm                # source vertex -> target vertex
     witness: IsomorphismWitness
-    eq1_pairs: int
+    params: dict
 
 
-def dihedralize_inversion(spec: GCSpec) -> DihedralizationWitness:
+def _cayley_witness(spec: GCSpec, route: str, h: FiniteGroup, t_ids: tuple[int, ...], phi: Perm,
+                    params: dict) -> CayleyWitness:
+    """Build Cay(H, T) and check that phi maps GC(G, S, alpha) onto it."""
+    cay = make_spec(h, identity_automorphism(h), t_ids)
+    witness = IsomorphismWitness(build_gc_graph(spec), build_gc_graph(cay), phi)
+    if not check_witness(witness):
+        raise AssertionError(f"{route} route witness failed")
+    return CayleyWitness(route, spec, h, t_ids, phi, witness, params)
+
+
+def dihedralize_inversion(spec: GCSpec) -> CayleyWitness:
     """Turn GC(G, S, inversion) on an abelian G with cyclic Sylow 2-subgroup
     into the ordinary Cayley graph Cay(Dih(Z_{2^(n-1)} x H), f(S)) (Thm 3.1).
 
@@ -423,12 +438,8 @@ def dihedralize_inversion(spec: GCSpec) -> DihedralizationWitness:
         if img < target.dih.order // 2:
             raise AssertionError("connection image missed the reflection half")
         phi_s.append(img)
-    phi_s = tuple(sorted(phi_s))
-    cay = make_spec(target.dih, identity_automorphism(target.dih), phi_s)
-    witness = IsomorphismWitness(build_gc_graph(spec), build_gc_graph(cay), target.phi)
-    if not check_witness(witness):
-        raise AssertionError("dihedralization witness failed")
-    return DihedralizationWitness(spec, target.dih, phi_s, target.phi, witness, target.eq1_pairs)
+    params = {"eq1_pairs": target.eq1_pairs}
+    return _cayley_witness(spec, "dihedralize", target.dih, tuple(sorted(phi_s)), target.phi, params)
 
 
 # ---------------------------------------------------------------------------
@@ -657,19 +668,7 @@ def check_inversion_dichotomy(g: FiniteGroup, caps: Caps | None = None) -> Theor
 # order 2p
 
 
-@dataclass(frozen=True)
-class Order2pWitness:
-    p: int
-    route: str
-    source: GCSpec
-    target_group: FiniteGroup
-    target_set_ids: tuple[int, ...]
-    mapping: Perm
-    witness: IsomorphismWitness
-    params: dict
-
-
-def order_2p_witness(spec: GCSpec) -> Order2pWitness:
+def order_2p_witness(spec: GCSpec) -> CayleyWitness:
     """A checked isomorphism from GC(G, S, alpha), |G| = 2p, onto a Cayley
     graph (Thm 4.3).  The vertex map depends on (G, alpha) only."""
     g = spec.group
@@ -682,11 +681,7 @@ def order_2p_witness(spec: GCSpec) -> Order2pWitness:
     if cyclic and spec.alpha.perm != identity_perm:
         if spec.alpha.perm != tuple(g.inv):
             raise ShapeError("cyclic groups of order 2p admit only identity and inversion")
-        d = dihedralize_inversion(spec)     # builds and checks GC(G, S, alpha) itself
-        return Order2pWitness(
-            p, "cyclic-dihedralize", spec, d.target_group, d.target_set_ids,
-            d.mapping, d.witness, {"eq1_pairs": d.eq1_pairs},
-        )
+        return replace(dihedralize_inversion(spec), route="cyclic-dihedralize")
     if not cyclic and p > 2 and not isinstance(g.descriptor, Dihedral):
         raise ShapeError("expected a dihedral presentation for the non-cyclic case")
     if cyclic or p == 2 or spec.alpha.perm == identity_perm:
@@ -714,11 +709,7 @@ def order_2p_witness(spec: GCSpec) -> Order2pWitness:
         s1 = tuple(sorted(p + (i - kprime) % p for i in s_prime))
         phi = tuple(((-i - kprime) % p) if i < p else i for i in range(2 * p))
         params = {"k": match.k, "l": match.l, "halfshift": kprime, "s_prime": s_prime}
-    cay = make_spec(g, identity_automorphism(g), s1)
-    witness = IsomorphismWitness(build_gc_graph(spec), build_gc_graph(cay), phi)
-    if not check_witness(witness):
-        raise AssertionError(f"{route} route witness failed")
-    return Order2pWitness(p, route, spec, g, s1, phi, witness, params)
+    return _cayley_witness(spec, route, g, s1, phi, params)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,15 @@ reference for the per-node prune state `canon._SiblingOrbits`.
 `closure_automorphisms` extends each partial map by closing it over every
 pair of assigned elements after each new one; it is the reference for
 `automorphisms.enumerate_automorphisms`, which walks the span of the chosen
-generators once per choice.  Both start from `generating_ids` and wrap their
-maps with `automorphism_from_perm`.  `sorted_tuple_cosets` lists the left cosets
-of a kernel afresh from the multiplication table, as sorted tuples, and
-`sorted_tuple_quotient` ORs the rows of their members; they are the
-reference for the subgroup handle's coset table, which
+generators once per choice.  Both wrap their maps with
+`automorphism_from_perm`; the oracle starts from its own `generating_ids`,
+which closes each new generating set by `pairwise_subgroup_closure`, the
+closure over every pair of members that `groups.subgroup_closure` and
+`groups.generators` replaced with one reach walk by the generators.
+`sorted_tuple_cosets` lists the left cosets of a kernel afresh from the
+multiplication table, as sorted tuples, and `sorted_tuple_quotient` ORs
+the rows of their members; they are the reference for the subgroup
+handle's coset table, which
 `construct.quotient_by_kernel` and the X -> X/K[empty] map of the
 unworthiness check read.  `leaf_descent_aut_search` and
 `graph6_keyed_canon_search` are the searches `canon._aut_search` and
@@ -46,7 +50,6 @@ from itertools import permutations
 from gcg.automorphisms import (
     AutomorphismMap,
     automorphism_from_perm,
-    generating_ids,
     identity_automorphism,
 )
 from gcg.canon import (
@@ -499,6 +502,37 @@ def _orbit_hits(v: int, explored: list[int], prefix: tuple[int, ...], gens: list
                 seen |= 1 << y
                 frontier.append(y)
     return False
+
+
+def pairwise_subgroup_closure(g: FiniteGroup, seed) -> int:
+    """Mask of the subgroup generated by seed ids."""
+    mask = 1
+    members = {0}
+    for s in seed:
+        if s not in members:
+            members.add(s)
+            mask |= 1 << s
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        for b in list(members):
+            for c in (g.mul[a][b], g.mul[b][a], g.inv[a]):
+                if c not in members:
+                    members.add(c)
+                    mask |= 1 << c
+                    frontier.append(c)
+    return mask
+
+
+def generating_ids(g: FiniteGroup) -> list[int]:
+    """Greedy generating set: repeatedly adjoin the smallest uncovered id."""
+    gens: list[int] = []
+    span = 1
+    for x in range(1, g.order):
+        if not span >> x & 1:
+            gens.append(x)
+            span = pairwise_subgroup_closure(g, gens)
+    return gens
 
 
 def closure_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list[AutomorphismMap]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from gcg.automorphisms import (
+    _internal_product,
     automorphism_from_perm,
     classify_dihedral_involutions,
     decompose_cyclic_sylow,
@@ -15,8 +16,8 @@ from gcg.automorphisms import (
     is_prime,
     omega_set,
 )
-from gcg.catalog import builtin_descriptors
-from gcg.errors import DescriptorError
+from gcg.catalog import builtin_descriptors, builtin_groups
+from gcg.errors import DescriptorError, ShapeError
 from gcg.groups import Opaque, group_from_table, make_group
 
 from oracles.brute import closure_automorphisms, group_automorphisms_brute
@@ -144,6 +145,41 @@ def test_decompose_cyclic_sylow(caps):
         for _ in range((dec.a * e) % two_part):
             az_pow = g.mul[az_pow][dec.z]
         assert g.mul[g.mul[az_pow][y1]][g.inv[y2]] == a.perm[x]
+
+
+def test_decompositions_recombine_on_the_catalog(caps):
+    # every alpha of every odd abelian catalog group, and of every even
+    # abelian one with one involution (a cyclic Sylow 2-subgroup): the
+    # coordinates multiply back to x, and alpha(z) = z^a
+    checked = 0
+    for g in builtin_groups(None, caps):
+        if not g.abelian or (g.order % 2 == 0 and sum(o == 2 for o in g.element_orders) != 1):
+            continue
+        for alpha in enumerate_involutory_automorphisms(g):
+            if g.order % 2:
+                dec = decompose_odd_abelian(g, alpha)
+                assert all(g.mul[f][w] == x for x, (f, w) in enumerate(dec.pair_of))
+            else:
+                dec = decompose_cyclic_sylow(g, alpha)
+                powers = [0]
+                for _ in range(1 << dec.n):
+                    powers.append(g.mul[powers[-1]][dec.z])
+                assert powers[dec.a] == alpha.perm[dec.z]
+                assert all(g.mul[g.mul[powers[e]][y1]][y2] == x for x, (e, y1, y2) in enumerate(dec.coords))
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("name, factors, message", [
+    ("Z4", ((0, 2), (0, 2)), "coordinates collide"),
+    ("Z4", ((0,), (0, 2)), "coordinates do not cover"),
+    # the rotations times {1, t} reach each element of D6 once, but
+    # t r = r^2 t, so the coordinates do not multiply slot by slot
+    ("D6", ((0, 1, 2), (0, 3)), "coordinates are not multiplicative"),
+], ids=["collision", "gap", "not-multiplicative"])
+def test_internal_product_refuses_bad_factors(caps, name, factors, message):
+    with pytest.raises(ShapeError, match=message):
+        _internal_product(make_group(name, caps), factors)
 
 
 def test_is_prime():

@@ -340,6 +340,18 @@ def test_verify_all_refuses_a_usage_error(argv, message):
     assert proc.stderr.startswith("usage: verify_all.py") and message in proc.stderr
 
 
+def test_verify_all_refuses_an_unknown_caps_profile():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_all.py"), "lemma-4.1"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), GCG_CAPS_PROFILE="nope"),
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: verify_all.py")
+    assert "error: unknown caps profile 'nope'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--groups", "Z4"),
     ("export", "--group", "Z4", "--alpha", "1", "--set", "1,3"),

@@ -16,6 +16,7 @@ from gcg.groups import (
     check_group_axioms,
     descriptor_order,
     format_descriptor,
+    generators,
     group_from_table,
     make_generalized_dihedral,
     make_group,
@@ -26,7 +27,7 @@ from gcg.groups import (
     subgroup_handle,
 )
 
-from oracles.brute import triple_loop_group_axioms
+from oracles.brute import generating_ids, pairwise_subgroup_closure, triple_loop_group_axioms
 
 
 def test_parse_format_roundtrip():
@@ -203,6 +204,25 @@ def test_subgroup_closure_and_handle(caps):
     handle = subgroup_handle(g, mask)
     assert len(handle) == 3
     assert len(handle.cosets()) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_subgroup_closure_matches_the_pairwise_closure(caps, data):
+    # the reach walk by the seeds against the closure over every pair of
+    # members, on random seeds (identity and repeats allowed) of every
+    # catalog group to order 24
+    name = data.draw(st.sampled_from(builtin_descriptors(24)), label="group")
+    g = make_group(name, caps)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4), label="seed")
+    assert subgroup_closure(g, seed) == pairwise_subgroup_closure(g, seed)
+
+
+def test_generators_match_the_greedy_oracle(caps):
+    # the same generators in the same order, which fixes the branching order
+    # of the Aut(G) backtrack and so the order of its answers
+    for g in builtin_groups(None, caps):
+        assert generators(g.mul, g.order) == generating_ids(g), g.name
 
 
 @settings(max_examples=200, deadline=None)
