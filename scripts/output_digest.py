@@ -34,7 +34,10 @@ the budget error it raises), so a change in any search tree shows even
 where the answers stay the same.  Then the
 sha256 of the `enumerate_automorphisms` and
 `enumerate_involutory_automorphisms` perm lists of every catalog group, in
-order, so a change in the Aut(G) enumeration or in the alpha indices shows.
+order, so a change in the Aut(G) enumeration or in the alpha indices shows,
+and of the `enumerate_involutory_automorphisms` perm lists of three
+order-32 groups outside the catalog (Z4xZ4xZ2, D16xZ2, Z2xZ2xZ2xZ4), whose
+generators reach each other's images.
 Then the sha256 of the `decompose_odd_abelian` coordinates (`pair_of`) for
 every alpha of every odd abelian catalog group, and of the
 `decompose_cyclic_sylow` answers (n, a, z, coords) for every alpha of every
@@ -160,6 +163,7 @@ TIGHT_CENSUSES = ((7, "aut_node_budget", 8), (9, "aut_node_budget", 10), (12, "r
 KILLED_GROUP = 10   # index of the group in which the resumed census is killed
 STABILITY_ORDER = 10
 BUDGET_LADDER = (1, SMALL_BUDGET, 40)
+ORDER_32_GROUPS = ("Z4xZ4xZ2", "D16xZ2", "Z2xZ2xZ2xZ4")
 # Prints a verifier's reports the way `gcg --format json verify` does, under
 # the default caps with a sweep budget of argv[2] instances.
 BUDGET_RUN = """
@@ -339,6 +343,17 @@ def automorphism_digest() -> tuple[str, int]:
     return digest.hexdigest(), len(names)
 
 
+def involution_digest() -> tuple[str, int]:
+    caps = caps_from_env()
+    digest = hashlib.sha256()
+    count = 0
+    for name in ORDER_32_GROUPS:
+        autos = enumerate_involutory_automorphisms(make_group(name, caps))
+        digest.update(repr([a.perm for a in autos]).encode())
+        count += len(autos)
+    return digest.hexdigest(), count
+
+
 def decomposition_digest() -> tuple[str, int]:
     caps = caps_from_env()
     digest = hashlib.sha256()
@@ -391,6 +406,8 @@ def main() -> int:
     print(f"search trees --max-order {STABILITY_ORDER}  {digest}  {count} graphs")
     digest, count = automorphism_digest()
     print(f"automorphisms  {digest}  {count} groups")
+    digest, count = involution_digest()
+    print(f"involutory automorphisms of {','.join(ORDER_32_GROUPS)}  {digest}  {count} maps")
     digest, count = decomposition_digest()
     print(f"decompositions  {digest}  {count} (group, alpha) pairs")
     for tid in THEOREM_IDS:

@@ -33,17 +33,30 @@ class AutomorphismMap:
         return self.perm[x]
 
 
+@cache
+def _generators(g: FiniteGroup) -> tuple[int, ...]:
+    """`generators(g.mul, g.order)`, computed once per group object."""
+    return tuple(generators(g.mul, g.order))
+
+
 def automorphism_from_perm(g: FiniteGroup, perm) -> AutomorphismMap:
-    """Validate a candidate map exhaustively and wrap it."""
+    """Validate a candidate map exactly and wrap it.
+
+    Multiplicativity is checked as phi(xt) = phi(x) phi(t) for every x and
+    every t in `generators(g.mul, g.order)` only, in O(|G| |T|) products
+    instead of O(|G|^2).  Lemma: that is exact.  Every y is a left-normed
+    product of those t, and induction on its length gives phi(xy) =
+    phi(x) phi(y): y = e holds since phi(e) = e, and for y = y't,
+    phi(xy't) = phi(xy') phi(t) = phi(x) phi(y') phi(t) = phi(x) phi(y't)."""
     perm = tuple(perm)
     if len(perm) != g.order or sorted(perm) != list(range(g.order)):
         raise DescriptorError("not a bijection on element ids")
     if perm[0] != 0:
         raise DescriptorError("identity not fixed")
-    for a in range(g.order):
-        ra, pa = g.mul[a], perm[a]
-        for b in range(g.order):
-            if perm[ra[b]] != g.mul[pa][perm[b]]:
+    for t in _generators(g):
+        image_t = perm[t]
+        for x, row in enumerate(g.mul):
+            if perm[row[t]] != g.mul[perm[x]][image_t]:
                 raise DescriptorError("not multiplicative")
     order2 = all(perm[perm[x]] == x for x in range(g.order))
     return AutomorphismMap(g, perm, order2)
@@ -64,33 +77,39 @@ def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> li
     """All automorphisms (optionally only those of order <= 2), sorted by perm.
 
     Chooses the images of `generators(g.mul, g.order)` one at a time, each
-    among the elements of the same order.  After each choice it walks the
-    subgroup H spanned by the chosen generators T from the identity, setting
-    phi(xt) = phi(x) phi(t) for every x in H and t in T, and rejects the
-    choice on a clash or a repeated image.  With `involutory_only` it also
-    rejects a choice where phi(phi(x)) != x with both values known.
+    among the elements of the same order that no earlier choice has made an
+    image.  After each choice it walks the subgroup H spanned by the walk's
+    elements T from the identity, setting phi(xt) = phi(x) phi(t) for every
+    x in H and t in T, and rejects the choice on a clash or a repeated
+    image.  With `involutory_only`, choosing phi(t) = u also puts u with
+    image t into T, since phi(u) = phi(phi(t)) = t; a generator that the
+    walk has reached already keeps the image the walk gave it.
 
     Lemma: a walk that finishes is an injective homomorphism on H.  Every
-    element of H is a product of the generators in T (H is finite, so no
+    element of H is a product of the elements of T (H is finite, so no
     inverses are needed), so the walk reaches all of H.  For x, y in H,
     induction on the word length of y gives phi(xy) = phi(x) phi(y): y = e
     holds since phi(e) = e, and for y = y't, phi(xy't) = phi(xy') phi(t)
-    = phi(x) phi(y') phi(t) = phi(x) phi(y't).  Once every generator is
-    chosen H = G, so every leaf is an automorphism.  Conversely an
+    = phi(x) phi(y') phi(t) = phi(x) phi(y't).  Once every generator has an
+    image H = G, so every leaf is an automorphism.  Conversely an
     automorphism keeps element orders and passes every walk, so it is a
-    leaf.  With `involutory_only` the prune sees the whole map at a leaf,
-    so the leaves are exactly the automorphisms of order <= 2.
+    leaf; one of order <= 2 also passes the walks with the pairs.
+
+    Lemma: with `involutory_only` every leaf has order <= 2.  phi^2 is a
+    homomorphism, and it fixes every element of T: phi(phi(t)) = phi(u) = t
+    for each pair, and a generator that the walk reached is a product of
+    elements of T.  So phi^2 fixes a generating set and is the identity,
+    and the leaves need no further filter.
     """
     n = g.order
     mul = g.mul
-    gens = generators(mul, n)
+    gens = _generators(g)
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(g.element_orders[x], []).append(x)
     found: list[tuple[int, ...]] = []
 
-    def extend(images: list[int]) -> None:
-        chosen = list(zip(gens, images))
+    def extend(level: int, chosen: list[tuple[int, int]]) -> None:
         phi = [-1] * n
         phi[0] = 0
         used = [False] * n
@@ -108,15 +127,18 @@ def enumerate_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> li
                     queue.append(y)
                 elif phi[y] != z:
                     return
-        if involutory_only and any(phi[y] not in (-1, x) for x, y in enumerate(phi) if y >= 0):
-            return
-        if len(images) == len(gens):
+        while level < len(gens) and phi[gens[level]] >= 0:
+            level += 1
+        if level == len(gens):
             found.append(tuple(phi))
             return
-        for img in by_order[g.element_orders[gens[len(images)]]]:
-            extend(images + [img])
+        t = gens[level]
+        for u in by_order[g.element_orders[t]]:
+            if not used[u]:
+                pairs = [(t, u), (u, t)] if involutory_only and u != t else [(t, u)]
+                extend(level + 1, chosen + pairs)
 
-    extend([])
+    extend(0, [])
     return [automorphism_from_perm(g, p) for p in sorted(found)]
 
 
@@ -176,7 +198,7 @@ def _internal_product(g: FiniteGroup, factors) -> list[tuple[int, ...]]:
         coords[x] = c
     if None in coords:
         raise ShapeError("coordinates do not cover the group")
-    for t in generators(g.mul, g.order):
+    for t in _generators(g):
         ct = coords[t]
         for x, row in enumerate(g.mul):
             if coords[row[t]] != tuple(g.mul[a][b] for a, b in zip(coords[x], ct)):

@@ -410,6 +410,12 @@ def run_census(config: RunConfig) -> list[dict]:
 def refuting_records(records: list[dict]) -> list[tuple[dict, str]]:
     """Cross-check each census record against the theory it samples.
 
+    A stable record must have alpha = id (index 0) and be worthy: for alpha
+    != id the twisted translation of `stability_check` is a two-fold
+    automorphism with sigma != tau, and for an unworthy graph so is
+    (id, (1 k)) with k != 1 in the kernel (N(1) = N(k), twins).  Either makes
+    a connected non-bipartite graph unstable.
+
     Returns (record, reason) pairs; an empty list certifies consistency."""
     bad = []
     for rec in records:
@@ -426,6 +432,10 @@ def refuting_records(records: list[dict]) -> list[tuple[dict, str]]:
             bad.append((rec, "stability applicability disagrees with shape"))
         if rec["stability"] == "stable" and rec["cayley"] == "not_cayley":
             bad.append((rec, "a stable instance must be a Cayley graph"))
+        if rec["stability"] == "stable" and rec["alpha_index"] != 0:
+            bad.append((rec, "a stable instance must have alpha = id"))
+        if rec["stability"] == "stable" and rec["unworthy"]:
+            bad.append((rec, "a stable instance must be worthy"))
     return bad
 
 

@@ -23,8 +23,11 @@ reference for the per-node prune state `canon._SiblingOrbits`.
 `closure_automorphisms` extends each partial map by closing it over every
 pair of assigned elements after each new one; it is the reference for
 `automorphisms.enumerate_automorphisms`, which walks the span of the chosen
-generators once per choice.  Both wrap their maps with
-`automorphism_from_perm`; the oracle starts from its own `generating_ids`,
+generators once per choice.  The oracle wraps its maps with
+`all_pairs_automorphism_from_perm`, which checks phi(ab) = phi(a) phi(b) on
+every pair of elements; it is the reference for
+`automorphisms.automorphism_from_perm`, which checks it on a generating set
+only.  The oracle starts from its own `generating_ids`,
 which closes each new generating set by `pairwise_subgroup_closure`, the
 closure over every pair of members that `groups.subgroup_closure` and
 `groups.generators` replaced with one reach walk by the generators.
@@ -47,11 +50,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from gcg.automorphisms import (
-    AutomorphismMap,
-    automorphism_from_perm,
-    identity_automorphism,
-)
+from gcg.automorphisms import AutomorphismMap, identity_automorphism
 from gcg.canon import (
     _Budget,
     _child,
@@ -535,6 +534,22 @@ def generating_ids(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def all_pairs_automorphism_from_perm(g: FiniteGroup, perm) -> AutomorphismMap:
+    """Validate a candidate map exhaustively and wrap it."""
+    perm = tuple(perm)
+    if len(perm) != g.order or sorted(perm) != list(range(g.order)):
+        raise DescriptorError("not a bijection on element ids")
+    if perm[0] != 0:
+        raise DescriptorError("identity not fixed")
+    for a in range(g.order):
+        ra, pa = g.mul[a], perm[a]
+        for b in range(g.order):
+            if perm[ra[b]] != g.mul[pa][perm[b]]:
+                raise DescriptorError("not multiplicative")
+    order2 = all(perm[perm[x]] == x for x in range(g.order))
+    return AutomorphismMap(g, perm, order2)
+
+
 def closure_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list[AutomorphismMap]:
     """All automorphisms (optionally only those of order <= 2), sorted by perm.
 
@@ -604,7 +619,7 @@ def closure_automorphisms(g: FiniteGroup, involutory_only: bool = False) -> list
     phi0 = [-1] * n
     phi0[0] = 0
     backtrack(0, phi0, {0})
-    out = [automorphism_from_perm(g, p) for p in sorted(found)]
+    out = [all_pairs_automorphism_from_perm(g, p) for p in sorted(found)]
     if involutory_only:
         out = [a for a in out if a.order2]
     return out

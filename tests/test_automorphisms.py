@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcg.automorphisms import (
     _internal_product,
@@ -18,9 +20,13 @@ from gcg.automorphisms import (
 )
 from gcg.catalog import builtin_descriptors, builtin_groups
 from gcg.errors import DescriptorError, ShapeError
-from gcg.groups import Opaque, group_from_table, make_group
+from gcg.groups import Opaque, generators, group_from_table, make_group
 
-from oracles.brute import closure_automorphisms, group_automorphisms_brute
+from oracles.brute import (
+    all_pairs_automorphism_from_perm,
+    closure_automorphisms,
+    group_automorphisms_brute,
+)
 
 
 def test_identity_and_inversion_maps(caps):
@@ -59,9 +65,66 @@ def test_enumeration_matches_closure_oracle_on_catalog(caps):
     for name in (*builtin_descriptors(24), "D6xZ2", "Z2xD8"):
         g = make_group(name, caps)
         for involutory_only in (False, True):
-            ours = [a.perm for a in enumerate_automorphisms(g, involutory_only)]
+            ours = enumerate_automorphisms(g, involutory_only)
             oracle = [a.perm for a in closure_automorphisms(g, involutory_only)]
-            assert ours == oracle, (name, involutory_only)
+            assert [a.perm for a in ours] == oracle, (name, involutory_only)
+            for a in ours:
+                assert a.order2 == all(a.perm[a.perm[x]] == x for x in range(g.order)), (name, a.perm)
+
+
+def test_involutory_enumeration_matches_closure_oracle_at_order_32(caps):
+    # outside the catalog: the pairs (t, u), (u, t) and the determined images
+    # of generators that an earlier pair reached
+    for name, count in (("Z4xZ4xZ2", 160), ("D16xZ2", 80), ("Z2xZ2xZ2xZ4", 576)):
+        g = make_group(name, caps)
+        ours = [a.perm for a in enumerate_involutory_automorphisms(g)]
+        assert ours == [a.perm for a in closure_automorphisms(g, True)], name
+        assert len(ours) == count, name
+
+
+def _validation(g, perm):
+    """(perm, order2) of the wrapped map, or the message it is refused with."""
+    try:
+        a = automorphism_from_perm(g, perm)
+    except DescriptorError as exc:
+        ours = str(exc)
+    else:
+        ours = (a.perm, a.order2)
+    try:
+        a = all_pairs_automorphism_from_perm(g, perm)
+    except DescriptorError as exc:
+        return ours, str(exc)
+    return ours, (a.perm, a.order2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generator_check_agrees_with_the_all_pairs_check(caps, data):
+    # random bijections fixing the identity; real automorphisms with two
+    # images swapped (i == j keeps the automorphism); and real automorphisms
+    # shifted on one left coset x<t> of the first generator t, x -> alpha(x t^k),
+    # which keep phi(xt) = phi(x) phi(t) for that t but not for the others
+    g = make_group(data.draw(st.sampled_from(builtin_descriptors(24)), label="group"), caps)
+    kind = data.draw(st.sampled_from(("random", "swap", "shift")), label="kind")
+    if kind == "random":
+        perm = [0] + data.draw(st.permutations(range(1, g.order)), label="perm")
+    else:
+        autos = enumerate_involutory_automorphisms(g)
+        perm = list(data.draw(st.sampled_from(autos), label="alpha").perm)
+        i = data.draw(st.integers(0, g.order - 1), label="i")
+        j = data.draw(st.integers(0, g.order - 1), label="j")
+        if kind == "swap":
+            perm[i], perm[j] = perm[j], perm[i]
+        elif g.order > 1:
+            t = generators(g.mul, g.order)[0]
+            coset = [i]
+            while g.mul[coset[-1]][t] != i:
+                coset.append(g.mul[coset[-1]][t])
+            if 0 not in coset:
+                shifted = {x: perm[coset[(c + j) % len(coset)]] for c, x in enumerate(coset)}
+                perm = [shifted.get(x, y) for x, y in enumerate(perm)]
+    ours, oracle = _validation(g, perm)
+    assert ours == oracle
 
 
 def test_identity_is_always_first(caps):

@@ -16,6 +16,7 @@ from gcg.automorphisms import (
     automorphism_from_perm,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
+    identity_automorphism,
 )
 from gcg.catalog import builtin_descriptors
 from gcg.caps import Caps
@@ -365,8 +366,6 @@ def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):
 
     # applicability checks need a connected non-bipartite base record
     g6 = make_group("Z6", caps)
-    from gcg.automorphisms import identity_automorphism
-
     tri = compute_record(make_spec(g6, identity_automorphism(g6), (1, 2, 4, 5)), 0, caps)
     assert tri["connected"] and not tri["bipartite"]
     assert refuting_records([tri]) == []
@@ -374,6 +373,23 @@ def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):
     flopped = dict(tri, connected=False)
     hits = refuting_records([flipped]) + refuting_records([flopped])
     assert sum("applicability" in why for _, why in hits) == 2
+
+
+def test_refuting_records_fire_on_stable_rows_with_alpha_or_twins(caps):
+    # GC(Z5, {1, 4}, id) is the stable 5-cycle; a stable record with alpha !=
+    # id has a twisted translation, and an unworthy one has twins
+    g = make_group("Z5", caps)
+    stable = compute_record(make_spec(g, identity_automorphism(g), (1, 4)), 0, caps)
+    assert stable["stability"] == "stable" and not stable["unworthy"]
+    assert refuting_records([stable]) == []
+
+    moved = dict(stable, alpha_index=1)
+    assert [why for _, why in refuting_records([moved])] == ["a stable instance must have alpha = id"]
+    twins = dict(stable, unworthy=True, kernel_size=5)
+    assert [why for _, why in refuting_records([twins])] == ["a stable instance must be worthy"]
+    both = dict(twins, alpha_index=2)
+    assert len(refuting_records([both])) == 2
+    assert refuting_records([dict(moved, stability="unstable")]) == []
 
 
 def test_known_intransitive_family_appears(tmp_path, caps):
