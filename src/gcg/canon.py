@@ -12,7 +12,7 @@ argument makes the generated group complete).  The canonical pass keeps the
 leaf with the least trace sequence, and that leaf's graph6 is the
 fingerprint; isomorphic graphs therefore get identical fingerprints.
 
-Two lemmas let both passes skip work without changing any search tree.
+Three lemmas let the passes skip work without changing any search tree.
 
 Leaves.  The trace of a discrete partition is the adjacency matrix with the
 vertices in leaf order (`_trace`), so leaves with equal traces have equal
@@ -39,6 +39,20 @@ probe appends gamma at once instead (checking that it is an automorphism).
 It still charges the budget the len(base) - d nodes of that descent, so the
 nodes spent, the point where a budget runs out and every budget-limited
 answer stay those of the walk.
+
+Nodes.  The partition and the trace of a node are functions of the graph
+and the node's prefix, the vertices individualized on the way down: the
+root is the refinement of the unit partition, and a child is the
+refinement of its parent with one vertex of the target cell individualized,
+each by the label-invariant `_refine`.  So the automorphism pass records
+every node it refines under its prefix, and the canonical pass of the same
+graph reads a recorded node instead of refining it again; it refines (and
+builds the neighbour lists) only at a node the automorphism pass never
+reached.  It still charges the budget one node per child, read or refined,
+so its tree, its nodes spent, its labeling and the point where a budget
+runs out stay those of a pass that refines every node.  A record holds
+tens of kilobytes, so it is never cached: `_aut_cached` leaves it in one
+slot, and the canonical pass of the same graph that follows takes it out.
 
 The automorphisms found are a strong generating set relative to the
 leftmost path's base b_0, ..., b_k (McKay and Piperno, Practical graph
@@ -291,10 +305,15 @@ class _SiblingOrbits:
         return covered >> v & 1 == 1
 
 
-def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
+def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search",
+                nodes: dict | None = None):
     """Returns (base, gens): gens, which starts with the seeds, is a strong
     generating set of Aut relative to base, the leftmost path's
-    individualized vertices.  Every seed must be an automorphism."""
+    individualized vertices.  Every seed must be an automorphism.
+
+    If given, nodes receives prefix -> (cells, trace) of every node the
+    search refines, the root under ()."""
+    nodes = {} if nodes is None else nodes
     nbrs = _neighbours(rows)
     gens: list[Perm] = list(seeds)
     for seed in gens:
@@ -302,7 +321,7 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
             raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
     budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    nodes[()] = cells0, _refine(rows, cells0, [mask_of(range(n))], nbrs)
     # the leftmost path, recorded as the first walk takes it: its vertices,
     # and its partition, the positions of that partition's non-singleton
     # cells and the trace at each depth
@@ -335,20 +354,21 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
         orbits = _SiblingOrbits(prefix, gens)
         found_any = False
         for v in cells[t]:
+            key = prefix + (v,)
             if on_first and v == cells[t][0]:
                 base.append(v)
-                child, tr = _child(rows, cells, t, v, budget, nbrs)
+                child, tr = nodes[key] = _child(rows, cells, t, v, budget, nbrs)
                 first_traces.append(tr)
-                explore(child, depth + 1, prefix + (v,), True)
+                explore(child, depth + 1, key, True)
                 orbits.explored(v)
                 continue
             if orbits.hits(v):
                 continue
-            child, tr = _child(rows, cells, t, v, budget, nbrs)
+            child, tr = nodes[key] = _child(rows, cells, t, v, budget, nbrs)
             orbits.explored(v)
             if tr != first_traces[depth]:
                 continue
-            found = explore(child, depth + 1, prefix + (v,), False)
+            found = explore(child, depth + 1, key, False)
             found_any = found_any or found
             if not on_first and found:
                 return True
@@ -358,13 +378,31 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
     return base, gens
 
 
-def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
+def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int, nodes: dict | None = None):
     """Labeling of the leaf with the least trace sequence over the search tree
-    (equal leaf traces mean equal graph6 strings, see `_trace`)."""
+    (equal leaf traces mean equal graph6 strings, see `_trace`).
+
+    nodes holds nodes already refined, as `_aut_search` records them; a
+    node found there is charged to the budget but not refined again."""
     budget = _Budget("canonical search", n, limit)
-    nbrs = _neighbours(rows)
-    cells0: list[list[int]] = [list(range(n))] if n else []
-    _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    nodes = {} if nodes is None else nodes
+    nbrs: list[list[int]] = []   # built at the first node not in nodes
+
+    def child(cells, t, v, key):
+        node = nodes.get(key)
+        if node is not None:
+            budget.spend()
+            return node
+        if not nbrs:
+            nbrs.extend(_neighbours(rows))
+        return _child(rows, cells, t, v, budget, nbrs)
+
+    if () in nodes:
+        cells0 = nodes[()][0]
+    else:
+        nbrs.extend(_neighbours(rows))
+        cells0 = [list(range(n))] if n else []
+        _refine(rows, cells0, [mask_of(range(n))], nbrs)
     best: list = [None, ()]  # traces, labeling
 
     def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
@@ -378,13 +416,14 @@ def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
             if orbits.hits(v):
                 continue
             orbits.explored(v)
-            child, tr = _child(rows, cells, t, v, budget, nbrs)
+            key = prefix + (v,)
+            cells_v, tr = child(cells, t, v, key)
             newtraces = traces + (tr,)
             if best[0] is not None:
                 bt = best[0][: depth + 1]
                 if newtraces > bt:
                     continue
-            explore(child, depth + 1, prefix + (v,), newtraces)
+            explore(cells_v, depth + 1, key, newtraces)
 
     explore(cells0, 0, (), ())
     return best[1]
@@ -401,9 +440,19 @@ def _describe(n: int, base: list[int], gens: list[Perm]) -> PermGroupDescription
     )
 
 
+# ((n, rows), nodes) of the last search `_aut_cached` ran, for the canonical
+# search of the same graph, which usually follows at once.  A record holds
+# tens of kilobytes, so it never sits in a cache: this one slot keeps at
+# most one, and the canonical search that reads it empties it.
+_last_nodes: list = [None, None]
+
+
 @lru_cache(maxsize=1024)
 def _aut_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
-    return _describe(n, *_aut_search(rows, n, budget))
+    nodes: dict = {}
+    base, gens = _aut_search(rows, n, budget, nodes=nodes)
+    _last_nodes[:] = (n, rows), nodes
+    return _describe(n, base, gens)
 
 
 def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
@@ -439,7 +488,12 @@ def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> Perm
 
 @lru_cache(maxsize=1024)
 def _canon_cached(n: int, rows: tuple[int, ...], budget: int) -> CanonicalForm:
-    lab = _canon_search(rows, n, list(_aut_cached(n, rows, budget).generators), budget)
+    gens = list(_aut_cached(n, rows, budget).generators)
+    nodes = None
+    if _last_nodes[0] == (n, rows):
+        nodes = _last_nodes[1]
+        _last_nodes[:] = None, None
+    lab = _canon_search(rows, n, gens, budget, nodes)
     return CanonicalForm(labeling=lab, fingerprint=graph6_in_order(rows, pinv(lab)).encode("ascii"))
 
 

@@ -5,8 +5,11 @@ The chain gives exact group orders as products of basic orbit lengths, and
 its transversals drive the regular-subgroup search in `cayley`.  It is not
 a Schreier-Sims implementation: the automorphism search in `canon` already
 yields a strong generating set for its own base, so the chain only lays out
-Schreier trees.  Degrees stay small (graph vertex counts), so plain tuple
-composition is fine.
+Schreier trees.  The orbit lengths are counted when the chain is built,
+with no composition; the transversals are composed from the trees the
+first time they are read, since only Cayley detection on a
+vertex-transitive graph reads them.  Degrees stay small (graph vertex
+counts), so plain tuple composition is fine.
 """
 from __future__ import annotations
 
@@ -56,14 +59,17 @@ class StabilizerChain:
     base[i] has basic orbit transversal[i]: point -> u with u(base[i]) =
     point, where u fixes base[:i] pointwise.  Every level has an orbit of
     at least two points, and the group order is the product of the orbit
-    lengths.
+    lengths.  The chain is laid out as Schreier trees, point -> (g, parent)
+    with g(parent) = point; `transversal` composes them the first time it
+    is read.
     """
 
-    def __init__(self, degree: int, base: tuple[int, ...], transversal: tuple[dict[int, Perm], ...]):
+    def __init__(self, degree: int, base: tuple[int, ...], trees: tuple[dict[int, tuple[Perm, int] | None], ...]):
         self.degree = degree
         self.identity = identity_perm(degree)
         self.base = base
-        self.transversal = transversal
+        self._trees = trees   # the base point maps to None
+        self._transversal: tuple[dict[int, Perm], ...] | None = None
 
     @classmethod
     def from_strong_generators(cls, degree: int, base: list[int], gens: list[Perm]) -> "StabilizerChain":
@@ -72,35 +78,45 @@ class StabilizerChain:
         pointwise stabilizer of base[:i].  Level i is then the Schreier tree
         of base[i] under those gens, built breadth first; levels whose orbit
         is a single point are dropped."""
-        ident = identity_perm(degree)
         kept: list[int] = []
-        levels: list[dict[int, Perm]] = []
+        trees: list[dict[int, tuple[Perm, int] | None]] = []
         sub = list(gens)
         for b in base:
             if not sub:
                 break
-            trans = {b: ident}
+            tree: dict[int, tuple[Perm, int] | None] = {b: None}
             frontier = [b]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    ux = trans[x]
                     for g in sub:
                         y = g[x]
-                        if y not in trans:
-                            trans[y] = pmul(g, ux)
+                        if y not in tree:
+                            tree[y] = g, x
                             nxt.append(y)
                 frontier = nxt
-            if len(trans) > 1:
+            if len(tree) > 1:
                 kept.append(b)
-                levels.append(trans)
+                trees.append(tree)
             sub = [g for g in sub if g[b] == b]
-        return cls(degree, tuple(kept), tuple(levels))
+        return cls(degree, tuple(kept), tuple(trees))
+
+    @property
+    def transversal(self) -> tuple[dict[int, Perm], ...]:
+        if self._transversal is None:
+            levels = []
+            for tree in self._trees:
+                trans: dict[int, Perm] = {}
+                for y, edge in tree.items():
+                    trans[y] = self.identity if edge is None else pmul(edge[0], trans[edge[1]])
+                levels.append(trans)
+            self._transversal = tuple(levels)
+        return self._transversal
 
     def order(self) -> int:
         out = 1
-        for t in self.transversal:
-            out *= len(t)
+        for tree in self._trees:
+            out *= len(tree)
         return out
 
 

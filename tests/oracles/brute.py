@@ -42,7 +42,15 @@ unworthiness check read.  `leaf_descent_aut_search` and
 neighbour lists the helpers take: every probe descends to a leaf and
 compares leaves by their graph6 strings.  They share the
 refinement and prune helpers of `gcg.canon`, so they check the search
-trees, not the refinement.  `triple_loop_group_axioms` checks
+trees, not the refinement.  `refining_canon_search` is the canonical search
+as it was before it read the nodes the automorphism search refined: it
+refines every node it visits from its parent; it is the reference for the
+labelling, the nodes charged and the budget errors of
+`canon.canonical_form`.  `eager_transversals` composes every Schreier
+transversal while it walks the orbits; it is the reference for
+`perms.StabilizerChain`, which counts the orbits when it is built and
+composes the transversals when they are first read.
+`triple_loop_group_axioms` checks
 associativity on every triple of elements; it is the reference for
 `groups.check_group_axioms`, which checks it on a generating set only.
 """
@@ -732,3 +740,66 @@ def graph6_keyed_canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], l
 
     explore(cells0, 0, (), ())
     return best[2]
+
+
+def refining_canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int):
+    """Labeling of the leaf with the least trace sequence over the search tree
+    (equal leaf traces mean equal graph6 strings, see `_trace`)."""
+    budget = _Budget("canonical search", n, limit)
+    nbrs = _neighbours(rows)
+    cells0: list[list[int]] = [list(range(n))] if n else []
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    best: list = [None, ()]  # traces, labeling
+
+    def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
+        t = _target_cell(cells)
+        if t is None:
+            if best[0] is None or traces < best[0]:
+                best[0], best[1] = traces, _labeling(cells, n)
+            return
+        orbits = _SiblingOrbits(prefix, gens)
+        for v in cells[t]:
+            if orbits.hits(v):
+                continue
+            orbits.explored(v)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
+            newtraces = traces + (tr,)
+            if best[0] is not None:
+                bt = best[0][: depth + 1]
+                if newtraces > bt:
+                    continue
+            explore(child, depth + 1, prefix + (v,), newtraces)
+
+    explore(cells0, 0, (), ())
+    return best[1]
+
+
+def eager_transversals(degree: int, base: list[int], gens: list[Perm]) -> tuple[tuple[int, ...], tuple[dict[int, Perm], ...]]:
+    """(base, transversals) of the chain of the strong generating set gens
+    relative to base: level i is the Schreier tree of base[i] under the gens
+    fixing base[:i] pointwise, built breadth first with every element
+    composed on the way; levels whose orbit is a single point are dropped."""
+    ident = identity_perm(degree)
+    kept: list[int] = []
+    levels: list[dict[int, Perm]] = []
+    sub = list(gens)
+    for b in base:
+        if not sub:
+            break
+        trans = {b: ident}
+        frontier = [b]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                ux = trans[x]
+                for g in sub:
+                    y = g[x]
+                    if y not in trans:
+                        trans[y] = pmul(g, ux)
+                        nxt.append(y)
+            frontier = nxt
+        if len(trans) > 1:
+            kept.append(b)
+            levels.append(trans)
+        sub = [g for g in sub if g[b] == b]
+    return tuple(kept), tuple(levels)

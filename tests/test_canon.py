@@ -1,22 +1,26 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcg import canon
+from gcg import canon, perms
 from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.canon import (
     _aut_search,
     _canon_search,
+    _child,
     _cover_seeds,
     _neighbours,
     _refine,
     _SiblingOrbits,
+    _target_cell,
     _trace,
     automorphism_group,
     canonical_form,
@@ -24,10 +28,11 @@ from gcg.canon import (
     is_isomorphic,
 )
 from gcg.catalog import builtin_descriptors
-from gcg.cayley import stability_check
+from gcg.cayley import detect_cayley, stability_check
+from gcg.census import RunConfig, run_census
 from gcg.construct import build_gc_graph, enumerate_connection_sets, make_spec
 from gcg.errors import BudgetExceeded
-from gcg.formats import from_graph6, to_graph6
+from gcg.formats import from_graph6, graph6_in_order, to_graph6
 from gcg.graphs import (
     Graph,
     bipartite_double_cover,
@@ -42,6 +47,7 @@ from gcg.graphs import (
     relabel,
 )
 from gcg.groups import make_group, mask_of
+from gcg.perms import StabilizerChain, pinv
 
 from oracles import brute
 from oracles.brute import (
@@ -49,9 +55,11 @@ from oracles.brute import (
     _orbit_hits,
     brute_automorphisms,
     brute_vertex_orbits,
+    eager_transversals,
     graph6_keyed_canon_search,
     is_graph_automorphism,
     leaf_descent_aut_search,
+    refining_canon_search,
     scanning_refine,
 )
 
@@ -274,9 +282,10 @@ def test_census_fingerprints_are_graph6_of_the_relabelled_graphs(caps):
 def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
     # base, generators, nodes spent and canonical labelling of both searches
     # over the distinct census graphs to order 8, captured before the search
-    # kept per-node orbit state and shared cells between partitions, and
-    # before it stopped walking the leftmost path a second time: that walk
-    # spent one node per base point, added back here
+    # kept per-node orbit state and shared cells between partitions, before
+    # it stopped walking the leftmost path a second time (that walk spent one
+    # node per base point, added back here), and before the canonical search
+    # read the nodes the automorphism search refined
     budgets = []
 
     class Counting(canon._Budget):
@@ -289,8 +298,9 @@ def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
     count = 0
     for x in _distinct_census_graphs(8, caps):
         budgets.clear()
-        base, gens = _aut_search(x.rows, x.n, 10**9)
-        lab = _canon_search(x.rows, x.n, list(gens), 10**9)
+        nodes: dict = {}
+        base, gens = _aut_search(x.rows, x.n, 10**9, nodes=nodes)
+        lab = _canon_search(x.rows, x.n, list(gens), 10**9, nodes)
         aut_budget, canon_budget = budgets
         nodes = [aut_budget.nodes + len(base), canon_budget.nodes]
         digest.update(repr((x.rows, base, gens, nodes, lab)).encode())
@@ -594,3 +604,161 @@ def test_refine_matches_scanning_refine_on_search_nodes():
                 slow = [list(c) for c in fast]
                 assert _refine(g.rows, fast, [1 << v], nbrs) == scanning_refine(g.rows, slow, [1 << v])
                 assert fast == slow
+
+
+def _descent(rows, prefix):
+    """(cells, trace) of the node at prefix, refined afresh from the root."""
+    n = len(rows)
+    nbrs = _neighbours(rows)
+    cells: list[list[int]] = [list(range(n))] if n else []
+    trace = _refine(rows, cells, [mask_of(range(n))], nbrs)
+    budget = canon._Budget("descent", n, 10**9)
+    for v in prefix:
+        t = _target_cell(cells)
+        assert v in cells[t]
+        cells, trace = _child(rows, cells, t, v, budget, nbrs)
+    return cells, trace
+
+
+def _recorded_nodes_are_descents(g):
+    # a node is a function of its prefix: the one the automorphism search
+    # records under a prefix is the one a fresh descent along it reaches
+    nodes: dict = {}
+    _aut_search(g.rows, g.n, 10**9, nodes=nodes)
+    assert () in nodes
+    for prefix, node in nodes.items():
+        assert node == _descent(g.rows, prefix)
+
+
+def test_recorded_nodes_are_descents_on_census_graphs_to_order_8(caps):
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        _recorded_nodes_are_descents(x)
+        count += 1
+    assert count == 430
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] < e[1]
+        )).map(lambda edges: from_edges(n, sorted(edges)))
+    )
+)
+def test_recorded_nodes_are_descents_on_random_graphs(g):
+    _recorded_nodes_are_descents(g)
+
+
+def _clear_searches():
+    canon._aut_cached.cache_clear()
+    canon._canon_cached.cache_clear()
+    canon._cover_cached.cache_clear()
+    canon._last_nodes[:] = None, None
+
+
+def test_canonical_form_equals_the_refining_search_on_census_graphs_to_order_12(caps, monkeypatch):
+    # `canonical_form` reads the nodes its automorphism search refined; the
+    # canonical search that refines every node gives the same labelling and
+    # fingerprint, charges the same nodes, and one node less runs it out
+    # with the same message
+    budgets = _recorded_budgets(monkeypatch, canon, brute)
+    count = 0
+    for x in _distinct_census_graphs(12, caps):
+        _clear_searches()
+        budgets.clear()
+        form = canonical_form(x, 10**9)
+        _, canon_budget = budgets
+        assert canon_budget.stage == "canonical search"
+        gens = list(automorphism_group(x, 10**9).generators)
+        budgets.clear()
+        lab = refining_canon_search(x.rows, x.n, gens, 10**9)
+        assert (form.labeling, canon_budget.nodes) == (lab, budgets[0].nodes)
+        assert form.fingerprint == graph6_in_order(x.rows, pinv(lab)).encode("ascii")
+        if canon_budget.nodes:
+            limit = canon_budget.nodes - 1
+            nodes: dict = {}
+            _aut_search(x.rows, x.n, 10**9, nodes=nodes)
+            with pytest.raises(BudgetExceeded) as shared:
+                _canon_search(x.rows, x.n, gens, limit, nodes)
+            with pytest.raises(BudgetExceeded) as refined:
+                refining_canon_search(x.rows, x.n, gens, limit)
+            assert str(shared.value) == str(refined.value)
+        count += 1
+    assert count == 3496
+
+
+def test_census_canonical_searches_refine_few_nodes_of_their_own(caps, tmp_path, monkeypatch):
+    # the order-11 census runs 211 canonical searches, which charge 756
+    # nodes; all but 12 were refined by the automorphism search of the same
+    # graph just before
+    _clear_searches()
+    budgets = _recorded_budgets(monkeypatch, canon)
+    refined: collections.Counter = collections.Counter()
+    child = canon._child
+
+    def counting_child(*args):
+        refined[args[4].stage] += 1
+        return child(*args)
+
+    monkeypatch.setattr(canon, "_child", counting_child)
+    run_census(RunConfig(max_order=11, out_path=str(tmp_path / "census.jsonl"), jobs=1, caps=caps))
+    searches = collections.Counter(b.stage for b in budgets)
+    charged = sum(b.nodes for b in budgets if b.stage == "canonical search")
+    assert searches["canonical search"] == 211
+    assert (charged, refined["canonical search"]) == (756, 12)
+
+
+def test_one_search_record_lives_until_its_canonical_search(monkeypatch):
+    # the nodes of the last automorphism search wait in one slot, and the
+    # canonical search of the same graph takes them out
+    _clear_searches()
+    budgets = _recorded_budgets(monkeypatch, canon, brute)
+    x, y = cycle_graph(7), petersen_graph()
+    automorphism_group(x)
+    assert canon._last_nodes[0] == (x.n, x.rows)
+    automorphism_group(y)
+    assert canon._last_nodes[0] == (y.n, y.rows)
+    canonical_form(y)
+    assert canon._last_nodes == [None, None]
+    # x's record is gone, so its canonical search refines every node itself
+    budgets.clear()
+    lab = canonical_form(x).labeling
+    (mine,) = budgets
+    budgets.clear()
+    assert lab == refining_canon_search(x.rows, x.n, list(automorphism_group(x).generators), 10**9)
+    assert mine.nodes == budgets[0].nodes
+
+
+def test_lazy_transversals_equal_the_eager_builder_on_census_graphs_to_order_8(caps):
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        base, gens = _aut_search(x.rows, x.n, 10**9)
+        chain = StabilizerChain.from_strong_generators(x.n, base, gens)
+        want_base, want = eager_transversals(x.n, base, gens)
+        assert chain.base == want_base
+        assert chain.order() == math.prod(len(t) for t in want)
+        # the same elements, in the same breadth-first order
+        assert [list(t.items()) for t in chain.transversal] == [list(t.items()) for t in want]
+        count += 1
+    assert count == 430
+
+
+def test_order_and_orbits_build_no_transversal(monkeypatch):
+    calls = []
+    pmul = perms.pmul
+
+    def counting_pmul(a, b):
+        calls.append(1)
+        return pmul(a, b)
+
+    monkeypatch.setattr(perms, "pmul", counting_pmul)
+    _clear_searches()
+    x = disjoint_union(cycle_graph(5), path_graph(6))
+    desc = automorphism_group(x)
+    assert (desc.order, len(desc.orbits)) == (20, 4)
+    assert detect_cayley(x).status == "not_cayley"
+    assert calls == []
+    assert desc.chain._transversal is None
+    transversal = desc.chain.transversal
+    assert calls and desc.chain.transversal is transversal
