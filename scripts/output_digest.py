@@ -25,12 +25,11 @@ identity, so a change in that route shows.  Then the
 sha256 of the `detect_cayley` answers (status, reason, |Aut|, connection
 ids, orbit witness) and of the `canonical_form` answers (fingerprint,
 labelling) of every distinct census graph to order 10, in census order, so
-a change in Cayley detection or in the canonical search shows.  Then the
-sha256 of the search trees on those graphs: base, generators and nodes
-charged of the automorphism search, labelling and nodes charged of the
-canonical search (which reads the nodes the automorphism search refined,
-as `canonical_form` runs it), and base, generators and nodes charged of
-the seeded double-cover search, each at the default automorphism-search
+a change in Cayley detection or in the canonical leaf shows.  Then the
+sha256 of the search trees on those graphs: base, generators, canonical
+labelling and nodes charged of the one walk that `automorphism_group` and
+`canonical_form` share, and base, generators, labelling and nodes charged
+of the seeded double-cover search, each at the default automorphism-search
 budget (or the budget error it raises), so a change in any search tree
 shows even where the answers stay the same.  Then the
 sha256 of the `enumerate_automorphisms` and
@@ -302,11 +301,11 @@ def search_tree_digest(max_order: int) -> tuple[str, int]:
             super().__init__(*args)
             budgets.append(self)
 
-    def tree(search, *args, **kwargs):
+    def tree(search, *args):
         """(answer, nodes charged) of one search, or its budget error."""
         budgets.clear()
         try:
-            return search(*args, **kwargs), budgets[0].nodes
+            return search(*args), budgets[0].nodes
         except BudgetExceeded as exc:
             return str(exc)
 
@@ -316,15 +315,11 @@ def search_tree_digest(max_order: int) -> tuple[str, int]:
     canon._Budget = Counting
     try:
         for x in distinct_census_graphs(max_order):
-            nodes: dict = {}
-            aut = tree(canon._aut_search, x.rows, x.n, budget, nodes=nodes)
-            trees = [aut]
-            if not isinstance(aut, str):
-                gens = aut[0][1]
+            walk = tree(canon._aut_search, x.rows, x.n, budget)
+            trees = [walk]
+            if not isinstance(walk, str):
+                gens = walk[0][1]
                 cover = bipartite_double_cover(x)
-                # reads the nodes the automorphism search refined, as
-                # `canonical_form` does
-                trees.append(tree(canon._canon_search, x.rows, x.n, list(gens), budget, nodes))
                 # seeded as `double_cover_automorphism_group` seeds its search
                 seeds = canon._cover_seeds(x.n, gens)
                 trees.append(tree(canon._aut_search, cover.rows, cover.n, budget,

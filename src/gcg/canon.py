@@ -5,20 +5,20 @@ equitability, branch on the vertices of the first smallest non-singleton
 cell, and prune with (a) node invariants ("traces") that any automorphism
 must preserve and (b) orbits of the automorphisms found so far.
 
-The automorphism pass records the leftmost path during the first walk; for
-every sibling branch it probes for a single automorphism mapping the
-leftmost prefix onto that branch and then abandons the branch (the coset
-argument makes the generated group complete).  The canonical pass keeps the
-leaf with the least trace sequence, and that leaf's graph6 is the
-fingerprint; isomorphic graphs therefore get identical fingerprints.
+The search records the leftmost path during the first walk; for every
+sibling branch whose trace equals the leftmost path's it probes for a single
+automorphism mapping the leftmost prefix onto that branch and then abandons
+the branch (the coset argument makes the generated group complete).  The
+same walk keeps the leaf with the least trace sequence, and that leaf's
+graph6 is the fingerprint; isomorphic graphs therefore get identical
+fingerprints.
 
-Three lemmas let the passes skip work without changing any search tree.
+Three lemmas let the walk skip work without changing any answer.
 
 Leaves.  The trace of a discrete partition is the adjacency matrix with the
 vertices in leaf order (`_trace`), so leaves with equal traces have equal
-graph6 strings.  The canonical pass therefore compares trace sequences
-alone: where they tie, the graph6 strings tie as well, and the leaf found
-first is kept as before.
+graph6 strings.  The walk therefore compares trace sequences alone: where
+they tie, the graph6 strings tie as well, and the leaf found first is kept.
 
 Probes.  Let a probe node at depth d have the same non-singleton cells (the
 same lists at the same positions) as the first path's node at depth d, and
@@ -40,19 +40,26 @@ It still charges the budget the len(base) - d nodes of that descent, so the
 nodes spent, the point where a budget runs out and every budget-limited
 answer stay those of the walk.
 
-Nodes.  The partition and the trace of a node are functions of the graph
-and the node's prefix, the vertices individualized on the way down: the
-root is the refinement of the unit partition, and a child is the
-refinement of its parent with one vertex of the target cell individualized,
-each by the label-invariant `_refine`.  So the automorphism pass records
-every node it refines under its prefix, and the canonical pass of the same
-graph reads a recorded node instead of refining it again; it refines (and
-builds the neighbour lists) only at a node the automorphism pass never
-reached.  It still charges the budget one node per child, read or refined,
-so its tree, its nodes spent, its labeling and the point where a budget
-runs out stay those of a pass that refines every node.  A record holds
-tens of kilobytes, so it is never cached: `_aut_cached` leaves it in one
-slot, and the canonical pass of the same graph that follows takes it out.
+One walk.  The labeling is that of the first leaf, in depth-first order
+with children in cell order, whose trace sequence is least over the whole
+tree.  A walk finds it if every subtree it leaves out holds only leaves
+that tie with leaves before them in that order, and each one left out does:
+a sibling in the orbit of an explored one is that sibling's image; a probe
+hit at depth d is the gamma-image of the first path's node at depth d; once
+an automorphism is found below a sibling v of b_i, all of v's subtree is
+the image of b_i's; and a subtree whose trace prefix exceeds the best
+leaf's holds no lesser leaf.  So a sibling whose trace differs from the
+first path's holds no leaf equivalent to the first, but it is not simply
+dropped.  A greater one is cut.  A lesser one is walked in canonical mode
+(`descend`): no probes, orbit pruning with the automorphisms found so far,
+and a cut wherever the trace prefix exceeds the best leaf's.  It is walked
+once its node's other children are done, which moves no tie: its leaves are
+less than all of theirs.  At a first-path node the walk has by then found
+every generator that fixes the node's prefix (a later one moves a base
+point above it), so the descents there prune as a search given all the
+generators would.  Probe walks take no cut, so base, gens and the nodes
+they charge stay those of an automorphism-only search; the canonical
+descents add theirs.
 
 The automorphisms found are a strong generating set relative to the
 leftmost path's base b_0, ..., b_k (McKay and Piperno, Practical graph
@@ -305,15 +312,12 @@ class _SiblingOrbits:
         return covered >> v & 1 == 1
 
 
-def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search",
-                nodes: dict | None = None):
-    """Returns (base, gens): gens, which starts with the seeds, is a strong
-    generating set of Aut relative to base, the leftmost path's
-    individualized vertices.  Every seed must be an automorphism.
-
-    If given, nodes receives prefix -> (cells, trace) of every node the
-    search refines, the root under ()."""
-    nodes = {} if nodes is None else nodes
+def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str = "automorphism search"):
+    """Returns (base, gens, labeling): gens, which starts with the seeds, is a
+    strong generating set of Aut relative to base, the leftmost path's
+    individualized vertices, and labeling is that of the first leaf in
+    depth-first order with the least trace sequence.  Every seed must be an
+    automorphism."""
     nbrs = _neighbours(rows)
     gens: list[Perm] = list(seeds)
     for seed in gens:
@@ -321,19 +325,38 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
             raise ValueError(f"{stage}: a seed is not an automorphism on {n} vertices")
     budget = _Budget(stage, n, limit)
     cells0: list[list[int]] = [list(range(n))] if n else []
-    nodes[()] = cells0, _refine(rows, cells0, [mask_of(range(n))], nbrs)
+    _refine(rows, cells0, [mask_of(range(n))], nbrs)
     # the leftmost path, recorded as the first walk takes it: its vertices,
     # and its partition, the positions of that partition's non-singleton
     # cells and the trace at each depth
     base: list[int] = []
     first_nodes: list[tuple[list[list[int]], list[int]]] = []
     first_traces: list[tuple[int, ...]] = []
+    best: list = [(), ()]  # trace sequence and labeling of the least leaf so far
+
+    def descend(cells, prefix: tuple[int, ...], traces: tuple) -> None:
+        # canonical mode: no probes, and a cut where the traces exceed the best leaf's
+        if traces > best[0][: len(traces)]:
+            return
+        t = _target_cell(cells)
+        if t is None:
+            if traces < best[0]:
+                best[:] = traces, _labeling(cells, n)
+            return
+        orbits = _SiblingOrbits(prefix, gens)
+        for v in cells[t]:
+            if orbits.hits(v):
+                continue
+            orbits.explored(v)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
+            descend(child, prefix + (v,), traces + (tr,))
 
     def explore(cells, depth: int, prefix: tuple[int, ...], on_first: bool) -> bool:
         t = _target_cell(cells)
         if on_first:
             first_nodes.append((cells, [i for i, c in enumerate(cells) if len(c) > 1]))
             if t is None:
+                best[:] = tuple(first_traces), _labeling(cells, n)
                 return False
         else:
             first, open_ = first_nodes[depth]
@@ -352,81 +375,31 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
                 gens.append(gamma)
                 return True
         orbits = _SiblingOrbits(prefix, gens)
-        found_any = False
+        lesser = []   # siblings whose trace is less than the first path's
         for v in cells[t]:
             key = prefix + (v,)
             if on_first and v == cells[t][0]:
                 base.append(v)
-                child, tr = nodes[key] = _child(rows, cells, t, v, budget, nbrs)
+                child, tr = _child(rows, cells, t, v, budget, nbrs)
                 first_traces.append(tr)
                 explore(child, depth + 1, key, True)
                 orbits.explored(v)
                 continue
             if orbits.hits(v):
                 continue
-            child, tr = nodes[key] = _child(rows, cells, t, v, budget, nbrs)
+            child, tr = _child(rows, cells, t, v, budget, nbrs)
             orbits.explored(v)
-            if tr != first_traces[depth]:
-                continue
-            found = explore(child, depth + 1, key, False)
-            found_any = found_any or found
-            if not on_first and found:
-                return True
-        return found_any
+            if tr == first_traces[depth]:
+                if explore(child, depth + 1, key, False) and not on_first:
+                    return True
+            elif tr < first_traces[depth]:
+                lesser.append((child, key, (*first_traces[:depth], tr)))
+        for node in lesser:
+            descend(*node)
+        return False
 
     explore(cells0, 0, (), True)
-    return base, gens
-
-
-def _canon_search(rows: tuple[int, ...], n: int, gens: list[Perm], limit: int, nodes: dict | None = None):
-    """Labeling of the leaf with the least trace sequence over the search tree
-    (equal leaf traces mean equal graph6 strings, see `_trace`).
-
-    nodes holds nodes already refined, as `_aut_search` records them; a
-    node found there is charged to the budget but not refined again."""
-    budget = _Budget("canonical search", n, limit)
-    nodes = {} if nodes is None else nodes
-    nbrs: list[list[int]] = []   # built at the first node not in nodes
-
-    def child(cells, t, v, key):
-        node = nodes.get(key)
-        if node is not None:
-            budget.spend()
-            return node
-        if not nbrs:
-            nbrs.extend(_neighbours(rows))
-        return _child(rows, cells, t, v, budget, nbrs)
-
-    if () in nodes:
-        cells0 = nodes[()][0]
-    else:
-        nbrs.extend(_neighbours(rows))
-        cells0 = [list(range(n))] if n else []
-        _refine(rows, cells0, [mask_of(range(n))], nbrs)
-    best: list = [None, ()]  # traces, labeling
-
-    def explore(cells, depth: int, prefix: tuple[int, ...], traces: tuple):
-        t = _target_cell(cells)
-        if t is None:
-            if best[0] is None or traces < best[0]:
-                best[0], best[1] = traces, _labeling(cells, n)
-            return
-        orbits = _SiblingOrbits(prefix, gens)
-        for v in cells[t]:
-            if orbits.hits(v):
-                continue
-            orbits.explored(v)
-            key = prefix + (v,)
-            cells_v, tr = child(cells, t, v, key)
-            newtraces = traces + (tr,)
-            if best[0] is not None:
-                bt = best[0][: depth + 1]
-                if newtraces > bt:
-                    continue
-            explore(cells_v, depth + 1, key, newtraces)
-
-    explore(cells0, 0, (), ())
-    return best[1]
+    return base, gens, best[1]
 
 
 def _describe(n: int, base: list[int], gens: list[Perm]) -> PermGroupDescription:
@@ -440,24 +413,17 @@ def _describe(n: int, base: list[int], gens: list[Perm]) -> PermGroupDescription
     )
 
 
-# ((n, rows), nodes) of the last search `_aut_cached` ran, for the canonical
-# search of the same graph, which usually follows at once.  A record holds
-# tens of kilobytes, so it never sits in a cache: this one slot keeps at
-# most one, and the canonical search that reads it empties it.
-_last_nodes: list = [None, None]
-
-
 @lru_cache(maxsize=1024)
-def _aut_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
-    nodes: dict = {}
-    base, gens = _aut_search(rows, n, budget, nodes=nodes)
-    _last_nodes[:] = (n, rows), nodes
-    return _describe(n, base, gens)
+def _search_cached(n: int, rows: tuple[int, ...], budget: int) -> tuple[PermGroupDescription, CanonicalForm]:
+    """Aut and the canonical form of the graph with these rows, from one search."""
+    base, gens, lab = _aut_search(rows, n, budget)
+    form = CanonicalForm(labeling=lab, fingerprint=graph6_in_order(rows, pinv(lab)).encode("ascii"))
+    return _describe(n, base, gens), form
 
 
 def automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    return _aut_cached(g.n, g.rows, budget)
+    return _search_cached(g.n, g.rows, budget)[0]
 
 
 def _cover_seeds(n: int, gens) -> list[Perm]:
@@ -473,9 +439,10 @@ def _cover_seeds(n: int, gens) -> list[Perm]:
 def _cover_cached(n: int, rows: tuple[int, ...], budget: int) -> PermGroupDescription:
     """Aut(X x K2) of the graph X with these rows, from a search seeded with
     `_cover_seeds` of Aut(X)'s strong generators."""
-    seeds = _cover_seeds(n, _aut_cached(n, rows, budget).generators)
+    seeds = _cover_seeds(n, _search_cached(n, rows, budget)[0].generators)
     cover = bipartite_double_cover(Graph(n, rows))
-    return _describe(cover.n, *_aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search"))
+    base, gens, _ = _aut_search(cover.rows, cover.n, budget, seeds, "double-cover automorphism search")
+    return _describe(cover.n, base, gens)
 
 
 def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> PermGroupDescription:
@@ -486,20 +453,9 @@ def double_cover_automorphism_group(g: Graph, budget: int | None = None) -> Perm
     return _cover_cached(g.n, g.rows, budget)
 
 
-@lru_cache(maxsize=1024)
-def _canon_cached(n: int, rows: tuple[int, ...], budget: int) -> CanonicalForm:
-    gens = list(_aut_cached(n, rows, budget).generators)
-    nodes = None
-    if _last_nodes[0] == (n, rows):
-        nodes = _last_nodes[1]
-        _last_nodes[:] = None, None
-    lab = _canon_search(rows, n, gens, budget, nodes)
-    return CanonicalForm(labeling=lab, fingerprint=graph6_in_order(rows, pinv(lab)).encode("ascii"))
-
-
 def canonical_form(g: Graph, budget: int | None = None) -> CanonicalForm:
     budget = budget if budget is not None else caps_from_env().aut_node_budget
-    return _canon_cached(g.n, g.rows, budget)
+    return _search_cached(g.n, g.rows, budget)[1]
 
 
 def is_isomorphic(a: Graph, b: Graph, budget: int | None = None) -> IsomorphismWitness | None:

@@ -37,16 +37,17 @@ the rows of their members; they are the reference for the subgroup
 handle's coset table, which
 `construct.quotient_by_kernel` and the X -> X/K[empty] map of the
 unworthiness check read.  `leaf_descent_aut_search` and
-`graph6_keyed_canon_search` are the searches `canon._aut_search` and
-`canon._canon_search` replaced, kept as they were but for passing the
-neighbour lists the helpers take: every probe descends to a leaf and
-compares leaves by their graph6 strings.  They share the
-refinement and prune helpers of `gcg.canon`, so they check the search
-trees, not the refinement.  `refining_canon_search` is the canonical search
-as it was before it read the nodes the automorphism search refined: it
-refines every node it visits from its parent; it is the reference for the
-labelling, the nodes charged and the budget errors of
-`canon.canonical_form`.  `eager_transversals` composes every Schreier
+`graph6_keyed_canon_search` are the automorphism search and the canonical
+search that `canon._aut_search` replaced, kept as they were but for passing
+the neighbour lists the helpers take: every probe descends to a leaf, and
+the canonical search is a second walk that compares leaves by their graph6
+strings.  They share the refinement and prune helpers of `gcg.canon`, so
+they check the search trees, not the refinement.  `refining_canon_search`
+is that second walk keyed by trace sequences alone, given every generator
+before it starts; it is the reference for the labelling of
+`canon._aut_search`, whose one walk prunes with the generators found so
+far, and with the leaf-descent search it bounds the nodes that walk
+charges.  `eager_transversals` composes every Schreier
 transversal while it walks the orbits; it is the reference for
 `perms.StabilizerChain`, which counts the orbits when it is built and
 composes the transversals when they are first read.

@@ -14,14 +14,13 @@ from gcg import canon, perms
 from gcg.automorphisms import enumerate_involutory_automorphisms
 from gcg.canon import (
     _aut_search,
-    _canon_search,
-    _child,
     _cover_seeds,
     _neighbours,
     _refine,
     _SiblingOrbits,
     _target_cell,
     _trace,
+    CanonicalForm,
     automorphism_group,
     canonical_form,
     double_cover_automorphism_group,
@@ -154,8 +153,9 @@ def test_budget_errors_name_the_search():
     with pytest.raises(BudgetExceeded) as exc:
         automorphism_group(g, budget=1)
     assert str(exc.value) == "automorphism search: budget exhausted after 1 refinement nodes on 6 vertices"
-    with pytest.raises(BudgetExceeded, match="^canonical search: budget exhausted after 2 refinement nodes on 6 vertices$"):
-        _canon_search(g.rows, g.n, [], 2)
+    # one walk finds Aut and the canonical leaf, so both run out together
+    with pytest.raises(BudgetExceeded, match="^automorphism search: budget exhausted after 2 refinement nodes on 6 vertices$"):
+        canonical_form(g, budget=2)
 
 
 def test_empty_graph_has_a_canonical_form_and_a_trivial_group():
@@ -279,36 +279,6 @@ def test_census_fingerprints_are_graph6_of_the_relabelled_graphs(caps):
     assert count == 430
 
 
-def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
-    # base, generators, nodes spent and canonical labelling of both searches
-    # over the distinct census graphs to order 8, captured before the search
-    # kept per-node orbit state and shared cells between partitions, before
-    # it stopped walking the leftmost path a second time (that walk spent one
-    # node per base point, added back here), and before the canonical search
-    # read the nodes the automorphism search refined
-    budgets = []
-
-    class Counting(canon._Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            budgets.append(self)
-
-    monkeypatch.setattr(canon, "_Budget", Counting)
-    digest = hashlib.sha256()
-    count = 0
-    for x in _distinct_census_graphs(8, caps):
-        budgets.clear()
-        nodes: dict = {}
-        base, gens = _aut_search(x.rows, x.n, 10**9, nodes=nodes)
-        lab = _canon_search(x.rows, x.n, list(gens), 10**9, nodes)
-        aut_budget, canon_budget = budgets
-        nodes = [aut_budget.nodes + len(base), canon_budget.nodes]
-        digest.update(repr((x.rows, base, gens, nodes, lab)).encode())
-        count += 1
-    assert count == 430
-    assert digest.hexdigest() == "3584316667a585fc4b942d187727ae12e95987e45c09c2b980e93a8554b9960a"
-
-
 def _recorded_budgets(mp, *modules):
     """Sets `_Budget` of the modules to a subclass that records every budget
     made; returns the record."""
@@ -324,6 +294,24 @@ def _recorded_budgets(mp, *modules):
     return budgets
 
 
+def test_unseeded_search_trees_are_pinned(caps, monkeypatch):
+    # base, generators, canonical labelling and nodes spent of the one walk
+    # over the distinct census graphs to order 8, captured when it took over
+    # from an automorphism search and a canonical search run one after the
+    # other
+    budgets = _recorded_budgets(monkeypatch, canon)
+    digest = hashlib.sha256()
+    count = 0
+    for x in _distinct_census_graphs(8, caps):
+        budgets.clear()
+        base, gens, lab = _aut_search(x.rows, x.n, 10**9)
+        (budget,) = budgets
+        digest.update(repr((x.rows, base, gens, lab, budget.nodes)).encode())
+        count += 1
+    assert count == 430
+    assert digest.hexdigest() == "5910f4bbe53507222bc65ee5f082dea4ce9ac44916ed38cb08a66781d29d0aaf"
+
+
 def test_seeded_search_trees_are_pinned(caps, monkeypatch):
     # base, generators and nodes spent of the double-cover search, seeded as
     # `double_cover_automorphism_group` seeds it, over the distinct census
@@ -333,10 +321,10 @@ def test_seeded_search_trees_are_pinned(caps, monkeypatch):
     digest = hashlib.sha256()
     count = 0
     for x in _distinct_census_graphs(8, caps):
-        _, gens = _aut_search(x.rows, x.n, 10**9)
+        _, gens, _ = _aut_search(x.rows, x.n, 10**9)
         cover = bipartite_double_cover(x)
         budgets.clear()
-        base, cover_gens = _aut_search(
+        base, cover_gens, _ = _aut_search(
             cover.rows, cover.n, 10**9, _cover_seeds(x.n, gens), "double-cover automorphism search")
         (budget,) = budgets
         digest.update(repr((x.rows, base, cover_gens, budget.nodes)).encode())
@@ -370,28 +358,49 @@ SEARCH_FAMILIES = (
 )
 
 
-def _search_trees(g, aut_search, canon_search):
-    """Base, generators and nodes spent of the automorphism search, labelling
-    and nodes of the canonical search, and base, generators and nodes of the
-    seeded double-cover search, all three run by the given implementations."""
+def _walked(search, *args):
+    """The answer of one search and the nodes it charged."""
     with pytest.MonkeyPatch.context() as mp:
         budgets = _recorded_budgets(mp, canon, brute)
-        base, gens = aut_search(g.rows, g.n, 10**9)
-        lab = canon_search(g.rows, g.n, list(gens), 10**9)
-        cover = bipartite_double_cover(g)
-        cover_tree = aut_search(cover.rows, cover.n, 10**9, _cover_seeds(g.n, gens),
-                                "double-cover automorphism search")
-    return base, gens, lab, cover_tree, [b.nodes for b in budgets]
-
-
-def _trees_agree_with_leaf_descent(g):
-    assert _search_trees(g, _aut_search, _canon_search) == _search_trees(
-        g, leaf_descent_aut_search, graph6_keyed_canon_search)
+        answer = search(*args)
+    (budget,) = budgets
+    return answer, budget.nodes
 
 
 def test_search_trees_equal_the_leaf_descent_on_families():
+    # on these graphs the walk makes no canonical descent: its base,
+    # generators and nodes charged, and those of the seeded double-cover
+    # search, are those of the search that walked every probe down to a leaf
+    # and keyed leaves by graph6, and its labelling is that of the canonical
+    # search that followed it
     for g in SEARCH_FAMILIES:
-        _trees_agree_with_leaf_descent(g)
+        (base, gens, lab), nodes = _walked(_aut_search, g.rows, g.n, 10**9)
+        assert ((base, gens), nodes) == _walked(leaf_descent_aut_search, g.rows, g.n, 10**9)
+        assert lab == graph6_keyed_canon_search(g.rows, g.n, gens, 10**9)
+        cover = bipartite_double_cover(g)
+        seeded = (cover.rows, cover.n, 10**9, _cover_seeds(g.n, gens), "double-cover automorphism search")
+        (*cover_tree, _), cover_nodes = _walked(_aut_search, *seeded)
+        assert (tuple(cover_tree), cover_nodes) == _walked(leaf_descent_aut_search, *seeded)
+
+
+def _walk_agrees_with_the_oracles(g) -> tuple[int, int]:
+    """The walk's base and generators are the leaf-descent search's, its
+    labelling and fingerprint are those of the canonical search given those
+    generators that refines every node, it charges at least the nodes of the
+    former and at most those of both, and one node fewer runs it out with
+    the automorphism search's message.  Returns the nodes charged by the
+    walk and by the leaf-descent search."""
+    (base, gens, lab), nodes = _walked(_aut_search, g.rows, g.n, 10**9)
+    (want_base, want_gens), aut_nodes = _walked(leaf_descent_aut_search, g.rows, g.n, 10**9)
+    want_lab, canon_nodes = _walked(refining_canon_search, g.rows, g.n, list(gens), 10**9)
+    assert (base, gens, lab) == (want_base, want_gens, want_lab)
+    assert canonical_form(g, 10**9) == CanonicalForm(lab, graph6_in_order(g.rows, pinv(lab)).encode("ascii"))
+    assert aut_nodes <= nodes <= aut_nodes + canon_nodes
+    if nodes:
+        message = f"^automorphism search: budget exhausted after {nodes - 1} refinement nodes on {g.n} vertices$"
+        with pytest.raises(BudgetExceeded, match=message):
+            _aut_search(g.rows, g.n, nodes - 1)
+    return nodes, aut_nodes
 
 
 @settings(max_examples=120, deadline=None)
@@ -403,9 +412,9 @@ def test_search_trees_equal_the_leaf_descent_on_families():
     )
 )
 def test_search_trees_equal_the_leaf_descent_on_random_graphs(g):
-    # base, generators, nodes charged and labelling are those of the searches
-    # that walked every probe down to a leaf and keyed leaves by graph6
-    _trees_agree_with_leaf_descent(g)
+    # the walk's automorphism tree is the leaf-descent search's; its
+    # canonical descents find the refining canonical search's leaf
+    _walk_agrees_with_the_oracles(g)
 
 
 def _refined_and_charged(g):
@@ -436,8 +445,9 @@ def test_probes_stop_where_they_line_up_with_the_first_path():
 
 
 def _outcome(search, rows, n, limit, *seeded):
+    """(base, gens) of one search, or its budget error."""
     try:
-        return search(rows, n, limit, *seeded)
+        return tuple(search(rows, n, limit, *seeded)[:2])
     except BudgetExceeded as exc:
         return str(exc)
 
@@ -446,7 +456,7 @@ def test_budgets_run_out_where_the_leaf_descent_runs_out():
     # an automorphism search first raises at the same budget, with the same
     # message, as the search that walked every probe down to a leaf
     for g in (_hypercube(4), petersen_graph(), _crown(5), _rook(3, 3), cycle_graph(8)):
-        _, gens = _aut_search(g.rows, g.n, 10**9)
+        _, gens, _ = _aut_search(g.rows, g.n, 10**9)
         cover = bipartite_double_cover(g)
         seeded = (_cover_seeds(g.n, gens), "double-cover automorphism search")
         for rows, n, extra in ((g.rows, g.n, ()), (cover.rows, cover.n, seeded)):
@@ -606,92 +616,26 @@ def test_refine_matches_scanning_refine_on_search_nodes():
                 assert fast == slow
 
 
-def _descent(rows, prefix):
-    """(cells, trace) of the node at prefix, refined afresh from the root."""
-    n = len(rows)
-    nbrs = _neighbours(rows)
-    cells: list[list[int]] = [list(range(n))] if n else []
-    trace = _refine(rows, cells, [mask_of(range(n))], nbrs)
-    budget = canon._Budget("descent", n, 10**9)
-    for v in prefix:
-        t = _target_cell(cells)
-        assert v in cells[t]
-        cells, trace = _child(rows, cells, t, v, budget, nbrs)
-    return cells, trace
-
-
-def _recorded_nodes_are_descents(g):
-    # a node is a function of its prefix: the one the automorphism search
-    # records under a prefix is the one a fresh descent along it reaches
-    nodes: dict = {}
-    _aut_search(g.rows, g.n, 10**9, nodes=nodes)
-    assert () in nodes
-    for prefix, node in nodes.items():
-        assert node == _descent(g.rows, prefix)
-
-
-def test_recorded_nodes_are_descents_on_census_graphs_to_order_8(caps):
-    count = 0
-    for x in _distinct_census_graphs(8, caps):
-        _recorded_nodes_are_descents(x)
-        count += 1
-    assert count == 430
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=12).flatmap(
-        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-            lambda e: e[0] < e[1]
-        )).map(lambda edges: from_edges(n, sorted(edges)))
-    )
-)
-def test_recorded_nodes_are_descents_on_random_graphs(g):
-    _recorded_nodes_are_descents(g)
-
-
 def _clear_searches():
-    canon._aut_cached.cache_clear()
-    canon._canon_cached.cache_clear()
+    canon._search_cached.cache_clear()
     canon._cover_cached.cache_clear()
-    canon._last_nodes[:] = None, None
 
 
-def test_canonical_form_equals_the_refining_search_on_census_graphs_to_order_12(caps, monkeypatch):
-    # `canonical_form` reads the nodes its automorphism search refined; the
-    # canonical search that refines every node gives the same labelling and
-    # fingerprint, charges the same nodes, and one node less runs it out
-    # with the same message
-    budgets = _recorded_budgets(monkeypatch, canon, brute)
-    count = 0
+def test_canonical_form_equals_the_refining_search_on_census_graphs_to_order_12(caps):
+    # 3,083 of the graphs need no canonical descent; the rest charge 1,644
+    # nodes more than the automorphism-only search
+    count = exact = charged = 0
     for x in _distinct_census_graphs(12, caps):
-        _clear_searches()
-        budgets.clear()
-        form = canonical_form(x, 10**9)
-        _, canon_budget = budgets
-        assert canon_budget.stage == "canonical search"
-        gens = list(automorphism_group(x, 10**9).generators)
-        budgets.clear()
-        lab = refining_canon_search(x.rows, x.n, gens, 10**9)
-        assert (form.labeling, canon_budget.nodes) == (lab, budgets[0].nodes)
-        assert form.fingerprint == graph6_in_order(x.rows, pinv(lab)).encode("ascii")
-        if canon_budget.nodes:
-            limit = canon_budget.nodes - 1
-            nodes: dict = {}
-            _aut_search(x.rows, x.n, 10**9, nodes=nodes)
-            with pytest.raises(BudgetExceeded) as shared:
-                _canon_search(x.rows, x.n, gens, limit, nodes)
-            with pytest.raises(BudgetExceeded) as refined:
-                refining_canon_search(x.rows, x.n, gens, limit)
-            assert str(shared.value) == str(refined.value)
+        nodes, aut_nodes = _walk_agrees_with_the_oracles(x)
+        exact += nodes == aut_nodes
+        charged += nodes
         count += 1
-    assert count == 3496
+    assert (count, exact, charged) == (3496, 3083, 50060)
 
 
-def test_census_canonical_searches_refine_few_nodes_of_their_own(caps, tmp_path, monkeypatch):
-    # the order-11 census runs 211 canonical searches, which charge 756
-    # nodes; all but 12 were refined by the automorphism search of the same
-    # graph just before
+def test_census_runs_one_search_per_graph(caps, tmp_path, monkeypatch):
+    # the order-11 census walks each of its 212 distinct graphs once for both
+    # Aut and the fingerprint, and searches 43 double covers
     _clear_searches()
     budgets = _recorded_budgets(monkeypatch, canon)
     refined: collections.Counter = collections.Counter()
@@ -704,36 +648,15 @@ def test_census_canonical_searches_refine_few_nodes_of_their_own(caps, tmp_path,
     monkeypatch.setattr(canon, "_child", counting_child)
     run_census(RunConfig(max_order=11, out_path=str(tmp_path / "census.jsonl"), jobs=1, caps=caps))
     searches = collections.Counter(b.stage for b in budgets)
-    charged = sum(b.nodes for b in budgets if b.stage == "canonical search")
-    assert searches["canonical search"] == 211
-    assert (charged, refined["canonical search"]) == (756, 12)
-
-
-def test_one_search_record_lives_until_its_canonical_search(monkeypatch):
-    # the nodes of the last automorphism search wait in one slot, and the
-    # canonical search of the same graph takes them out
-    _clear_searches()
-    budgets = _recorded_budgets(monkeypatch, canon, brute)
-    x, y = cycle_graph(7), petersen_graph()
-    automorphism_group(x)
-    assert canon._last_nodes[0] == (x.n, x.rows)
-    automorphism_group(y)
-    assert canon._last_nodes[0] == (y.n, y.rows)
-    canonical_form(y)
-    assert canon._last_nodes == [None, None]
-    # x's record is gone, so its canonical search refines every node itself
-    budgets.clear()
-    lab = canonical_form(x).labeling
-    (mine,) = budgets
-    budgets.clear()
-    assert lab == refining_canon_search(x.rows, x.n, list(automorphism_group(x).generators), 10**9)
-    assert mine.nodes == budgets[0].nodes
+    assert searches == {"automorphism search": 212, "double-cover automorphism search": 43}
+    charged = sum(b.nodes for b in budgets if b.stage == "automorphism search")
+    assert (charged, refined["automorphism search"]) == (3029, 2330)
 
 
 def test_lazy_transversals_equal_the_eager_builder_on_census_graphs_to_order_8(caps):
     count = 0
     for x in _distinct_census_graphs(8, caps):
-        base, gens = _aut_search(x.rows, x.n, 10**9)
+        base, gens, _ = _aut_search(x.rows, x.n, 10**9)
         chain = StabilizerChain.from_strong_generators(x.n, base, gens)
         want_base, want = eager_transversals(x.n, base, gens)
         assert chain.base == want_base

@@ -66,19 +66,28 @@ def test_detect_cayley_trivial_families(caps):
 
 
 def test_component_isomorphisms_need_no_canonical_search(caps, monkeypatch):
-    # the isomorphisms between components come from Aut(X)'s first transversal
-    def refuse(*args):
-        raise AssertionError("canonical search run")
+    # the isomorphisms between components come from Aut(X)'s first
+    # transversal: detection searches X and the component through the base
+    # point, and no other component (the complement of 3C4 is detected
+    # through 3C4, whose component C4 is detected through 2K2)
+    searched = []
 
-    canon._canon_cached.cache_clear()
-    monkeypatch.setattr(canon, "_canon_search", refuse)
+    class Counting(canon._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searched.append(self.n)
+
+    monkeypatch.setattr(canon, "_Budget", Counting)
     c5, c4 = cycle_graph(5), cycle_graph(4)
     two_c5 = relabel(_union(c5, c5), (3, 7, 0, 9, 5, 1, 8, 2, 6, 4))
-    for g in (two_c5, _union(c4, c4, c4).complement()):
+    for g, sizes in ((two_c5, [10, 5]), (_union(c4, c4, c4).complement(), [12, 4, 2])):
+        canon._search_cached.cache_clear()
+        searched.clear()
         verdict = detect_cayley(g, caps)
         assert verdict.status == "cayley"
         assert check_witness(verdict.witness) and verdict.witness.target == g
         assert verdict.witness.source == _cayley_graph(verdict.group, verdict.connection_ids)
+        assert searched == sizes
 
 
 def test_detect_cayley_petersen(caps):
