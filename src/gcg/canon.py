@@ -54,10 +54,11 @@ dropped.  A greater one is cut.  A lesser one is walked in canonical mode
 (`descend`): no probes, orbit pruning with the automorphisms found so far,
 and a cut wherever the trace prefix exceeds the best leaf's.  It is walked
 once its node's other children are done, which moves no tie: its leaves are
-less than all of theirs.  At a first-path node the walk has by then found
-every generator that fixes the node's prefix (a later one moves a base
-point above it), so the descents there prune as a search given all the
-generators would.  Probe walks take no cut, so base, gens and the nodes
+less than all of theirs.  It is skipped if the automorphisms found by then
+put it in the orbit of a lesser sibling walked before it.  At a first-path
+node the walk has by then found every generator that fixes the node's
+prefix (a later one moves a base point above it), so the descents there
+prune as a search given all the generators would.  Probe walks take no cut, so base, gens and the nodes
 they charge stay those of an automorphism-only search; the canonical
 descents add theirs.
 
@@ -393,9 +394,14 @@ def _aut_search(rows: tuple[int, ...], n: int, limit: int, seeds=(), stage: str 
                 if explore(child, depth + 1, key, False) and not on_first:
                     return True
             elif tr < first_traces[depth]:
-                lesser.append((child, key, (*first_traces[:depth], tr)))
-        for node in lesser:
-            descend(*node)
+                lesser.append((v, child, key, (*first_traces[:depth], tr)))
+        if lesser:
+            # automorphisms found since may join two of them in one orbit
+            walked = _SiblingOrbits(prefix, gens)
+            for v, *node in lesser:
+                if not walked.hits(v):
+                    walked.explored(v)
+                    descend(*node)
         return False
 
     explore(cells0, 0, (), True)
