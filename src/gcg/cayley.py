@@ -64,8 +64,7 @@ def _lift_components(x: Graph, chain: StabilizerChain, caps: Caps) -> list[Perm]
     the component of Cay(G, S) through the identity is Cay(<S>, S)."""
     comps = x.components()
     home = next(comp for comp in comps if chain.base[0] in comp)
-    y = _component_graph(x, home)
-    ry = _regular_subgroup(y, automorphism_group(y, caps.aut_node_budget).chain, caps)
+    ry = _regular_subgroup(_component_graph(x, home), caps)
     if ry is None:
         return None
     u0 = chain.transversal[0]
@@ -162,18 +161,19 @@ def _chain_search(chain: StabilizerChain, budget: int) -> list[Perm] | None:
     return None if found is None else list(found.values())
 
 
-def _regular_subgroup(g: Graph, chain: StabilizerChain, caps: Caps) -> list[Perm] | None:
-    """A regular subgroup of Aut(g) for a vertex-transitive g with Aut(g)'s
-    stabilizer chain, or None when there is none; raises BudgetExceeded when
-    a search runs out of budget.
+def _regular_subgroup(g: Graph, caps: Caps) -> list[Perm] | None:
+    """A regular subgroup of Aut(g) for a vertex-transitive g, or None when
+    there is none; raises BudgetExceeded when a search runs out of budget.
 
     Aut(g) is never listed: complete and edgeless graphs take the cyclic
-    shifts, a disconnected g or complement reduces to one component (the
-    complement has the same automorphisms), and only a connected,
-    co-connected graph reaches the stabilizer-chain search."""
+    shifts with no search; any other g reads the stabilizer chain of Aut(g),
+    a disconnected g or complement reduces to one component (the complement
+    has the same automorphisms), and only a connected, co-connected graph
+    reaches the stabilizer-chain search."""
     n = g.n
     if g.edge_count() in (0, n * (n - 1) // 2):
         return _cyclic_shifts(n)
+    chain = automorphism_group(g, caps.aut_node_budget).chain
     if not g.is_connected():
         return _lift_components(g, chain, caps)
     co = g.complement()
@@ -206,45 +206,43 @@ def detect_cayley(g: Graph, caps: Caps | None = None) -> CayleyVerdict:
     n = g.n
     if n == 0:
         return CayleyVerdict(status="unknown", reason="empty vertex set")
-    if g.edge_count() == 0 or g.edge_count() == n * (n - 1) // 2:
-        kind = "edgeless" if g.edge_count() == 0 else "complete"
-        group, connection, witness = _regular_to_cayley(g, _cyclic_shifts(n))
-        return CayleyVerdict(
-            status="cayley",
-            reason=f"{kind} graph is a circulant",
-            group=group,
-            connection_ids=connection,
-            witness=witness,
-        )
+    # complete and edgeless graphs are circulants, with no search and no |Aut|
+    reason, aut_order = "regular subgroup of automorphisms found", None
+    if g.edge_count() == 0:
+        reason = "edgeless graph is a circulant"
+    elif g.edge_count() == n * (n - 1) // 2:
+        reason = "complete graph is a circulant"
+    else:
+        try:
+            desc = automorphism_group(g, caps.aut_node_budget)
+        except BudgetExceeded as exc:
+            return CayleyVerdict(status="unknown", reason=str(exc))
+        aut_order = desc.order
+        if len(desc.orbits) > 1:
+            return CayleyVerdict(
+                status="not_cayley",
+                reason="automorphism group is not transitive",
+                orbit_witness=(desc.orbits[0][0], desc.orbits[1][0]),
+                aut_order=aut_order,
+            )
     try:
-        desc = automorphism_group(g, caps.aut_node_budget)
+        regular = _regular_subgroup(g, caps)
     except BudgetExceeded as exc:
-        return CayleyVerdict(status="unknown", reason=str(exc))
-    if len(desc.orbits) > 1:
-        return CayleyVerdict(
-            status="not_cayley",
-            reason="automorphism group is not transitive",
-            orbit_witness=(desc.orbits[0][0], desc.orbits[1][0]),
-            aut_order=desc.order,
-        )
-    try:
-        regular = _regular_subgroup(g, desc.chain, caps)
-    except BudgetExceeded as exc:
-        return CayleyVerdict(status="unknown", reason=str(exc), aut_order=desc.order)
+        return CayleyVerdict(status="unknown", reason=str(exc), aut_order=aut_order)
     if regular is None:
         return CayleyVerdict(
             status="not_cayley",
             reason="no regular subgroup in the full automorphism group",
-            aut_order=desc.order,
+            aut_order=aut_order,
         )
     group, connection, witness = _regular_to_cayley(g, regular)
     return CayleyVerdict(
         status="cayley",
-        reason="regular subgroup of automorphisms found",
+        reason=reason,
         group=group,
         connection_ids=connection,
         witness=witness,
-        aut_order=desc.order,
+        aut_order=aut_order,
     )
 
 

@@ -35,9 +35,10 @@ therefore follows from one of GC(G, S, alpha) without building its graph:
   with vertex x renamed psi(x), t'[psi(x)] = t[x], and `triangle_hash` is
   the hash of that renamed profile.
 Within one alpha, psi ranges over the centralizer C(alpha) (then alpha' =
-alpha): the first set of each C(alpha)-orbit in enumeration order is
-computed in full and every later set phi(S) of the orbit is transported
-from it.  This is done for the class representative only; every other
+alpha): the sets come with their rows from `connection_rows`, the first set
+of each C(alpha)-orbit in enumeration order is computed in full on the graph
+of those rows, and every later set phi(S) of the orbit is transported from
+it.  This is done for the class representative only; every other
 member alpha_j receives each representative record through one fixed psi_j
 with psi_j alpha_rep psi_j^-1 = alpha_j.  `compute_record` is the direct,
 untransported computation.
@@ -88,7 +89,7 @@ from .construct import (
     GCSpec,
     build_gc_graph,
     capped_connection_orbits,
-    connection_masks,
+    connection_rows,
     kernel_subgroup,
     make_spec,
 )
@@ -116,17 +117,19 @@ class RunConfig:
 
 
 def compute_record(spec: GCSpec, alpha_index: int, caps: Caps) -> dict:
-    x, record, _ = _labelled_fields(spec, alpha_index)
+    x = build_gc_graph(spec)
+    record, _ = _labelled_fields(spec, alpha_index, x)
     record["fingerprint"] = _fingerprint(x, caps)
     record.update(_verdicts(x, caps, twisted_translation(spec.group, spec.alpha.perm)))
     return record
 
 
-def spec_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, SubgroupHandle, dict]:
-    """The graph, its kernel, and the fields that every census record and
-    `gcg build` print."""
+def spec_fields(spec: GCSpec, alpha_index: int, x: Graph) -> tuple[SubgroupHandle, dict]:
+    """The kernel, and the fields that every census record and `gcg build`
+    print, for x the graph of spec.  `unworthy` is read off x (two vertices
+    with one neighbourhood) and `kernel_size` off `kernel_subgroup`, so
+    `refuting_records` compares the two (Prop 5.1, Cor 5.2)."""
     g = spec.group
-    x = build_gc_graph(spec)
     kernel = kernel_subgroup(spec)
     fields: dict = {
         "group": g.name,
@@ -137,19 +140,19 @@ def spec_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, SubgroupHandle, 
         "degree": _degree(x),
         "connected": x.is_connected(),
         "bipartite": x.is_bipartite(),
-        "unworthy": len(kernel) > 1,
+        "unworthy": len(set(x.rows)) < x.n,
         "kernel_size": len(kernel),
     }
-    return x, kernel, fields
+    return kernel, fields
 
 
-def _labelled_fields(spec: GCSpec, alpha_index: int) -> tuple[Graph, dict, tuple[int, ...]]:
-    """The graph, the fields computed for every record, and the triangle
-    profile behind `triangle_hash`."""
-    x, _, record = spec_fields(spec, alpha_index)
+def _labelled_fields(spec: GCSpec, alpha_index: int, x: Graph) -> tuple[dict, tuple[int, ...]]:
+    """The fields computed for every record, and the triangle profile behind
+    `triangle_hash`, for x the graph of spec."""
+    _, record = spec_fields(spec, alpha_index, x)
     profile = triangle_profile(x)
     record["triangle_hash"] = _profile_hash(profile)
-    return x, record, profile
+    return record, profile
 
 
 def _profile_hash(profile) -> str:
@@ -293,12 +296,13 @@ def _work(args: tuple[str, Caps]) -> tuple[str, list[dict]]:
         alpha = involutions[cls.rep]
         orbits: list[tuple[Graph, list]] = []   # (first set's graph, labelled records) of each C(alpha)-orbit
         pending: dict[int, tuple[list, Perm]] = {}   # later set of an orbit -> (its labelled records, phi)
-        for mask in connection_masks(capped_connection_orbits(g, alpha, caps)):
+        for mask, rows in connection_rows(g, alpha, capped_connection_orbits(g, alpha, caps)):
             if mask in pending:
                 orbit, phi = pending.pop(mask)
                 orbit.append(_transport(*orbit[0], phi, alpha, cls.rep))
                 continue
-            x, record, profile = _labelled_fields(make_spec(g, alpha, mask), cls.rep)
+            x = Graph(g.order, rows)
+            record, profile = _labelled_fields(make_spec(g, alpha, mask), cls.rep, x)
             orbit = [(record, profile)]
             orbits.append((x, orbit))
             for phi in cls.centralizer:

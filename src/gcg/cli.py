@@ -211,7 +211,9 @@ def cmd_build(args, caps: Caps) -> int:
         payload["valid"] = False
         _emit(payload, args.format)
         return SPEC_EXIT
-    x, kernel, fields = spec_fields(make_spec(g, alpha, mask), args.alpha)
+    spec = make_spec(g, alpha, mask)
+    x = build_gc_graph(spec)
+    kernel, fields = spec_fields(spec, args.alpha, x)
     payload.update(fields, valid=True, vertices=x.n, edges=x.edge_count(), kernel=list(kernel.members()))
     desc = automorphism_group(x, caps.aut_node_budget)
     payload["aut_order"] = desc.order

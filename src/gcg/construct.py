@@ -7,6 +7,7 @@ Vertices are the group elements; x ~ y iff alpha(x^{-1})y lies in S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterator
 
 from .automorphisms import AutomorphismMap, omega_set
@@ -110,16 +111,40 @@ def capped_connection_orbits(g: FiniteGroup, alpha: AutomorphismMap, caps: Caps)
     return orbits
 
 
-def connection_masks(orbits: list[tuple[int, ...]]) -> Iterator[int]:
-    """Element masks of the unions of orbits, for orbit-inclusion bitmasks
-    counting up from 0 (the order of `enumerate_connection_sets`)."""
-    orbit_masks = [mask_of(orbit) for orbit in orbits]
-    for index in range(1 << len(orbits)):
-        mask = 0
-        for i, m in enumerate(orbit_masks):
-            if index >> i & 1:
-                mask |= m
-        yield mask
+def connection_rows(
+    g: FiniteGroup, alpha: AutomorphismMap, orbits: list[tuple[int, ...]]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(S mask, rows of GC(G, S, alpha)) for every union S of `orbits`, the
+    connection orbits of (g, alpha), built from the single-orbit layers X_O
+    instead of set by set.
+
+    Lemma.  For S a union of connection orbits O, row x of GC(G, S, alpha)
+    is the mask of alpha(x)S, the OR of row x of the layers X_O; and S is
+    valid, because alpha(x^-1)x lies in S only if it lies in one O, and
+    alpha(S^-1) is the union of the alpha(O^-1) = O.  So each layer is
+    validated once, by `make_spec` and `build_gc_graph` (loops and
+    symmetry), and an OR of loop-free symmetric rows is loop-free and
+    symmetric.
+
+    Set i is the union of the orbits at the one bits of i.  `level[j]`
+    holds the OR over the bits >= j of the current i, so going from i - 1
+    to i, whose lowest one bit is t, sets level[t] = level[t + 1] | layer t
+    and the levels below t to level[t]; level[0] is set i.  That keeps
+    O(k |G|) ints for k orbits, and each layer is built when first used."""
+    empty = (0, (0,) * g.order)
+    level = [empty] * (len(orbits) + 1)
+    layers: list[tuple[int, tuple[int, ...]]] = []
+    yield empty
+    for i in range(1, 1 << len(orbits)):
+        t = (i & -i).bit_length() - 1
+        if t == len(layers):
+            spec = make_spec(g, alpha, orbits[t])
+            layers.append((spec.connection.mask, build_gc_graph(spec).rows))
+        s_mask, rows = level[t + 1]
+        o_mask, o_rows = layers[t]
+        level[t] = (s_mask | o_mask, tuple(map(or_, rows, o_rows)))
+        level[:t] = [level[t]] * t
+        yield level[0]
 
 
 def enumerate_connection_sets(
@@ -139,15 +164,14 @@ def enumerate_connection_sets(
     """
     orbits = capped_connection_orbits(g, alpha, caps or caps_from_env())
     full = (1 << len(orbits)) - 1
-    for index, mask in enumerate(connection_masks(orbits)):
+    for index, (mask, rows) in enumerate(connection_rows(g, alpha, orbits)):
         if nonempty_only and index == 0:
             continue
         if up_to_complement and index > full ^ index:
             continue
-        spec = make_spec(g, alpha, mask)
-        if connected_only and not build_gc_graph(spec).is_connected():
+        if connected_only and not Graph(g.order, rows).is_connected():
             continue
-        yield spec
+        yield make_spec(g, alpha, mask)
 
 
 def kernel_subgroup(spec: GCSpec) -> SubgroupHandle:

@@ -16,7 +16,6 @@ import inspect
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .automorphisms import (
@@ -43,6 +42,7 @@ from .construct import (
     build_gc_graph,
     capped_connection_orbits,
     connection_orbits,
+    connection_rows,
     enumerate_connection_sets,
     kernel_subgroup,
     make_spec,
@@ -139,15 +139,14 @@ def _sweep_layers(
     vertex map checked on single-orbit layers, instead of set by set.
 
     Lemma.  Let S be the union of connection orbits O.  Every row of
-    `build_gc_graph(S)` is the OR of the same row of the layers X_O, because
-    x ~ alpha(x)s for s in S is a union over orbits.  The same holds for the
-    edge rule of `normal_form_odd_abelian` and for every Cayley target
-    Cay(H, t(S)) with t applied element by element, as in
-    `dihedralize_inversion` and `order_2p_witness`, and the vertex maps of
-    all of them depend on (G, alpha) only.  A bijection f maps a union of
-    rows to the union of the images, so if one f passes `check_witness` on
-    every layer X_O -> Y_O, it is an isomorphism X_S -> Y_S for every union
-    S of them.
+    GC(G, S, alpha) is the OR of the same row of the layers X_O, by the
+    lemma of `connection_rows`.  The same holds for the edge rule of
+    `normal_form_odd_abelian` and for every Cayley target Cay(H, t(S)) with
+    t applied element by element, as in `dihedralize_inversion` and
+    `order_2p_witness`, and the vertex maps of all of them depend on
+    (G, alpha) only.  A bijection f maps a union of rows to the union of the
+    images, so if one f passes `check_witness` on every layer X_O -> Y_O, it
+    is an isomorphism X_S -> Y_S for every union S of them.
 
     `certify` checks the witness on one layer (raising on failure) and
     returns its vertex map; every layer must return the same map.  With
@@ -1077,44 +1076,9 @@ def run_thm_4_3(caps: Caps, p: int | None = None) -> list[TheoremReport]:
     return reports
 
 
-def _set_rows(g: FiniteGroup, alpha: AutomorphismMap, caps: Caps) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(S mask, rows of GC(G, S, alpha)) for the sets that
-    `enumerate_connection_sets(g, alpha, caps=caps)` yields, in its order,
-    built from the single-orbit layers X_O instead of set by set.
-
-    Lemma (the rows part is `_sweep_layers`').  For S a union of
-    connection orbits O, row x of GC(G, S, alpha) is the mask of alpha(x)S,
-    the OR of row x of the layers X_O; and S is valid, because alpha(x^-1)x lies in S only if it lies in one O, and
-    alpha(S^-1) is the union of the alpha(O^-1) = O.  So each layer is
-    validated once, by `make_spec` and `build_gc_graph` (loops and
-    symmetry), and an OR of loop-free symmetric rows is loop-free and
-    symmetric.
-
-    Set i is the union of the orbits at the one bits of i.  `level[j]`
-    holds the OR over the bits >= j of the current i, so going from i - 1
-    to i, whose lowest one bit is t, sets level[t] = level[t + 1] | layer t
-    and the levels below t to level[t]; level[0] is set i.  That keeps
-    O(k |G|) ints for k orbits, and each layer is built when first used."""
-    orbits = capped_connection_orbits(g, alpha, caps)
-    empty = (0, (0,) * g.order)
-    level = [empty] * (len(orbits) + 1)
-    layers: list[tuple[int, tuple[int, ...]]] = []
-    yield empty
-    for i in range(1, 1 << len(orbits)):
-        t = (i & -i).bit_length() - 1
-        if t == len(layers):
-            spec = make_spec(g, alpha, orbits[t])
-            layers.append((spec.connection.mask, build_gc_graph(spec).rows))
-        s_mask, rows = level[t + 1]
-        o_mask, o_rows = layers[t]
-        level[t] = (s_mask | o_mask, tuple(map(or_, rows, o_rows)))
-        level[:t] = [level[t]] * t
-        yield level[0]
-
-
 def _unworthy_checks(g: FiniteGroup, caps: Caps) -> Iterator[tuple[str, AutomorphismMap, Iterator, Callable]]:
     """For each involutory automorphism alpha of g: its instance name, alpha,
-    the (S mask, rows) pairs of `_set_rows`, and `certify`, which runs
+    the (S mask, rows) pairs of `connection_rows`, and `certify`, which runs
     `_unworthy_certificate` on one pair.
 
     K(S) = {x : rows[x] == S}, because alpha(x)S is contained in S only
@@ -1132,7 +1096,8 @@ def _unworthy_checks(g: FiniteGroup, caps: Caps) -> Iterator[tuple[str, Automorp
                 kernels[k_mask] = subgroup_handle(g, k_mask)
             return _unworthy_certificate(g, s_mask, rows, kernels[k_mask], omega_mask)
 
-        yield key, alpha, _set_rows(g, alpha, caps), certify
+        orbits = capped_connection_orbits(g, alpha, caps)
+        yield key, alpha, connection_rows(g, alpha, orbits), certify
 
 
 def _unworthy_refutation(

@@ -69,7 +69,9 @@ def test_component_isomorphisms_need_no_canonical_search(caps, monkeypatch):
     # the isomorphisms between components come from Aut(X)'s first
     # transversal: detection searches X and the component through the base
     # point, and no other component (the complement of 3C4 is detected
-    # through 3C4, whose component C4 is detected through 2K2)
+    # through 3C4, whose component C4 is detected through 2K2); a complete or
+    # edgeless component (K2 there, K3 in 2K3 and in K3,3 = co-2K3) takes
+    # the cyclic shifts with no search
     searched = []
 
     class Counting(canon._Budget):
@@ -80,7 +82,13 @@ def test_component_isomorphisms_need_no_canonical_search(caps, monkeypatch):
     monkeypatch.setattr(canon, "_Budget", Counting)
     c5, c4 = cycle_graph(5), cycle_graph(4)
     two_c5 = relabel(_union(c5, c5), (3, 7, 0, 9, 5, 1, 8, 2, 6, 4))
-    for g, sizes in ((two_c5, [10, 5]), (_union(c4, c4, c4).complement(), [12, 4, 2])):
+    two_k3 = _union(complete_graph(3), complete_graph(3))
+    for g, sizes in (
+        (two_c5, [10, 5]),
+        (_union(c4, c4, c4).complement(), [12, 4]),
+        (two_k3, [6]),
+        (two_k3.complement(), [6]),
+    ):
         canon._search_cached.cache_clear()
         searched.clear()
         verdict = detect_cayley(g, caps)

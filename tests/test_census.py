@@ -343,6 +343,19 @@ def test_a_resume_of_every_group_builds_no_alpha_class(tmp_path, monkeypatch, ca
     assert calls == []
 
 
+def test_unworthiness_cross_check_compares_the_graph_with_the_kernel(tmp_path, monkeypatch, caps):
+    # `unworthy` is read off the graph's rows and `kernel_size` off
+    # kernel_subgroup, so a kernel that lost its members is flagged on every
+    # record with twins (Prop 5.1, Cor 5.2)
+    import gcg.census as census
+    from gcg.groups import subgroup_handle
+
+    monkeypatch.setattr(census, "kernel_subgroup", lambda spec: subgroup_handle(spec.group, 1))
+    records = run_census(RunConfig(max_order=8, out_path=str(tmp_path / "c.jsonl"), caps=caps))
+    flagged = [rec for rec, why in refuting_records(records) if "unworthiness" in why]
+    assert flagged and flagged == [rec for rec in records if rec["unworthy"]]
+
+
 def test_refuting_records_fire_on_fabricated_rows(tmp_path, caps):
     g = make_group("Z6", caps)
     spec = make_spec(g, inversion_map(g), (1, 3, 5))

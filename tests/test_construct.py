@@ -12,6 +12,7 @@ from gcg.catalog import builtin_groups
 from gcg.construct import (
     build_gc_graph,
     connection_orbits,
+    connection_rows,
     enumerate_connection_sets,
     kernel_subgroup,
     make_spec,
@@ -86,6 +87,24 @@ def test_enumeration_matches_power_set_oracle(caps):
                     for s in enumerate_connection_sets(g, alpha, caps=caps)}
             brute = set(valid_connection_sets(g.mul, g.inv, alpha.perm))
             assert ours == brute, (name, alpha.perm)
+
+
+def test_connection_rows_match_the_power_set_oracle(caps):
+    # every (G, alpha) to order 10: set i is the union of the orbits at the
+    # one bits of i, and its rows, ORed from single-orbit layers, are those
+    # of its own graph
+    for g in builtin_groups(10, caps):
+        for alpha in enumerate_involutory_automorphisms(g):
+            orbits = connection_orbits(g, alpha)
+
+            def index(s, orbits=orbits):
+                return sum(1 << j for j, orbit in enumerate(orbits) if orbit[0] in s)
+
+            brute = sorted(valid_connection_sets(g.mul, g.inv, alpha.perm), key=index)
+            pairs = list(connection_rows(g, alpha, orbits))
+            assert [mask for mask, _ in pairs] == [mask_of(s) for s in brute], (g.name, alpha.perm)
+            for mask, rows in pairs:
+                assert rows == build_gc_graph(make_spec(g, alpha, mask)).rows
 
 
 def test_enumeration_flags(caps):
