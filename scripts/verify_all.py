@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run every theorem verifier at its default desk-scale parameters.
 
-Prints one line per theorem with verdict counts and timing, then a totals
-line.  Exit code 0 when everything verified, 1 on a usage error (an
-unknown theorem id among them), 2 on any refutation, 3 when any sweep was
-budget-skipped.
+Prints one line per theorem with verdict counts and its time in
+milliseconds, then a totals line.  Exit code 0 when everything verified, 1
+on a usage error (an unknown theorem id among them), 2 on any refutation, 3
+when any sweep was budget-skipped.
 """
 from __future__ import annotations
 
@@ -42,14 +42,14 @@ def main() -> int:
         verdicts = Counter(r.verdict for r in reports)
         totals.update(verdicts)
         summary = ", ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
-        print(f"{tid:>10}  {len(reports):>4} reports  {summary}  ({dt:.2f}s)")
+        print(f"{tid:>10}  {len(reports):>4} reports  {summary}  ({dt * 1000:.1f} ms)")
         for r in reports:
             if r.verdict == "refuted":
                 print(f"            REFUTED {r.instance}: {r.certificate}")
     elapsed = time.perf_counter() - started
     print(f"{'total':>10}  {sum(totals.values()):>4} reports  "
           + ", ".join(f"{k}={v}" for k, v in sorted(totals.items()))
-          + f"  ({elapsed:.2f}s)")
+          + f"  ({elapsed * 1000:.1f} ms)")
     if totals.get("refuted"):
         return 2
     if totals.get("skipped"):

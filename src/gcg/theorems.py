@@ -16,7 +16,7 @@ import inspect
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automorphisms import (
     AutomorphismMap,
@@ -544,11 +544,9 @@ def verify_product_lemma(spec_a: GCSpec, spec_b: GCSpec) -> TheoremReport:
         for v in range(g.order)
     )
     alpha = automorphism_from_perm(g, alpha_perm)
-    want_omega = mask_of(
-        wa * nb + wb
-        for wa in omega_set(ga, spec_a.alpha).set.members()
-        for wb in omega_set(gb, spec_b.alpha).set.members()
-    )
+    omega_a = omega_set(ga, spec_a.alpha).set.members()
+    omega_b = omega_set(gb, spec_b.alpha).set.members()
+    want_omega = mask_of(wa * nb + wb for wa in omega_a for wb in omega_b)
     omega_ok = omega_set(g, alpha).set.mask == want_omega
     s_ids = tuple(
         sa * nb + sb for sa in spec_a.set_ids() for sb in spec_b.set_ids()
@@ -724,7 +722,12 @@ def coset_law_and_duplicates(rows: tuple[int, ...], coset_of: tuple[int, ...]) -
     its members.  Grouping the vertices by row and comparing each class with
     the coset of one member decides it in O(|G|) steps: if a class C holding
     a equals aK, then bK = aK = C for every b in C.  Duplicate rows exist
-    exactly when there are fewer classes than vertices."""
+    exactly when there are fewer classes than vertices.
+
+    When the rows are all distinct every class is a singleton {v}, which is
+    the coset vK for every v exactly when K = {1}."""
+    if len(set(rows)) == len(rows):
+        return all(coset == 1 << v for v, coset in enumerate(coset_of)), False
     classes: dict[int, int] = {}
     for v, row in enumerate(rows):
         classes[row] = classes.get(row, 0) | 1 << v
@@ -732,8 +735,19 @@ def coset_law_and_duplicates(rows: tuple[int, ...], coset_of: tuple[int, ...]) -
     return law, len(classes) < len(rows)
 
 
+def _lex_map(k: SubgroupHandle) -> Perm:
+    """The vertex map X -> X/K[empty |K|]: the r-th member of the i-th coset
+    goes to vertex i|K| + r."""
+    lex_map = [0] * k.group.order
+    for i, coset in enumerate(k.cosets()):
+        for rank, v in enumerate(bits(coset)):
+            lex_map[v] = i * len(k) + rank
+    return tuple(lex_map)
+
+
 def _unworthy_certificate(
-    g: FiniteGroup, s_mask: int, rows: tuple[int, ...], k: SubgroupHandle, omega_mask: int | None
+    g: FiniteGroup, s_mask: int, rows: tuple[int, ...], k: SubgroupHandle, omega_mask: int | None,
+    lex_maps: dict[int, Perm], blowups: dict[tuple, Graph],
 ) -> tuple[bool, bool, dict]:
     """The unworthiness check of one set S: (passed, S is the complement of
     omega, certificate), for `rows` the rows of X = GC(G, S, alpha), K its
@@ -743,7 +757,10 @@ def _unworthy_certificate(
     Checked: the coset law for equal rows, duplicate rows exactly when
     |K| > 1 (Prop 5.1, Cor 5.2), X = X/K[empty |K|] through a witness when
     |K| > 1 (Prop 5.3), and, when S = G minus omega, K = omega with a
-    complete quotient (Cor 5.4)."""
+    complete quotient (Cor 5.4).  The witness's vertex map depends on K
+    only and its target on (X/K, |K|) only, so they are kept in `lex_maps`
+    (by K's mask) and `blowups` (by the quotient's rows and |K|), which a
+    caller may share between the sets of one group."""
     k_size = len(k)
     cert: dict = {"kernel": list(k.members()), "kernel_size": k_size}
     coset_law, duplicate = coset_law_and_duplicates(rows, k.coset_of)
@@ -755,13 +772,12 @@ def _unworthy_certificate(
     if k_size > 1:
         x = Graph(g.order, rows)
         quotient = quotient_by_kernel(x, k)
-        # the r-th member of the i-th coset goes to vertex i|K| + r
-        lex_map = [0] * g.order
-        for i, coset in enumerate(k.cosets()):
-            for rank, v in enumerate(bits(coset)):
-                lex_map[v] = i * k_size + rank
-        lex = lexicographic_product(quotient, empty_graph(k_size))
-        decomposition_ok = check_witness(IsomorphismWitness(x, lex, tuple(lex_map)))
+        if k.set.mask not in lex_maps:
+            lex_maps[k.set.mask] = _lex_map(k)
+        blowup = (quotient.rows, k_size)
+        if blowup not in blowups:
+            blowups[blowup] = lexicographic_product(quotient, empty_graph(k_size))
+        decomposition_ok = check_witness(IsomorphismWitness(x, blowups[blowup], lex_maps[k.set.mask]))
         cert["quotient_vertices"] = quotient.n
         cert["lex_decomposition"] = decomposition_ok
     complement_case = omega_mask is not None and s_mask == ((1 << g.order) - 1) ^ omega_mask
@@ -789,7 +805,7 @@ def verify_unworthy_theory(spec: GCSpec) -> TheoremReport:
     g = spec.group
     omega_mask = omega_set(g, spec.alpha).set.mask if g.abelian else None
     ok, complement_case, cert = _unworthy_certificate(
-        g, spec.connection.mask, build_gc_graph(spec).rows, kernel_subgroup(spec), omega_mask
+        g, spec.connection.mask, build_gc_graph(spec).rows, kernel_subgroup(spec), omega_mask, {}, {}
     )
     return TheoremReport(
         "prop-5.3" if not complement_case else "cor-5.4",
@@ -850,21 +866,45 @@ def run_prop_2_1(caps: Caps, max_order: int = 6) -> list[TheoremReport]:
     return reports
 
 
-def run_prop_2_2(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
-    reports = []
+class _FixOmega(NamedTuple):
+    """What prop-2.2 and lemma-2.3 read off Fix(alpha) and omega(alpha) of
+    one (G, alpha)."""
+
+    key: str
+    order: int
+    abelian: bool
+    fix_size: int
+    omega_size: int
+    omega_subgroup: bool
+    alpha_inverts_omega: bool
+
+
+@cache
+def _fix_omega(max_order: int, caps: Caps) -> tuple[_FixOmega, ...]:
+    """The Fix/omega facts of every (G, alpha) to `max_order`, computed once
+    per (max_order, caps) for prop-2.2 and lemma-2.3; only counts and flags
+    are kept, not the sets."""
+    facts = []
     for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
         fix = fix_set(g, alpha)          # raises if not a subgroup
         om = omega_set(g, alpha)
         inverted = all(alpha.perm[x] == g.inv[x] for x in om.set.members())
-        ok = inverted and (om.is_subgroup or not g.abelian)
+        facts.append(_FixOmega(key, g.order, g.abelian, len(fix), len(om.set), om.is_subgroup, inverted))
+    return tuple(facts)
+
+
+def run_prop_2_2(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
+    reports = []
+    for f in _fix_omega(max_order, caps):
+        ok = f.alpha_inverts_omega and (f.omega_subgroup or not f.abelian)
         reports.append(TheoremReport(
-            "prop-2.2", key, "verified" if ok else "refuted",
+            "prop-2.2", f.key, "verified" if ok else "refuted",
             {
-                "fix_size": len(fix),
-                "omega_size": len(om.set),
-                "omega_subgroup": om.is_subgroup,
-                "abelian": g.abelian,
-                "alpha_inverts_omega": inverted,
+                "fix_size": f.fix_size,
+                "omega_size": f.omega_size,
+                "omega_subgroup": f.omega_subgroup,
+                "abelian": f.abelian,
+                "alpha_inverts_omega": f.alpha_inverts_omega,
             },
         ))
     return reports
@@ -872,13 +912,11 @@ def run_prop_2_2(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
 
 def run_lemma_2_3(caps: Caps, max_order: int = 16) -> list[TheoremReport]:
     reports = []
-    for key, g, alpha in _alpha_walk(builtin_groups(max_order, caps)):
-        fix = fix_set(g, alpha)
-        om = omega_set(g, alpha)
-        ok = len(fix) * len(om.set) == g.order
+    for f in _fix_omega(max_order, caps):
+        ok = f.fix_size * f.omega_size == f.order
         reports.append(TheoremReport(
-            "lemma-2.3", key, "verified" if ok else "refuted",
-            {"fix_size": len(fix), "omega_size": len(om.set), "order": g.order},
+            "lemma-2.3", f.key, "verified" if ok else "refuted",
+            {"fix_size": f.fix_size, "omega_size": f.omega_size, "order": f.order},
         ))
     return reports
 
@@ -1082,19 +1120,23 @@ def _unworthy_checks(g: FiniteGroup, caps: Caps) -> Iterator[tuple[str, Automorp
     `_unworthy_certificate` on one pair.
 
     K(S) = {x : rows[x] == S}, because alpha(x)S is contained in S only
-    when it equals S, both having |S| members.  Every set of g with the
-    same kernel shares one `SubgroupHandle`, so each kernel's closure is
-    checked and its coset table built once per group."""
+    when it equals S, both having |S| members; rows[0] is S, so K = {1}
+    when S occurs once.  Every set of g with the same kernel shares one
+    `SubgroupHandle` and one lex vertex map, so each kernel's closure is
+    checked and its coset table and map built once per group, and sets with
+    equal quotients and |K| share one blow-up X/K[empty |K|]."""
     kernels: dict[int, SubgroupHandle] = {}
+    lex_maps: dict[int, Perm] = {}
+    blowups: dict[tuple, Graph] = {}
     for key, _, alpha in _alpha_walk([g]):
         omega_mask = omega_set(g, alpha).set.mask if g.abelian else None
 
         def certify(item: tuple[int, tuple[int, ...]], omega_mask=omega_mask) -> tuple[bool, bool, dict]:
             s_mask, rows = item
-            k_mask = mask_of(x for x, row in enumerate(rows) if row == s_mask)
+            k_mask = 1 if rows.count(s_mask) == 1 else mask_of(x for x, row in enumerate(rows) if row == s_mask)
             if k_mask not in kernels:
                 kernels[k_mask] = subgroup_handle(g, k_mask)
-            return _unworthy_certificate(g, s_mask, rows, kernels[k_mask], omega_mask)
+            return _unworthy_certificate(g, s_mask, rows, kernels[k_mask], omega_mask, lex_maps, blowups)
 
         orbits = capped_connection_orbits(g, alpha, caps)
         yield key, alpha, connection_rows(g, alpha, orbits), certify

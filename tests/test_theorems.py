@@ -527,6 +527,40 @@ def test_unworthiness_ids_share_one_sweep(caps):
         assert rows["prop-5.1"] == rows["cor-5.2"] == rows["prop-5.3"]
 
 
+# sha256 of the sorted-key JSON of the prop-2.2 and lemma-2.3 report lists,
+# by max_order (16 is the default), captured when each runner computed
+# Fix(alpha) and omega(alpha) itself
+FIX_OMEGA_REFERENCE = {
+    "prop-2.2": {16: (570, "e3e6e245572fcd1db46807d669dcf7a5adcfa251561555102a02d4114ccbf152"),
+                 8: (64, "f2b66704dc71c4f62afc53a324e24cc759024f3593963f106000aa1d55f57aa0")},
+    "lemma-2.3": {16: (570, "890272fae50c9faeb6ffcf84c04d1892695fff864a57acef90360f845480526d"),
+                  8: (64, "e500e000b58e22dfd2111689e4092277509db7d9a4086f46ddafe358b713029c")},
+}
+
+
+def test_fix_omega_ids_share_one_walk(caps, monkeypatch):
+    import hashlib
+    import json
+
+    for tid, by_order in FIX_OMEGA_REFERENCE.items():
+        for max_order, (count, digest) in by_order.items():
+            params = {} if max_order == 16 else {"max_order": max_order}
+            reports = all_verified(run_theorem(tid, params, caps))
+            text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+            assert len(reports) == count
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (tid, max_order)
+    # one Fix and one omega per (G, alpha) for prop-2.2, none for lemma-2.3 after it
+    calls = []
+    for name in ("fix_set", "omega_set"):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda g, a, name=name, real=real: calls.append(name) or real(g, a))
+    theorems._fix_omega.cache_clear()
+    run_theorem("prop-2.2", {"max_order": 8}, caps)
+    assert sorted(calls) == ["fix_set"] * 64 + ["omega_set"] * 64
+    run_theorem("lemma-2.3", {"max_order": 8}, caps)
+    assert len(calls) == 128
+
+
 # ---------------------------------------------------------------------------
 # layer certificates: thm-3.5, thm-3.1, prop-2.5, lemma-4.2 and thm-4.3
 # certify a whole family of connection sets through one vertex map checked
@@ -758,6 +792,13 @@ def test_coset_partition_matches_the_all_pairs_formula(caps, data):
         cert = verify_unworthy_theory(spec).certificate
         assert cert["coset_law"] == all_pairs_coset_law(g.mul, g.inv, rows, k_mask)
         assert cert["unworthy"] == all_pairs_duplicate_rows(rows)
+    elif g.order > 1 and data.draw(st.booleans(), label="distinct rows"):
+        # all rows distinct under some K != {1}: every class is one vertex,
+        # not a coset of K, so the law fails, and there is no duplicate
+        generators = st.lists(st.integers(1, g.order - 1), min_size=1, max_size=2)
+        k_mask = subgroup_closure(g, data.draw(generators, label="kernel"))
+        rows = tuple(data.draw(st.permutations(range(g.order))))
+        assert coset_law_and_duplicates(rows, subgroup_handle(g, k_mask).coset_of) == (False, False)
     else:
         # rows constant on the left or right cosets of K or of another random
         # subgroup H, so that some draws follow the wrong cosets and break
